@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import DataError
 from .model import BodyVelocity, OperatingRegion, Pose, PwmFrame
@@ -186,8 +185,12 @@ class Segment:
         for name in ("u", "v", "r", "delta_mean", "delta_diff", "region"):
             if getattr(self, name).size != n:
                 raise DataError(f"segment column {name} length mismatch")
-        if n >= 2 and not np.allclose(np.diff(self.t), self.h, rtol=0.0, atol=1e-9):
-            raise DataError("segment timestamps must step by exactly h")
+        if n >= 2:
+            # Grid times t0 + h*k are rounded to the spacing of floats near t, which
+            # for Unix epoch stamps (~1.7e9 s) is ~2.4e-7 s, far above a fixed 1e-9.
+            tol = max(1e-9, 4 * float(np.spacing(np.max(np.abs(self.t)))))
+            if not np.allclose(np.diff(self.t), self.h, rtol=0.0, atol=tol):
+                raise DataError("segment timestamps must step by exactly h")
         for name in ("u", "v", "r", "delta_mean", "delta_diff"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"segment column {name} has non-finite values")
@@ -349,11 +352,16 @@ def resample_causal(
     return out, valid
 
 
+def _window_vandermonde(window: int, order: int) -> np.ndarray:
+    """Polynomial basis of one window of equally spaced points scaled to [-1, 1]."""
+    basis = 2.0 * np.arange(window) / max(window - 1, 1) - 1.0
+    return np.vander(basis, order + 1, increasing=True)
+
+
 def _causal_edge_weights(window: int, order: int) -> np.ndarray:
     """Convolution weights of the trailing-window polynomial fit at its edge."""
-    basis = 2.0 * np.arange(window) / (window - 1) - 1.0
-    vand = np.vander(basis, order + 1, increasing=True)
-    return np.linalg.pinv(vand).sum(axis=0)  # row vector of the edge fit
+    pinv = np.linalg.pinv(_window_vandermonde(window, order))
+    return pinv.sum(axis=0)  # row vector of the edge fit
 
 
 def savitzky_golay(signal: np.ndarray, cfg: SavGolConfig, causal: bool = False) -> np.ndarray:
@@ -364,23 +372,36 @@ def savitzky_golay(signal: np.ndarray, cfg: SavGolConfig, causal: bool = False) 
     window's newest point), so the filter never looks ahead; start-up points
     with short history use a shrinking window.  Both variants reproduce
     polynomials up to ``poly_order`` exactly.
+
+    The centered filter handles its edges like ``scipy.signal.savgol_filter``
+    with ``mode="interp"``, without needing scipy: the first and last
+    ``window_length // 2`` outputs evaluate the polynomial fitted to the
+    first and last full window.  All outputs come from the hat matrix
+    ``V @ pinv(V)`` of one window: its middle row is the interior kernel,
+    its other rows are the edge fits.
     """
     signal = np.asarray(signal, dtype=float)
     w, order = cfg.window_length, cfg.poly_order
+    n = signal.size
     if not causal:
-        if signal.size < w:
-            raise ValueError(f"signal length {signal.size} is shorter than window {w}")
-        return scipy.signal.savgol_filter(signal, w, order, mode="interp")
+        if n < w:
+            raise ValueError(f"signal length {n} is shorter than window {w}")
+        vand = _window_vandermonde(w, order)
+        hat = vand @ np.linalg.pinv(vand)
+        half = w // 2
+        out = np.empty_like(signal)
+        out[half : n - half] = np.convolve(signal, hat[half, ::-1], mode="valid")
+        out[:half] = hat[:half] @ signal[:w]
+        out[n - half :] = hat[w - half :] @ signal[n - w :]
+        return out
 
     out = np.empty_like(signal)
-    n = signal.size
     head = min(w - 1, n)
     for i in range(head):
         if i <= order:
             out[i] = signal[i]  # fit interpolates when points <= order+1
         else:
-            x = 2.0 * np.arange(i + 1) / i - 1.0
-            vand = np.vander(x, order + 1, increasing=True)
+            vand = _window_vandermonde(i + 1, order)
             coef, *_ = np.linalg.lstsq(vand, signal[: i + 1], rcond=None)
             out[i] = coef.sum()
     if n >= w:

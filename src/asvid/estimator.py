@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataprep import PreparedDataset
 from .errors import DataError
@@ -95,11 +94,19 @@ class IdentifiedModel:
 
 
 def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
-    """Minimize ||A x - b|| by SVD (minimum-norm solution if rank deficient)."""
+    """Minimize ||A x - b|| by SVD (minimum-norm solution if rank deficient).
+
+    LAPACK gelsd treats singular values at or below ``eps * sigma_max``
+    (``eps`` = float64 machine epsilon) as zero; ``rank`` and the condition
+    estimate ``sigma_max / sigma_rank`` follow that threshold.  numpy's
+    default ``rcond`` (``eps * max(m, n)``) would drop more directions on
+    tall, nearly rank-deficient systems, so the threshold is passed
+    explicitly.
+    """
     m, n = sys.a.shape
     if m < n:
         raise DataError(f"{sys.model_kind}/{sys.axis}: {m} rows cannot determine {n} columns")
-    solution, _, rank, sv = scipy.linalg.lstsq(sys.a, sys.b, lapack_driver="gelsd")
+    solution, _, rank, sv = np.linalg.lstsq(sys.a, sys.b, rcond=np.finfo(float).eps)
     # A column of exact zeros (structural cancellation) has minimum-norm
     # coefficient exactly zero; clear the rounding dust the SVD leaves there.
     dead = ~np.any(sys.a != 0.0, axis=0)

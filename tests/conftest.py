@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asvid import oracle
+from asvid.dataprep import GeoReference
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,13 @@ def ds_dynamic(gt_dynamic):
         steps=3000, kind="dynamic", seed=5, n_segments=4, g0_scale=0.05
     )
     return oracle.generate_discrete(gt_dynamic, cfg)
+
+
+@pytest.fixture(scope="session")
+def small_bundle(gt_static):
+    """40 s of raw sensor logs from a static RK4 run."""
+    traj = oracle.simulate_continuous(gt_static, oracle.smooth_excitation(), duration=40.0)
+    return oracle.emit_sensor_logs(traj, GeoReference(lat0=37.4, lon0=-6.0))
 
 
 @pytest.fixture()

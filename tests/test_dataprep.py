@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ class TestSavitzkyGolay:
         with pytest.raises(ValueError):
             savitzky_golay(np.zeros(5), SavGolConfig(11, 3))
 
+    @pytest.mark.parametrize("w, order", [(5, 1), (7, 2), (11, 3), (21, 4)])
+    @pytest.mark.parametrize("n", ["w", 50, 1000])
+    def test_centered_matches_scipy_interp(self, w, order, n, rng):
+        # Larger windows are left out: scipy's own kernel drifts from the exact
+        # hat matrix there (2.4e-8 at w=51, order 6).
+        signal_mod = pytest.importorskip("scipy.signal")
+        n = w if n == "w" else n
+        y = rng.normal(size=n) + np.linspace(0.0, 5.0, n)
+        out = savitzky_golay(y, SavGolConfig(w, order))
+        ref = signal_mod.savgol_filter(y, w, order, mode="interp")
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_centered_window_one_is_identity(self, rng):
+        y = rng.normal(size=30)
+        assert np.array_equal(savitzky_golay(y, SavGolConfig(1, 0)), y)
+
     def test_causal_never_looks_ahead(self):
         y = np.sin(np.arange(100.0) / 7.0)
         base = savitzky_golay(y, SavGolConfig(11, 3), causal=True)
@@ -284,6 +301,23 @@ class TestBuildPreparedDataset:
         summary = ds.summary()
         assert summary["points"] == ds.n_samples
         assert summary["minutes"] == pytest.approx(ds.n_samples * 0.2 / 60.0)
+
+    def test_epoch_timestamps(self, small_bundle):
+        # Near 1.7e9 s the grid steps t0 + h*k are off from h by ~1.9e-7 s.
+        shift = 1.7e9
+        shifted = replace(
+            small_bundle,
+            gnss_t=small_bundle.gnss_t + shift,
+            heading_t=small_bundle.heading_t + shift,
+            pwm_t=small_bundle.pwm_t + shift,
+        )
+        base = build_prepared_dataset(small_bundle, REF)
+        ds = build_prepared_dataset(shifted, REF)
+        assert [len(s) for s in ds.segments] == [len(s) for s in base.segments]
+        for seg, ref_seg in zip(ds.segments, base.segments):
+            assert np.array_equal(seg.region, ref_seg.region)
+            for name in ("u", "v", "r"):
+                assert np.allclose(getattr(seg, name), getattr(ref_seg, name), rtol=0.0, atol=1e-6)
 
     def test_empty_data_rejected(self):
         raw = synthetic_logs()

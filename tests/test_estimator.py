@@ -120,6 +120,22 @@ class TestSolveLeastSquares:
             step *= 1e-6 / np.linalg.norm(step)
             assert np.linalg.norm(a @ (rep.solution + step) - b) >= best - 1e-12
 
+    def test_rank_threshold_is_eps_times_sigma_max(self, rng):
+        # sigma_min / sigma_max = 1e-14 sits between eps and eps*max(m, n):
+        # gelsd with numpy's default rcond would drop the last direction.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        u, _ = np.linalg.qr(rng.normal(size=(1000, 7)))
+        v, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        a = (u * np.logspace(0, -14, 7)) @ v.T
+        b = rng.normal(size=1000)
+        with pytest.warns(UserWarning, match="condition"):
+            rep = solve_least_squares(system_from(a, b))
+        assert rep.rank == 7 and not rep.rank_deficient
+        ref, _, ref_rank, sv = scipy_linalg.lstsq(a, b, lapack_driver="gelsd")
+        assert ref_rank == 7
+        assert np.max(np.abs(rep.solution - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert rep.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
 
 class TestResolveAlpha:
     def test_exact_consistent_inputs(self):

@@ -9,23 +9,7 @@ from asvid.cli import main
 from asvid.errors import SchemaError
 from asvid.estimator import identify_static
 from asvid.model import ThrustStaticParams
-from asvid.oracle import (
-    SigmaSurge,
-    SigmaSwayYaw,
-    default_ground_truth,
-    emit_sensor_logs,
-    simulate_continuous,
-    smooth_excitation,
-)
-from asvid.dataprep import GeoReference
-
-REF = GeoReference(lat0=37.4, lon0=-6.0)
-
-
-@pytest.fixture(scope="module")
-def small_bundle(gt_static):
-    traj = simulate_continuous(gt_static, smooth_excitation(), duration=40.0)
-    return emit_sensor_logs(traj, REF)
+from asvid.oracle import SigmaSurge, SigmaSwayYaw, default_ground_truth
 
 
 class TestRawLogs:
