@@ -25,18 +25,11 @@ from .estimator import (
     solve_least_squares,
 )
 from .model import (
-    BodyVelocity,
-    InertiaLayout,
     OperatingRegion,
-    Pose,
     PwmFrame,
     ThrustDynamicParams,
     ThrustStaticParams,
     classify_region,
-    input_gain_dynamic_step,
-    input_gain_static_p,
-    input_gain_static_u,
-    rotation_matrix,
     thrust_dynamic_step,
     thrust_static,
 )

@@ -100,11 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
     if cfg.get("ground_truth"):
-        gt_doc = dict(cfg["ground_truth"])
-        tmp = out / "_gt_input.json"
-        storage.atomic_write_text(tmp, json.dumps(gt_doc))
-        gt = storage.read_ground_truth(tmp)
-        tmp.unlink()
+        gt = storage.parse_ground_truth(cfg["ground_truth"], Path(args.config).name)
     else:
         gt = default_ground_truth(dynamic=(kind == "dynamic"))
 

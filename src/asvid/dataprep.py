@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .model import BodyVelocity, OperatingRegion, Pose, PwmFrame
+from .model import classify_regions
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -27,7 +27,6 @@ __all__ = [
     "PwmMapConfig",
     "PrepareConfig",
     "Segment",
-    "PreparedSample",
     "PreparedDataset",
     "geodetic_to_ned",
     "ned_to_geodetic",
@@ -46,6 +45,12 @@ EARTH_RADIUS_M = 6371000.0
 
 # Raw samples stamped within this of a grid time still count as "past".
 _TIME_TOL = 1e-9
+
+
+def _ulps(*stamps: np.ndarray) -> float:
+    """Four float spacings at the largest |stamp|: the rounding that grid times
+    ``t0 + h*k`` and raw stamps carry, ~1e-6 s for Unix epoch stamps (~1.7e9 s)."""
+    return 4 * float(np.spacing(max(float(np.max(np.abs(t), initial=0.0)) for t in stamps)))
 
 
 @dataclass(frozen=True)
@@ -186,9 +191,7 @@ class Segment:
             if getattr(self, name).size != n:
                 raise DataError(f"segment column {name} length mismatch")
         if n >= 2:
-            # Grid times t0 + h*k are rounded to the spacing of floats near t, which
-            # for Unix epoch stamps (~1.7e9 s) is ~2.4e-7 s, far above a fixed 1e-9.
-            tol = max(1e-9, 4 * float(np.spacing(np.max(np.abs(self.t)))))
+            tol = max(_TIME_TOL, _ulps(self.t))
             if not np.allclose(np.diff(self.t), self.h, rtol=0.0, atol=tol):
                 raise DataError("segment timestamps must step by exactly h")
         for name in ("u", "v", "r", "delta_mean", "delta_diff"):
@@ -197,28 +200,6 @@ class Segment:
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    def sample(self, i: int) -> "PreparedSample":
-        pose = None
-        if self.x is not None:
-            pose = Pose(float(self.x[i]), float(self.y[i]), float(self.psi[i]))
-        return PreparedSample(
-            t=float(self.t[i]),
-            nu=BodyVelocity(float(self.u[i]), float(self.v[i]), float(self.r[i])),
-            frame=PwmFrame.from_mean_diff(float(self.delta_mean[i]), float(self.delta_diff[i])),
-            pose=pose,
-        )
-
-
-@dataclass(frozen=True)
-class PreparedSample:
-    """One synchronized sample: time, body velocity, PWM frame, optional pose."""
-
-    t: float
-    nu: BodyVelocity
-    frame: PwmFrame
-    pose: Pose | None = None
-
 
 @dataclass
 class PreparedDataset:
@@ -324,7 +305,8 @@ def resample_causal(
     if np.any(np.diff(t_raw) <= 0):
         raise ValueError("raw timestamps must be strictly increasing")
 
-    n_avail = np.searchsorted(t_raw, t_grid + _TIME_TOL, side="right")
+    tol = max(_TIME_TOL, _ulps(t_raw, t_grid))
+    n_avail = np.searchsorted(t_raw, t_grid + tol, side="right")
     valid = n_avail >= degree + 1
     out = np.full(t_grid.shape, np.nan)
 
@@ -464,20 +446,12 @@ def denormalize_pwm(delta, cfg: PwmMapConfig) -> np.ndarray:
 
 def _staleness(t_raw: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Age of the newest raw sample at each grid time (inf before the first)."""
-    idx = np.searchsorted(t_raw, t_grid + _TIME_TOL, side="right")
+    tol = max(_TIME_TOL, _ulps(t_raw, t_grid))
+    idx = np.searchsorted(t_raw, t_grid + tol, side="right")
     age = np.full(t_grid.shape, np.inf)
     has = idx > 0
     age[has] = t_grid[has] - t_raw[idx[has] - 1]
     return age
-
-
-def _classify_regions(delta_l: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
-    codes = np.where(
-        delta_l >= 0.0,
-        np.where(delta_r >= 0.0, OperatingRegion.FF, OperatingRegion.FR),
-        np.where(delta_r >= 0.0, OperatingRegion.RF, OperatingRegion.RR),
-    )
-    return codes.astype(np.int8)
 
 
 def build_prepared_dataset(
@@ -497,7 +471,7 @@ def build_prepared_dataset(
     h = cfg.h
 
     t0 = raw.gnss_t[0]
-    n_grid = int(math.floor((raw.gnss_t[-1] - t0) / h + 1e-9)) + 1
+    n_grid = int(math.floor((raw.gnss_t[-1] - t0) / h + max(1e-9, _ulps(raw.gnss_t) / h))) + 1
     if n_grid < 2:
         raise DataError("GNSS stream spans less than one grid step")
     grid = t0 + h * np.arange(n_grid)
@@ -528,7 +502,7 @@ def build_prepared_dataset(
     n_flagged = int(np.sum((flag_l | flag_r) & usable))
     if n_flagged:
         warnings.warn(f"{n_flagged} PWM samples out of configured bounds by >5%", stacklevel=2)
-    region = _classify_regions(delta_l, delta_r)
+    region = classify_regions(delta_l, delta_r)
     delta_mean = 0.5 * (delta_l + delta_r)
     delta_diff = delta_l - delta_r
 

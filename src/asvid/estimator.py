@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataprep import PreparedDataset
 from .errors import DataError
-from .regressors import RegressionSystem, build_systems
+from .regressors import TERMS, RegressionSystem, build_systems, term_index
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -25,7 +25,6 @@ __all__ = [
     "AlphaResolution",
     "IdentifiedModel",
     "solve_least_squares",
-    "fit_systems",
     "identify_from_systems",
     "identify_static",
     "identify_dynamic",
@@ -80,7 +79,7 @@ class IdentifiedModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        expected = {"static": (7, 13, 13), "dynamic": (11, 21, 21)}[self.kind]
+        expected = tuple(len(TERMS[(self.kind, axis)]) for axis in ("u", "v", "r"))
         got = (self.surge.size, self.sway.size, self.yaw.size)
         if got != expected:
             raise ValueError(f"{self.kind} model needs vector lengths {expected}, got {got}")
@@ -129,10 +128,6 @@ def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
         rows_used=m,
         rank_deficient=rank < n,
     )
-
-
-def fit_systems(systems: dict[str, RegressionSystem]) -> dict[str, LeastSquaresReport]:
-    return {axis: solve_least_squares(sys) for axis, sys in systems.items()}
 
 
 def _alpha_residuals(params: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -193,26 +188,20 @@ def _gauss_newton_alpha(
 def resolve_alpha(xu: np.ndarray, xv: np.ndarray, xr: np.ndarray) -> AlphaResolution:
     """Recover the shared pole from the three dynamic parameter vectors.
 
-    The six pole-coupled entries (surge 1 & 5, sway 1 & 8, yaw 1 & 9,
-    1-based) overdetermine (alpha, r_u, r_v, r_r).  Eliminating r per axis
+    The six pole-coupled entries (each axis' own velocity at k and at k-1)
+    overdetermine (alpha, r_u, r_v, r_r).  Eliminating r per axis
     gives the seed quadratic ``alpha^2 - alpha*(1 + first) - paired = 0``;
     Gauss-Newton then minimizes the six squared residuals, started from the
     mean of the in-range roots and, to cope with the mirrored solution each
     axis admits (alpha and 1 + r_j swap roles), from each root itself.
     Among equally good minima the largest pole wins, deterministically.
     """
-    xu = np.asarray(xu, dtype=float).reshape(-1)
-    xv = np.asarray(xv, dtype=float).reshape(-1)
-    xr = np.asarray(xr, dtype=float).reshape(-1)
-    if (xu.size, xv.size, xr.size) != (11, 21, 21):
-        raise ValueError("resolve_alpha expects vectors of lengths 11, 21, 21")
-    pairs = np.array(
-        [
-            [xu[0], xu[4]],  # surge: entries 1 and 5
-            [xv[0], xv[7]],  # sway: entries 1 and 8
-            [xr[0], xr[8]],  # yaw: entries 1 and 9
-        ]
-    )
+    pairs = np.empty((3, 2))
+    for j, (axis, x) in enumerate((("u", xu), ("v", xv), ("r", xr))):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.size != len(TERMS[("dynamic", axis)]):
+            raise ValueError(f"resolve_alpha expects dynamic vectors, got {x.size} {axis} entries")
+        pairs[j] = x[[term_index("dynamic", axis, name) for name in (axis, f"{axis}[k-1]")]]
 
     roots: list[float] = []
     for first, paired in pairs:
@@ -267,7 +256,7 @@ def identify_from_systems(
     selected = {
         axis: (sys if rows is None else sys.select(rows[axis])) for axis, sys in systems.items()
     }
-    reports = fit_systems(selected)
+    reports = {axis: solve_least_squares(sys) for axis, sys in selected.items()}
     metadata = {
         "h": h,
         "rows_used": {axis: rep.rows_used for axis, rep in reports.items()},
@@ -295,10 +284,10 @@ def identify_from_systems(
 
 
 def identify_static(ds: PreparedDataset) -> IdentifiedModel:
-    """Identify the static-propeller parameter vectors (7/13/13) from a dataset."""
+    """Identify the static-propeller parameter vectors from a dataset."""
     return identify_from_systems("static", build_systems(ds, "static"), ds.h)
 
 
 def identify_dynamic(ds: PreparedDataset) -> IdentifiedModel:
-    """Identify the dynamic-propeller vectors (11/21/21) and the shared pole."""
+    """Identify the dynamic-propeller vectors and the shared pole."""
     return identify_from_systems("dynamic", build_systems(ds, "dynamic"), ds.h)

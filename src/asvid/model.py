@@ -1,5 +1,4 @@
-"""Core vessel-model types: frames, operating regions, thrust maps and the
-velocity input gains they induce.
+"""Core vessel-model types: PWM frames, operating regions and thrust maps.
 
 Conventions used throughout the package:
 
@@ -24,27 +23,15 @@ from .errors import RegionError
 
 __all__ = [
     "OperatingRegion",
-    "BodyVelocity",
-    "Pose",
+    "REGION_SIGN",
     "PwmFrame",
     "ThrustStaticParams",
     "ThrustDynamicParams",
-    "StaticSurgeParams",
-    "StaticSwayYawParams",
-    "DynamicSurgeParams",
-    "DynamicSwayYawParams",
-    "InertiaLayout",
-    "rotation_matrix",
-    "rotation2",
     "classify_region",
+    "classify_regions",
     "thrust_static",
     "thrust_dynamic_step",
-    "force_torque_from_thrusts",
-    "surge_thrust_monomials",
     "swayyaw_thrust_columns",
-    "input_gain_static_u",
-    "input_gain_static_p",
-    "input_gain_dynamic_step",
 ]
 
 
@@ -60,37 +47,17 @@ class OperatingRegion(enum.IntEnum):
     RR = 3
 
 
+# Sign of the two asymmetric sway/yaw thrust columns, indexed by region code:
+# forward-forward cancels them (identical propellers on the same branch), and
+# swapping which propeller reverses flips their sign.  Reverse-reverse is
+# outside the identified model.
+REGION_SIGN = np.array([0.0, 1.0, -1.0, 0.0])
+
+
 def _require_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class BodyVelocity:
-    """Body-frame velocity: surge u (m/s), sway v (m/s), yaw rate r (rad/s)."""
-
-    u: float
-    v: float
-    r: float
-
-    def __post_init__(self) -> None:
-        _require_finite("BodyVelocity", self.u, self.v, self.r)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.r])
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose: north x (m), east y (m), heading psi (rad, unwrapped)."""
-
-    x: float
-    y: float
-    psi: float
-
-    def __post_init__(self) -> None:
-        _require_finite("Pose", self.x, self.y, self.psi)
 
 
 @dataclass(frozen=True)
@@ -166,117 +133,6 @@ class ThrustDynamicParams:
         return self.alpha < 1.0
 
 
-class _ParamVector:
-    """Base for fixed-length lumped-coefficient vectors."""
-
-    LENGTH = 0
-
-    def __init__(self, x) -> None:
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if arr.size != self.LENGTH:
-            raise ValueError(
-                f"{type(self).__name__} needs exactly {self.LENGTH} entries, got {arr.size}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{type(self).__name__} entries must be finite")
-        arr.flags.writeable = False
-        self.x = arr
-
-    def __len__(self) -> int:
-        return self.LENGTH
-
-    def __getitem__(self, i):
-        return self.x[i]
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and bool(np.array_equal(self.x, other.x))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.x.tolist()})"
-
-
-class StaticSurgeParams(_ParamVector):
-    """7-entry surge vector for the static propeller model.
-
-    Index table (1-based as reported in parameter files):
-      1..5  lumped disturbance terms (u|u|, v*r, r^2, u, bias),
-      6     thrust quadratic gain, pairs with (mean^2 + diff^2/4),
-      7     thrust linear gain, pairs with mean.
-    """
-
-    LENGTH = 7
-
-
-class StaticSwayYawParams(_ParamVector):
-    """13-entry sway or yaw vector for the static propeller model.
-
-    Index table (1-based):
-      1..9   lumped disturbance terms (v|v|, v|r|, r|v|, r|r|, u*v, u*r, v, r, bias),
-      10..13 thrust-coupled terms; 10 and 12 carry region-dependent signs and
-             vanish structurally in forward-forward operation.
-    """
-
-    LENGTH = 13
-
-
-class DynamicSurgeParams(_ParamVector):
-    """11-entry surge vector for the first-order propeller model.
-
-    Entries 1 and 5 jointly encode the shared pole; 10..11 are the
-    thrust-coupled terms driven by the previous step's PWM.
-    """
-
-    LENGTH = 11
-
-
-class DynamicSwayYawParams(_ParamVector):
-    """21-entry sway or yaw vector for the first-order propeller model.
-
-    Canonical ordering with thrust-coupled terms at 18..21 (the layout the
-    dynamic input-gain recursion indexes); the pole pairs are entries (1, 8)
-    for sway and (1, 9) for yaw.
-    """
-
-    LENGTH = 21
-
-
-@dataclass(frozen=True)
-class InertiaLayout:
-    """The three inverse-inertia entries the input gains need, plus geometry.
-
-    ``m11_inv`` (1/kg), ``m23_inv`` (1/(kg*m)), ``m33_inv`` (1/(kg*m^2)),
-    propeller separation ``d`` (m) and sampling period ``h`` (s).
-    """
-
-    m11_inv: float
-    m23_inv: float
-    m33_inv: float
-    d: float
-    h: float = 0.2
-
-    def __post_init__(self) -> None:
-        _require_finite("InertiaLayout", self.m11_inv, self.m23_inv, self.m33_inv, self.d, self.h)
-        if not self.h > 0:
-            raise ValueError("sampling period h must be > 0")
-        if not self.d > 0:
-            raise ValueError("propeller separation d must be > 0")
-
-
-def rotation2(psi: float) -> np.ndarray:
-    """2x2 body-to-inertial rotation for heading psi (rad)."""
-    if not math.isfinite(psi):
-        raise ValueError("psi must be finite")
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s], [s, c]])
-
-
-def rotation_matrix(psi: float) -> np.ndarray:
-    """3x3 planar rotation [[R2(psi), 0], [0, 1]] linking body and NED frames."""
-    out = np.eye(3)
-    out[:2, :2] = rotation2(psi)
-    return out
-
-
 def classify_region(delta_l: float, delta_r: float) -> OperatingRegion:
     """Operating region from the signs of the two normalized PWM commands.
 
@@ -289,6 +145,13 @@ def classify_region(delta_l: float, delta_r: float) -> OperatingRegion:
     if delta_l >= 0.0:
         return OperatingRegion.FF if delta_r >= 0.0 else OperatingRegion.FR
     return OperatingRegion.RF if delta_r >= 0.0 else OperatingRegion.RR
+
+
+def classify_regions(delta_l: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`classify_region` without range checks: int8 region codes."""
+    reverse_l = ~(np.asarray(delta_l) >= 0.0)
+    reverse_r = ~(np.asarray(delta_r) >= 0.0)
+    return (2 * reverse_l + reverse_r).astype(np.int8)
 
 
 def thrust_static(delta: float, p: ThrustStaticParams) -> float:
@@ -315,25 +178,6 @@ def thrust_dynamic_step(t_prev: float, delta_prev: float, p: ThrustDynamicParams
     return p.alpha * t_prev + p.beta * thrust_static(delta_prev, p.static_part)
 
 
-def force_torque_from_thrusts(t_l: float, t_r: float, d: float) -> tuple[float, float]:
-    """Surge force and yaw torque produced by left/right thrusts separated by d (m)."""
-    _require_finite("force_torque_from_thrusts", t_l, t_r, d)
-    return t_l + t_r, 0.5 * d * (t_l - t_r)
-
-
-def surge_thrust_monomials(frame: PwmFrame) -> tuple[float, float]:
-    """PWM monomials driving the surge thrust terms: (mean^2 + diff^2/4, mean)."""
-    m = frame.delta_mean
-    dd = frame.delta_diff
-    return m * m + 0.25 * dd * dd, m
-
-
-# Sign applied to the two asymmetric thrust columns per region: forward-forward
-# cancels them (identical propellers on the same branch), and swapping which
-# propeller reverses flips their sign.
-_ASYM_SIGN = {OperatingRegion.FF: 0.0, OperatingRegion.FR: 1.0, OperatingRegion.RF: -1.0}
-
-
 def swayyaw_thrust_columns(frame: PwmFrame) -> np.ndarray:
     """The four thrust-coupled regressor columns for sway/yaw at one step.
 
@@ -343,54 +187,6 @@ def swayyaw_thrust_columns(frame: PwmFrame) -> np.ndarray:
     """
     if frame.region is OperatingRegion.RR:
         raise RegionError("sway/yaw thrust columns are undefined in reverse-reverse")
-    s = _ASYM_SIGN[frame.region]
-    m1, mean = surge_thrust_monomials(frame)
-    dd = frame.delta_diff
-    return np.array([s * m1, mean * dd, s * mean, 0.5 * dd])
-
-
-def input_gain_static_u(frame: PwmFrame, p: StaticSurgeParams) -> float:
-    """Surge input gain under the static propeller model (forward-forward only)."""
-    if frame.region is not OperatingRegion.FF:
-        raise RegionError(
-            f"surge input gain is only identified in forward-forward, got {frame.region.name}"
-        )
-    m1, mean = surge_thrust_monomials(frame)
-    return p.x[5] * m1 + p.x[6] * mean
-
-
-def input_gain_static_p(frame: PwmFrame, p: StaticSwayYawParams) -> float:
-    """Sway or yaw input gain under the static propeller model.
-
-    Region-switched: FF uses only the symmetric terms (11, 13), FR uses all
-    four thrust terms, RF negates terms 10 and 12.
-    """
-    cols = swayyaw_thrust_columns(frame)
-    return float(cols @ p.x[9:13])
-
-
-def input_gain_dynamic_step(
-    g_prev: float,
-    frame_prev: PwmFrame,
-    alpha: float,
-    p: DynamicSurgeParams | DynamicSwayYawParams,
-) -> float:
-    """One step of the first-order input-gain recursion.
-
-    ``g(k) = alpha * g(k-1) + <thrust columns at k-1> . <thrust entries of p>``
-    with the same region conventions as the static gains.  Affine in
-    ``g_prev`` with slope exactly ``alpha``.
-    """
-    _require_finite("input_gain_dynamic_step", g_prev, alpha)
-    if isinstance(p, DynamicSurgeParams):
-        if frame_prev.region is not OperatingRegion.FF:
-            raise RegionError(
-                "dynamic surge input gain needs forward-forward operation, "
-                f"got {frame_prev.region.name}"
-            )
-        m1, mean = surge_thrust_monomials(frame_prev)
-        return alpha * g_prev + p.x[9] * m1 + p.x[10] * mean
-    if isinstance(p, DynamicSwayYawParams):
-        cols = swayyaw_thrust_columns(frame_prev)
-        return alpha * g_prev + float(cols @ p.x[17:21])
-    raise TypeError(f"unsupported parameter vector {type(p).__name__}")
+    s = float(REGION_SIGN[frame.region])
+    mean, dd = frame.delta_mean, frame.delta_diff
+    return np.array([s * (mean * mean + 0.25 * dd * dd), mean * dd, s * mean, 0.5 * dd])

@@ -39,9 +39,11 @@ from .model import (
     PwmFrame,
     ThrustDynamicParams,
     ThrustStaticParams,
+    classify_regions,
     swayyaw_thrust_columns,
     thrust_static,
 )
+from .regressors import TERMS, term_index
 
 __all__ = [
     "GroundTruth",
@@ -331,73 +333,61 @@ def known_params_to_X(
     w_v = i23 * gt.d / 2.0
     w_r = i33 * gt.d / 2.0
 
+    # Entry values by term name; the term table fixes the order.
     if kind == "static":
-        xu = h * np.array([su.uu, su.vr, su.rr, su.u, su.c, 2.0 * i11 * ts.a_f, 2.0 * i11 * ts.b_f])
+        surge = {"u|u|": h * su.uu, "v*r": h * su.vr, "r^2": h * su.rr, "u": h * su.u,
+                 "1": h * su.c, "mean^2+diff^2/4": h * (2.0 * i11 * ts.a_f),
+                 "mean": h * (2.0 * i11 * ts.b_f)}
 
-        def swayyaw(s: SigmaSwayYaw, w: float) -> np.ndarray:
-            return h * np.array(
-                [
-                    s.vv, s.v_ar, s.r_av, s.rr, s.uv, s.ur, s.v, s.r, s.c,
-                    w * a_diff, w * a_sum, w * b_diff, w * b_sum,
-                ]
-            )
+        def swayyaw(s: SigmaSwayYaw, w: float) -> dict[str, float]:
+            return {
+                "v|v|": h * s.vv, "v|r|": h * s.v_ar, "r|v|": h * s.r_av, "r|r|": h * s.rr,
+                "u*v": h * s.uv, "u*r": h * s.ur, "v": h * s.v, "r": h * s.r, "1": h * s.c,
+                "s*(mean^2+diff^2/4)": h * (w * a_diff), "mean*diff": h * (w * a_sum),
+                "s*mean": h * (w * b_diff), "diff/2": h * (w * b_sum),
+            }
 
-        return {"u": xu, "v": swayyaw(sv, w_v), "r": swayyaw(sr, w_r)}
+        return _in_table_order(kind, surge, swayyaw(sv, w_v), swayyaw(sr, w_r))
 
     dyn = gt.dynamic_thrust
     alpha, beta = dyn.alpha, dyn.beta
-    xu = np.array(
-        [
-            alpha + h * su.u,
-            -alpha * h * su.uu,
-            -alpha * h * su.vr,
-            -alpha * h * su.rr,
-            -alpha * (1.0 + h * su.u),
-            h * su.uu,
-            h * su.vr,
-            h * su.rr,
-            h * (1.0 - alpha) * su.c,
-            2.0 * h * beta * i11 * ts.a_f,
-            2.0 * h * beta * i11 * ts.b_f,
-        ]
-    )
+    # Velocity terms at k-1 carry -alpha times their k entry; the axis' own
+    # velocity at k and at k-1 also carries the pole.
+    surge = {
+        "u": alpha + h * su.u, "u|u|[k-1]": -alpha * h * su.uu,
+        "v*r[k-1]": -alpha * h * su.vr, "r^2[k-1]": -alpha * h * su.rr,
+        "u[k-1]": -alpha * (1.0 + h * su.u), "u|u|": h * su.uu, "v*r": h * su.vr,
+        "r^2": h * su.rr, "1": h * (1.0 - alpha) * su.c,
+        "mean^2+diff^2/4[k-1]": 2.0 * h * beta * i11 * ts.a_f,
+        "mean[k-1]": 2.0 * h * beta * i11 * ts.b_f,
+    }
 
-    def swayyaw_dyn(s: SigmaSwayYaw, w: float, own_first: bool) -> np.ndarray:
-        own, other = (s.v, s.r) if own_first else (s.r, s.v)
-        # pole-coupled linear terms: own-axis pairs with entries 1 and
-        # (8 for sway / 9 for yaw), the cross term sits alone
-        pair_block = [-alpha * (1.0 + h * own), -alpha * h * other]
-        if not own_first:
-            pair_block = pair_block[::-1]
-        return np.array(
-            [
-                alpha + h * own,
-                -alpha * h * s.vv,
-                -alpha * h * s.v_ar,
-                -alpha * h * s.r_av,
-                -alpha * h * s.rr,
-                -alpha * h * s.uv,
-                -alpha * h * s.ur,
-                *pair_block,
-                h * s.vv,
-                h * s.v_ar,
-                h * s.r_av,
-                h * s.rr,
-                h * s.uv,
-                h * s.ur,
-                h * other,
-                h * (1.0 - alpha) * s.c,
-                h * beta * w * a_diff,
-                h * beta * w * a_sum,
-                h * beta * w * b_diff,
-                h * beta * w * b_sum,
-            ]
-        )
+    def swayyaw_dyn(s: SigmaSwayYaw, w: float, own: str) -> dict[str, float]:
+        out = {
+            "v|v|[k-1]": -alpha * h * s.vv, "v|r|[k-1]": -alpha * h * s.v_ar,
+            "r|v|[k-1]": -alpha * h * s.r_av, "r|r|[k-1]": -alpha * h * s.rr,
+            "u*v[k-1]": -alpha * h * s.uv, "u*r[k-1]": -alpha * h * s.ur,
+            "v[k-1]": -alpha * h * s.v, "r[k-1]": -alpha * h * s.r,
+            "v|v|": h * s.vv, "v|r|": h * s.v_ar, "r|v|": h * s.r_av, "r|r|": h * s.rr,
+            "u*v": h * s.uv, "u*r": h * s.ur, "v": h * s.v, "r": h * s.r,
+            "1": h * (1.0 - alpha) * s.c,
+            "s*(mean^2+diff^2/4)[k-1]": h * beta * w * a_diff,
+            "mean*diff[k-1]": h * beta * w * a_sum,
+            "s*mean[k-1]": h * beta * w * b_diff, "diff/2[k-1]": h * beta * w * b_sum,
+        }
+        c = getattr(s, own)
+        out[own] = alpha + h * c
+        out[f"{own}[k-1]"] = -alpha * (1.0 + h * c)
+        return out
 
+    return _in_table_order(kind, surge, swayyaw_dyn(sv, w_v, "v"), swayyaw_dyn(sr, w_r, "r"))
+
+
+def _in_table_order(kind: str, *values: dict[str, float]) -> dict[str, np.ndarray]:
+    """Per-axis entry values keyed by term name -> vectors in the table's order."""
     return {
-        "u": xu,
-        "v": swayyaw_dyn(sv, w_v, own_first=True),
-        "r": swayyaw_dyn(sr, w_r, own_first=False),
+        axis: np.array([vals[t.name] for t in TERMS[(kind, axis)]])
+        for axis, vals in zip(("u", "v", "r"), values)
     }
 
 
@@ -441,7 +431,7 @@ class DiscreteGenConfig:
     ``g0_scale`` (dynamic kind) draws an independent random initial
     input-gain state per segment.  Sway and yaw gains are exactly
     proportional when both start from rest (they share the torque), which
-    leaves one direction of the 21-entry vectors unidentifiable from
+    leaves one direction of the dynamic sway/yaw vectors unidentifiable from
     perfectly consistent data; unmatched initial states at segment starts
     break that degeneracy while keeping every row exactly in class.
     """
@@ -500,6 +490,17 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
     # The parameter vectors are the same in both disturbance modes; the mode
     # only selects how sigma is evaluated during propagation.
     x_vecs = known_params_to_X(gt, cfg.kind)
+    lag = "[k-1]" if cfg.kind == "dynamic" else ""
+
+    def entries(axis: str, *names: str) -> np.ndarray:
+        return x_vecs[axis][[term_index(cfg.kind, axis, name + lag) for name in names]]
+
+    # The entries swayyaw_thrust_columns pairs with, and the surge thrust entries.
+    thrust = {
+        axis: entries(axis, "s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
+        for axis in ("v", "r")
+    }
+    surge_quad, surge_lin = entries("u", "mean^2+diff^2/4", "mean")
     sigma = (
         sigma_quasi_quadratic if cfg.disturbance_mode == "quasi-quadratic" else _sigma_full_fossen
     )
@@ -513,7 +514,6 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
 
     def run_static(frames_run, nu0):
         nu = np.array(nu0, dtype=float)
-        xu, xv, xr = x_vecs["u"], x_vecs["v"], x_vecs["r"]
         out = np.empty((len(frames_run), 3))
         for k, frame in enumerate(frames_run):
             out[k] = nu
@@ -523,8 +523,8 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
                 g_v, g_r = h * i23 * tau, h * i33 * tau
             else:
                 cols = swayyaw_thrust_columns(frame)
-                g_v = float(cols @ xv[9:13])
-                g_r = float(cols @ xr[9:13])
+                g_v = float(cols @ thrust["v"])
+                g_r = float(cols @ thrust["r"])
             nu = nu + np.array([g_u, g_v, g_r]) + h * sigma(gt, nu)
             if np.linalg.norm(nu) > _DIVERGENCE_BOUND:
                 raise RuntimeError(f"discrete generation diverged at step {k}")
@@ -533,7 +533,6 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
     def run_dynamic(frames_run, nu0, g0):
         dyn = gt.dynamic_thrust
         alpha, beta = dyn.alpha, dyn.beta
-        xu, xv, xr = x_vecs["u"], x_vecs["v"], x_vecs["r"]
         nu = np.array(nu0, dtype=float)
         g = np.array(g0, dtype=float)
         out = np.empty((len(frames_run), 3))
@@ -543,7 +542,7 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
                 prev = frames_run[k - 1]
                 m1 = prev.delta_mean**2 + 0.25 * prev.delta_diff**2
                 if prev.region is OperatingRegion.FF:
-                    g_u = alpha * g[0] + xu[9] * m1 + xu[10] * prev.delta_mean
+                    g_u = alpha * g[0] + surge_quad * m1 + surge_lin * prev.delta_mean
                 else:
                     g_u = alpha * g[0] + h * beta * i11 * physical_force(prev)
                 if prev.region is OperatingRegion.RR:
@@ -552,8 +551,8 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
                     g_r = alpha * g[2] + h * beta * i33 * tau
                 else:
                     cols = swayyaw_thrust_columns(prev)
-                    g_v = alpha * g[1] + float(cols @ xv[17:21])
-                    g_r = alpha * g[2] + float(cols @ xr[17:21])
+                    g_v = alpha * g[1] + float(cols @ thrust["v"])
+                    g_r = alpha * g[2] + float(cols @ thrust["r"])
                 g = np.array([g_u, g_v, g_r])
             nu = nu + g + h * sigma(gt, nu)
             if np.linalg.norm(nu) > _DIVERGENCE_BOUND:
@@ -766,11 +765,7 @@ def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedData
     idx = np.arange(0, traj.t.size, stride)
     mean = 0.5 * (traj.delta[idx, 0] + traj.delta[idx, 1])
     diff = traj.delta[idx, 0] - traj.delta[idx, 1]
-    region = np.where(
-        traj.delta[idx, 0] >= 0,
-        np.where(traj.delta[idx, 1] >= 0, OperatingRegion.FF, OperatingRegion.FR),
-        np.where(traj.delta[idx, 1] >= 0, OperatingRegion.RF, OperatingRegion.RR),
-    ).astype(np.int8)
+    region = classify_regions(traj.delta[idx, 0], traj.delta[idx, 1])
     n = idx.size
     bounds = np.linspace(0, n, n_segments + 1).astype(int)
     segments = []

@@ -1,78 +1,129 @@
 """Assembly of the linear-in-parameters systems A @ X = b.
 
-Each usable time step of a prepared dataset contributes one row.  Rows are
-built per axis and per propeller-model kind:
-
-* static surge: 7 columns, forward-forward steps only,
-* static sway/yaw: 13 columns, steps outside reverse-reverse,
-* dynamic surge: 11 columns, forward-forward at both k-1 and k,
-* dynamic sway/yaw: 21 columns, matching (non-RR) regions at k-1 and k.
+Each usable time step k of a prepared dataset contributes one row per axis.
+The columns of a (model kind, axis) system are the terms of
+``TERMS[(kind, axis)]``, in order; each term carries its name, the unit of
+its parameter entry and a vectorized column function of one step's
+velocities and PWM.  Every other reader of the layout (unit labels, the
+pole pairs, the exact parameter vectors, the generator's thrust entries)
+looks terms up in that table by name.
 
 The right-hand side is always the next-minus-current velocity of the axis.
-The two asymmetric thrust columns (10/12 static, 18/20 dynamic, 1-based)
-carry the operating-region sign and are structurally zeroed in
-forward-forward rows, which keeps the forward-forward-only systems from
-chasing coefficients the data cannot show.
+A row at k needs k+1 in the same segment and an allowed operating region at
+k: forward-forward for surge, anything but reverse-reverse for sway and
+yaw.  The dynamic kind also needs k-1 in the segment with the same region
+as k, so a row never mixes thrust-model branches.  The region-signed thrust
+columns vanish in forward-forward rows, which keeps forward-forward-only
+systems from chasing coefficients the data cannot show.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from .dataprep import PreparedDataset, Segment
+from .dataprep import PreparedDataset
 from .errors import DataError
-from .model import OperatingRegion
+from .model import REGION_SIGN, OperatingRegion
 
-__all__ = [
-    "RegionMask",
-    "SURGE_REGIONS",
-    "SWAYYAW_REGIONS",
-    "RegressionSystem",
-    "COLUMN_COUNTS",
-    "build_static_surge",
-    "build_static_swayyaw",
-    "build_dynamic_surge",
-    "build_dynamic_swayyaw",
-    "build_systems",
-]
-
-COLUMN_COUNTS = {
-    ("static", "u"): 7,
-    ("static", "v"): 13,
-    ("static", "r"): 13,
-    ("dynamic", "u"): 11,
-    ("dynamic", "v"): 21,
-    ("dynamic", "r"): 21,
-}
+__all__ = ["Term", "TERMS", "term_index", "RegressionSystem", "build_systems"]
 
 
 @dataclass(frozen=True)
-class RegionMask:
-    """Set of operating regions a builder accepts; reverse-reverse never is."""
+class Term:
+    """One regressor column: ``column`` maps one step's arrays to its values.
 
-    allowed: frozenset[OperatingRegion]
+    ``lag`` 1 evaluates the column at k-1 instead of k; the name then ends
+    in ``[k-1]``.
+    """
 
-    def __post_init__(self) -> None:
-        if OperatingRegion.RR in self.allowed:
-            raise ValueError("reverse-reverse data is never used for identification")
-
-    def codes(self) -> np.ndarray:
-        return np.array(sorted(int(r) for r in self.allowed), dtype=np.int8)
+    name: str
+    unit: str
+    column: Callable[[SimpleNamespace], np.ndarray]
+    lag: int = 0
 
 
-SURGE_REGIONS = RegionMask(frozenset({OperatingRegion.FF}))
-SWAYYAW_REGIONS = RegionMask(
-    frozenset({OperatingRegion.FF, OperatingRegion.FR, OperatingRegion.RF})
+def _lagged(terms: tuple[Term, ...]) -> tuple[Term, ...]:
+    return tuple(replace(t, name=f"{t.name}[k-1]", lag=1) for t in terms)
+
+
+_PER_VEL, _NONE, _VEL = "(m/s)^-1", "-", "m/s"
+
+_VELOCITY = {axis: Term(axis, _NONE, attrgetter(axis)) for axis in "uvr"}
+_BIAS = Term("1", _VEL, lambda s: np.ones_like(s.u))
+_SURGE_DAMPING = (
+    Term("u|u|", _PER_VEL, lambda s: s.u * np.abs(s.u)),
+    Term("v*r", _PER_VEL, lambda s: s.v * s.r),
+    Term("r^2", _PER_VEL, lambda s: s.r * s.r),
 )
+_SWAYYAW_DAMPING = (
+    Term("v|v|", _PER_VEL, lambda s: s.v * np.abs(s.v)),
+    Term("v|r|", _PER_VEL, lambda s: s.v * np.abs(s.r)),
+    Term("r|v|", _PER_VEL, lambda s: s.r * np.abs(s.v)),
+    Term("r|r|", _PER_VEL, lambda s: s.r * np.abs(s.r)),
+    Term("u*v", _PER_VEL, lambda s: s.u * s.v),
+    Term("u*r", _PER_VEL, lambda s: s.u * s.r),
+)
+_SURGE_THRUST = (
+    Term("mean^2+diff^2/4", _VEL, lambda s: s.mean * s.mean + 0.25 * s.diff * s.diff),
+    Term("mean", _VEL, lambda s: s.mean),
+)
+# s is the region sign: +1 in FR, -1 in RF, 0 in FF.
+_SWAYYAW_THRUST = (
+    Term("s*(mean^2+diff^2/4)", _VEL,
+         lambda s: s.sign * (s.mean * s.mean + 0.25 * s.diff * s.diff)),
+    Term("mean*diff", _VEL, lambda s: s.mean * s.diff),
+    Term("s*mean", _VEL, lambda s: s.sign * s.mean),
+    Term("diff/2", _VEL, lambda s: 0.5 * s.diff),
+)
+
+
+def _dynamic_swayyaw(own: str, other: str) -> tuple[Term, ...]:
+    return (
+        _VELOCITY[own],
+        *_lagged((*_SWAYYAW_DAMPING, _VELOCITY["v"], _VELOCITY["r"])),
+        *_SWAYYAW_DAMPING,
+        _VELOCITY[other],
+        _BIAS,
+        *_lagged(_SWAYYAW_THRUST),
+    )
+
+
+_STATIC_SWAYYAW = (*_SWAYYAW_DAMPING, _VELOCITY["v"], _VELOCITY["r"], _BIAS, *_SWAYYAW_THRUST)
+
+# The static kind reads everything at k.  In the dynamic kind the velocity at
+# k and at k-1 of the axis itself carry the pole; the thrust terms read the
+# PWM at k-1.
+TERMS: dict[tuple[str, str], tuple[Term, ...]] = {
+    ("static", "u"): (*_SURGE_DAMPING, _VELOCITY["u"], _BIAS, *_SURGE_THRUST),
+    ("static", "v"): _STATIC_SWAYYAW,
+    ("static", "r"): _STATIC_SWAYYAW,
+    ("dynamic", "u"): (
+        _VELOCITY["u"],
+        *_lagged((*_SURGE_DAMPING, _VELOCITY["u"])),
+        *_SURGE_DAMPING,
+        _BIAS,
+        *_lagged(_SURGE_THRUST),
+    ),
+    ("dynamic", "v"): _dynamic_swayyaw("v", "r"),
+    ("dynamic", "r"): _dynamic_swayyaw("r", "v"),
+}
+
+
+def term_index(kind: str, axis: str, name: str) -> int:
+    """Position of the named term in the parameter vector of (kind, axis)."""
+    return [t.name for t in TERMS[(kind, axis)]].index(name)
 
 
 @dataclass
 class RegressionSystem:
     """One assembled least-squares problem with row provenance.
 
-    ``rows`` maps each matrix row back to its (segment_id, time index);
+    Row i comes from time index ``k[i]`` of segment ``segment[i]``;
     ``base`` holds the current-step velocity of the axis so one-step
     predictions (base + A @ X) and truths (base + b) can be reconstructed.
     ``n_skipped`` counts candidate steps excluded by the preconditions.
@@ -80,20 +131,22 @@ class RegressionSystem:
 
     a: np.ndarray
     b: np.ndarray
-    rows: list[tuple[int, int]]
+    segment: np.ndarray
+    k: np.ndarray
     model_kind: str
     axis: str
     base: np.ndarray = field(repr=False, default=None)
     n_skipped: int = 0
 
     def __post_init__(self) -> None:
-        expected = COLUMN_COUNTS[(self.model_kind, self.axis)]
+        expected = len(TERMS[(self.model_kind, self.axis)])
         if self.a.ndim != 2 or self.a.shape[1] != expected:
             raise DataError(
                 f"{self.model_kind}/{self.axis} system must have {expected} columns, "
                 f"got shape {self.a.shape}"
             )
-        if self.b.shape != (self.a.shape[0],) or len(self.rows) != self.a.shape[0]:
+        n = self.a.shape[0]
+        if self.b.shape != (n,) or self.segment.shape != (n,) or self.k.shape != (n,):
             raise DataError("row count mismatch between a, b and provenance")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise DataError("regression system contains non-finite entries")
@@ -112,7 +165,8 @@ class RegressionSystem:
         return RegressionSystem(
             a=self.a[indices],
             b=self.b[indices],
-            rows=[self.rows[i] for i in indices],
+            segment=self.segment[indices],
+            k=self.k[indices],
             model_kind=self.model_kind,
             axis=self.axis,
             base=self.base[indices],
@@ -120,251 +174,51 @@ class RegressionSystem:
         )
 
 
-def _axis_series(seg: Segment, axis: str) -> np.ndarray:
-    return {"u": seg.u, "v": seg.v, "r": seg.r}[axis]
-
-
-def _region_sign(region: np.ndarray) -> np.ndarray:
-    """+1 in FR, -1 in RF, 0 in FF (the asymmetric-column convention)."""
-    return np.where(
-        region == OperatingRegion.FR, 1.0, np.where(region == OperatingRegion.RF, -1.0, 0.0)
-    )
-
-
-def _finish(
-    blocks_a: list[np.ndarray],
-    blocks_b: list[np.ndarray],
-    blocks_base: list[np.ndarray],
-    rows: list[tuple[int, int]],
-    kind: str,
-    axis: str,
-    n_skipped: int,
-) -> RegressionSystem:
-    cols = COLUMN_COUNTS[(kind, axis)]
-    if rows:
-        a = np.vstack(blocks_a)
-        b = np.concatenate(blocks_b)
-        base = np.concatenate(blocks_base)
-    else:
+def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSystem:
+    """Evaluate the term table of (kind, axis) on every row that passes the row rule."""
+    lag = 1 if kind == "dynamic" else 0
+    region = data["region"]
+    rows = np.flatnonzero((data["k"] >= lag) & (data["k"] < data["length"] - 1))
+    ok = region[rows] == OperatingRegion.FF if axis == "u" else region[rows] != OperatingRegion.RR
+    if lag:
+        ok &= region[rows - 1] == region[rows]
+    n_skipped = int(np.sum(~ok))
+    rows = rows[ok]
+    if rows.size == 0:
         raise DataError(f"no usable rows for the {kind} {axis} system")
+    steps = [
+        SimpleNamespace(
+            u=data["u"][i], v=data["v"][i], r=data["r"][i],
+            mean=data["delta_mean"][i], diff=data["delta_diff"][i],
+            sign=REGION_SIGN[region[i]],
+        )
+        for i in ([rows, rows - 1] if lag else [rows])
+    ]
+    series = data[axis]
     return RegressionSystem(
-        a=a, b=b, rows=rows, model_kind=kind, axis=axis, base=base, n_skipped=n_skipped
+        a=np.column_stack([t.column(steps[t.lag]) for t in TERMS[(kind, axis)]]),
+        b=series[rows + 1] - series[rows],
+        segment=data["segment"][rows],
+        k=data["k"][rows],
+        model_kind=kind,
+        axis=axis,
+        base=series[rows],
+        n_skipped=n_skipped,
     )
-
-
-def build_static_surge(ds: PreparedDataset) -> RegressionSystem:
-    """Rows [u|u|, v r, r^2, u, 1, mean^2+diff^2/4, mean] against u(k+1)-u(k).
-
-    Only forward-forward steps with a successor in the same segment qualify.
-    """
-    blocks_a, blocks_b, blocks_base = [], [], []
-    rows: list[tuple[int, int]] = []
-    skipped = 0
-    for seg in ds.segments:
-        n = len(seg)
-        if n < 2:
-            continue
-        k = np.arange(n - 1)
-        mask = seg.region[k] == OperatingRegion.FF
-        skipped += int(np.sum(~mask))
-        k = k[mask]
-        if k.size == 0:
-            continue
-        u, v, r = seg.u[k], seg.v[k], seg.r[k]
-        mean, diff = seg.delta_mean[k], seg.delta_diff[k]
-        a = np.column_stack(
-            [
-                u * np.abs(u),
-                v * r,
-                r * r,
-                u,
-                np.ones_like(u),
-                mean * mean + 0.25 * diff * diff,
-                mean,
-            ]
-        )
-        blocks_a.append(a)
-        blocks_b.append(seg.u[k + 1] - seg.u[k])
-        blocks_base.append(seg.u[k])
-        rows.extend((seg.segment_id, int(i)) for i in k)
-    return _finish(blocks_a, blocks_b, blocks_base, rows, "static", "u", skipped)
-
-
-def build_static_swayyaw(ds: PreparedDataset, axis: str) -> RegressionSystem:
-    """13-column sway or yaw rows with region-signed thrust columns.
-
-    Columns 1..9 (1-based) are the velocity monomials
-    [v|v|, v|r|, r|v|, r|r|, u v, u r, v, r, 1]; columns 10..13 are the
-    thrust terms [s*(mean^2+diff^2/4), mean*diff, s*mean, diff/2] with
-    s = +1 in FR, -1 in RF and the signed columns zeroed in FF.
-    """
-    if axis not in ("v", "r"):
-        raise ValueError(f"axis must be 'v' or 'r', got {axis!r}")
-    allowed = SWAYYAW_REGIONS.codes()
-    blocks_a, blocks_b, blocks_base = [], [], []
-    rows: list[tuple[int, int]] = []
-    skipped = 0
-    for seg in ds.segments:
-        n = len(seg)
-        if n < 2:
-            continue
-        k = np.arange(n - 1)
-        mask = np.isin(seg.region[k], allowed)
-        skipped += int(np.sum(~mask))
-        k = k[mask]
-        if k.size == 0:
-            continue
-        u, v, r = seg.u[k], seg.v[k], seg.r[k]
-        mean, diff = seg.delta_mean[k], seg.delta_diff[k]
-        sign = _region_sign(seg.region[k])
-        a = np.column_stack(
-            [
-                v * np.abs(v),
-                v * np.abs(r),
-                r * np.abs(v),
-                r * np.abs(r),
-                u * v,
-                u * r,
-                v,
-                r,
-                np.ones_like(u),
-                sign * (mean * mean + 0.25 * diff * diff),
-                mean * diff,
-                sign * mean,
-                0.5 * diff,
-            ]
-        )
-        series = _axis_series(seg, axis)
-        blocks_a.append(a)
-        blocks_b.append(series[k + 1] - series[k])
-        blocks_base.append(series[k])
-        rows.extend((seg.segment_id, int(i)) for i in k)
-    return _finish(blocks_a, blocks_b, blocks_base, rows, "static", axis, skipped)
-
-
-def build_dynamic_surge(ds: PreparedDataset) -> RegressionSystem:
-    """11-column surge rows for the first-order propeller model.
-
-    Columns (1-based): [u(k), u(k-1)|u(k-1)|, v(k-1)r(k-1), r(k-1)^2, u(k-1),
-    u(k)|u(k)|, v(k)r(k), r(k)^2, 1, mean(k-1)^2+diff(k-1)^2/4, mean(k-1)].
-    Rows need k-1, k, k+1 inside one segment and forward-forward operation
-    at both k-1 and k.
-    """
-    blocks_a, blocks_b, blocks_base = [], [], []
-    rows: list[tuple[int, int]] = []
-    skipped = 0
-    for seg in ds.segments:
-        n = len(seg)
-        if n < 3:
-            continue
-        k = np.arange(1, n - 1)
-        mask = (seg.region[k] == OperatingRegion.FF) & (seg.region[k - 1] == OperatingRegion.FF)
-        skipped += int(np.sum(~mask))
-        k = k[mask]
-        if k.size == 0:
-            continue
-        u0, v0, r0 = seg.u[k - 1], seg.v[k - 1], seg.r[k - 1]
-        u1, v1, r1 = seg.u[k], seg.v[k], seg.r[k]
-        mean0, diff0 = seg.delta_mean[k - 1], seg.delta_diff[k - 1]
-        a = np.column_stack(
-            [
-                u1,
-                u0 * np.abs(u0),
-                v0 * r0,
-                r0 * r0,
-                u0,
-                u1 * np.abs(u1),
-                v1 * r1,
-                r1 * r1,
-                np.ones_like(u1),
-                mean0 * mean0 + 0.25 * diff0 * diff0,
-                mean0,
-            ]
-        )
-        blocks_a.append(a)
-        blocks_b.append(seg.u[k + 1] - seg.u[k])
-        blocks_base.append(seg.u[k])
-        rows.extend((seg.segment_id, int(i)) for i in k)
-    return _finish(blocks_a, blocks_b, blocks_base, rows, "dynamic", "u", skipped)
-
-
-def build_dynamic_swayyaw(ds: PreparedDataset, axis: str) -> RegressionSystem:
-    """21-column sway or yaw rows for the first-order propeller model.
-
-    Velocity monomials appear for both k-1 (columns 2..9) and k (10..15);
-    column 1 is the axis velocity at k, column 16 the other axis at k and
-    column 17 the bias.
-    Thrust columns 18..21 use the k-1 PWM with the static sign convention
-    applied at the region of k-1.  Rows need matching non-reverse-reverse
-    regions at k-1 and k (mixed-region transitions would mix thrust-model
-    branches inside one row).
-    """
-    if axis not in ("v", "r"):
-        raise ValueError(f"axis must be 'v' or 'r', got {axis!r}")
-    allowed = SWAYYAW_REGIONS.codes()
-    blocks_a, blocks_b, blocks_base = [], [], []
-    rows: list[tuple[int, int]] = []
-    skipped = 0
-    for seg in ds.segments:
-        n = len(seg)
-        if n < 3:
-            continue
-        k = np.arange(1, n - 1)
-        mask = np.isin(seg.region[k], allowed) & (seg.region[k] == seg.region[k - 1])
-        skipped += int(np.sum(~mask))
-        k = k[mask]
-        if k.size == 0:
-            continue
-        u0, v0, r0 = seg.u[k - 1], seg.v[k - 1], seg.r[k - 1]
-        u1, v1, r1 = seg.u[k], seg.v[k], seg.r[k]
-        mean0, diff0 = seg.delta_mean[k - 1], seg.delta_diff[k - 1]
-        sign = _region_sign(seg.region[k - 1])
-        own1, other1 = (v1, r1) if axis == "v" else (r1, v1)
-        a = np.column_stack(
-            [
-                own1,
-                v0 * np.abs(v0),
-                v0 * np.abs(r0),
-                r0 * np.abs(v0),
-                r0 * np.abs(r0),
-                u0 * v0,
-                u0 * r0,
-                v0,
-                r0,
-                v1 * np.abs(v1),
-                v1 * np.abs(r1),
-                r1 * np.abs(v1),
-                r1 * np.abs(r1),
-                u1 * v1,
-                u1 * r1,
-                other1,
-                np.ones_like(u1),
-                sign * (mean0 * mean0 + 0.25 * diff0 * diff0),
-                mean0 * diff0,
-                sign * mean0,
-                0.5 * diff0,
-            ]
-        )
-        series = _axis_series(seg, axis)
-        blocks_a.append(a)
-        blocks_b.append(series[k + 1] - series[k])
-        blocks_base.append(series[k])
-        rows.extend((seg.segment_id, int(i)) for i in k)
-    return _finish(blocks_a, blocks_b, blocks_base, rows, "dynamic", axis, skipped)
 
 
 def build_systems(ds: PreparedDataset, kind: str) -> dict[str, RegressionSystem]:
     """All three per-axis systems for one model kind."""
-    if kind == "static":
-        return {
-            "u": build_static_surge(ds),
-            "v": build_static_swayyaw(ds, "v"),
-            "r": build_static_swayyaw(ds, "r"),
-        }
-    if kind == "dynamic":
-        return {
-            "u": build_dynamic_surge(ds),
-            "v": build_dynamic_swayyaw(ds, "v"),
-            "r": build_dynamic_swayyaw(ds, "r"),
-        }
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in ("static", "dynamic"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if not ds.segments:
+        raise DataError("dataset has no segments")
+    data = {
+        name: np.concatenate([getattr(seg, name) for seg in ds.segments])
+        for name in ("u", "v", "r", "delta_mean", "delta_diff", "region")
+    }
+    lengths = [len(seg) for seg in ds.segments]
+    data["segment"] = np.repeat([seg.segment_id for seg in ds.segments], lengths)
+    data["length"] = np.repeat(lengths, lengths)
+    data["k"] = np.concatenate([np.arange(n) for n in lengths])
+    return {axis: _build(data, kind, axis) for axis in ("u", "v", "r")}

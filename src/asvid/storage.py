@@ -23,6 +23,7 @@ from .errors import SchemaError
 from .estimator import IdentifiedModel
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
 from .oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
+from .regressors import TERMS
 
 __all__ = [
     "atomic_write_text",
@@ -35,7 +36,7 @@ __all__ = [
     "write_expected_x",
     "write_ground_truth",
     "read_ground_truth",
-    "unit_labels",
+    "parse_ground_truth",
     "MODEL_FILE_VERSION",
 ]
 
@@ -248,39 +249,10 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
     return PreparedDataset(segments=segments, h=h)
 
 
-_UNIT_PER_VEL = "(m/s)^-1"
-_UNIT_VEL = "m/s"
-_UNIT_NONE = "-"
-
-
-def unit_labels(kind: str, axis: str) -> list[str]:
-    """Unit strings of each parameter entry, as reported in parameter tables."""
-    if kind == "static":
-        if axis == "u":
-            return [_UNIT_PER_VEL] * 3 + [_UNIT_NONE] + [_UNIT_VEL] * 3
-        return [_UNIT_PER_VEL] * 6 + [_UNIT_NONE] * 2 + [_UNIT_VEL] * 5
-    if axis == "u":
-        return (
-            [_UNIT_NONE]
-            + [_UNIT_PER_VEL] * 3
-            + [_UNIT_NONE]
-            + [_UNIT_PER_VEL] * 3
-            + [_UNIT_VEL] * 3
-        )
-    return (
-        [_UNIT_NONE]
-        + [_UNIT_PER_VEL] * 6
-        + [_UNIT_NONE] * 2
-        + [_UNIT_PER_VEL] * 6
-        + [_UNIT_NONE]
-        + [_UNIT_VEL] * 5
-    )
-
-
 def _vector_rows(kind: str, axis: str, vec: np.ndarray) -> list[dict]:
-    units = unit_labels(kind, axis)
+    terms = TERMS[(kind, axis)]
     return [
-        {"index": i + 1, "value": float(v), "unit": units[i]} for i, v in enumerate(vec)
+        {"index": i + 1, "value": float(v), "unit": terms[i].unit} for i, v in enumerate(vec)
     ]
 
 
@@ -289,12 +261,18 @@ def write_model_file(
     model: IdentifiedModel,
     provenance: dict | None = None,
 ) -> None:
+    """Write a model file; ``provenance`` defaults to the one the model was read with.
+
+    ``h``, ``alpha_stable``, ``residual_norms`` and ``rows_used`` come from
+    ``model.metadata``, so a model read by :func:`read_model_file` writes
+    back the same bytes.
+    """
     doc = {
         "format_version": MODEL_FILE_VERSION,
         "kind": model.kind,
         "h": model.metadata.get("h"),
         "alpha": model.alpha,
-        "alpha_stable": None if model.alpha_resolution is None else model.alpha_resolution.stable,
+        "alpha_stable": model.metadata.get("alpha_stable"),
         "vectors": {
             "u": _vector_rows(model.kind, "u", model.surge),
             "v": _vector_rows(model.kind, "v", model.sway),
@@ -302,7 +280,7 @@ def write_model_file(
         },
         "residual_norms": model.metadata.get("residual_norms"),
         "rows_used": model.metadata.get("rows_used"),
-        "provenance": provenance or {},
+        "provenance": provenance or model.metadata.get("provenance") or {},
     }
     atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
 
@@ -326,7 +304,10 @@ def read_model_file(path: str | Path) -> IdentifiedModel:
         sway=vectors["v"],
         yaw=vectors["r"],
         alpha=doc.get("alpha"),
-        metadata={"h": doc.get("h"), "provenance": doc.get("provenance", {})},
+        metadata={
+            key: doc.get(key)
+            for key in ("h", "alpha_stable", "residual_norms", "rows_used", "provenance")
+        },
     )
 
 
@@ -382,7 +363,14 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     if not path.exists():
         raise FileNotFoundError(f"ground-truth config is missing: {path}")
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return parse_ground_truth(json.load(fh), path.name)
+
+
+def parse_ground_truth(doc: dict, source: str) -> GroundTruth:
+    """Ground truth from a document in the :func:`write_ground_truth` layout.
+
+    ``source`` names where the document came from in error messages.
+    """
     try:
         traw = doc["thrust"]
         static = ThrustStaticParams(
@@ -416,7 +404,7 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
             sigma_override=override, **fields
         )
     except KeyError as exc:
-        raise SchemaError(f"{path.name}: missing ground-truth field {exc}") from exc
+        raise SchemaError(f"{source}: missing ground-truth field {exc}") from exc
 
 
 def sha256_of_file(path: str | Path) -> str:

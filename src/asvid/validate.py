@@ -24,8 +24,6 @@ __all__ = [
     "MetricsReport",
     "SensitivityReport",
     "partition",
-    "predict_one_step_static",
-    "predict_one_step_dynamic",
     "r_squared",
     "mae",
     "evaluate",
@@ -81,7 +79,8 @@ class RowSplit:
 
 
 def _vr_rows_consistent(systems: dict[str, RegressionSystem]) -> None:
-    if systems["v"].rows != systems["r"].rows:
+    v, r = systems["v"], systems["r"]
+    if not (np.array_equal(v.segment, r.segment) and np.array_equal(v.k, r.k)):
         raise DataError("sway and yaw systems must share their row set")
 
 
@@ -148,8 +147,7 @@ def partition(
     train: dict[str, np.ndarray] = {}
     val: dict[str, np.ndarray] = {}
     for axis in AXES:
-        seg_ids = np.array([sid for sid, _ in systems[axis].rows])
-        in_train = np.isin(seg_ids, sorted(train_set))
+        in_train = np.isin(systems[axis].segment, sorted(train_set))
         train[axis] = np.flatnonzero(in_train)
         val[axis] = np.flatnonzero(~in_train)
         if train[axis].size == 0 or val[axis].size == 0:
@@ -165,6 +163,7 @@ def partition(
 
 
 def _predict(model: IdentifiedModel, system: RegressionSystem, rows) -> tuple[np.ndarray, np.ndarray]:
+    """One-step prediction base + A @ X and its truth base + b on (a subset of) the rows."""
     if system.model_kind != model.kind:
         raise ValueError(f"{model.kind} model cannot predict on a {system.model_kind} system")
     idx = np.arange(system.n_rows) if rows is None else np.asarray(rows, dtype=int)
@@ -172,29 +171,6 @@ def _predict(model: IdentifiedModel, system: RegressionSystem, rows) -> tuple[np
     pred = system.base[idx] + system.a[idx] @ x
     truth = system.base[idx] + system.b[idx]
     return truth, pred
-
-
-def predict_one_step_static(
-    model: IdentifiedModel, system: RegressionSystem, rows=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead prediction nu(k) + A(k) @ X on static-model rows.
-
-    Returns ``(truth, prediction)`` for the next-step velocity.  Rows that
-    fail the builder preconditions never made it into the system; their
-    count is on ``system.n_skipped``.
-    """
-    if model.kind != "static":
-        raise ValueError("expected a static model")
-    return _predict(model, system, rows)
-
-
-def predict_one_step_dynamic(
-    model: IdentifiedModel, system: RegressionSystem, rows=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead prediction on dynamic-model rows (k-1 and k context)."""
-    if model.kind != "dynamic":
-        raise ValueError("expected a dynamic model")
-    return _predict(model, system, rows)
 
 
 def r_squared(truth, prediction) -> float:
@@ -316,8 +292,8 @@ def prediction_traces(
         idx = np.arange(system.n_rows) if rows is None else np.asarray(rows[axis], dtype=int)
         truth, pred = _predict(model, system, idx)
         for j, i in enumerate(idx):
-            sid, k = system.rows[int(i)]
-            out.append((float(seg_t[sid][k] + ds.h), axis, float(truth[j]), float(pred[j])))
+            t = seg_t[int(system.segment[i])][system.k[i]]
+            out.append((float(t + ds.h), axis, float(truth[j]), float(pred[j])))
     out.sort(key=lambda row: (row[1], row[0]))
     return out
 

@@ -319,6 +319,22 @@ class TestBuildPreparedDataset:
             for name in ("u", "v", "r"):
                 assert np.allclose(getattr(seg, name), getattr(ref_seg, name), rtol=0.0, atol=1e-6)
 
+    def test_epoch_grid_keeps_last_point(self):
+        # (t[-1] - t0) / h is 298.99999976 near 1.7e9 s: the grid must still end
+        # at the last GNSS fix, and every stream must count as fresh there.
+        raw = synthetic_logs()
+        shift = 1.7e9
+        shifted = replace(
+            raw, gnss_t=raw.gnss_t + shift, heading_t=raw.heading_t + shift, pwm_t=raw.pwm_t + shift
+        )
+        base = build_prepared_dataset(raw, REF)
+        ds = build_prepared_dataset(shifted, REF)
+        assert base.n_samples == ds.n_samples == 296
+        for name in ("u", "v", "r"):
+            got = np.concatenate([getattr(seg, name) for seg in ds.segments])
+            want = np.concatenate([getattr(seg, name) for seg in base.segments])
+            assert np.max(np.abs(got - want)) < 1e-7
+
     def test_empty_data_rejected(self):
         raw = synthetic_logs()
         raw.gnss_t = raw.gnss_t[:1]

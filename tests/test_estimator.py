@@ -29,7 +29,8 @@ def system_from(a, b):
     return RegressionSystem(
         a=a,
         b=b,
-        rows=[(0, k) for k in range(a.shape[0])],
+        segment=np.zeros(a.shape[0], dtype=int),
+        k=np.arange(a.shape[0]),
         model_kind=kind,
         axis=axis,
         base=np.zeros(a.shape[0]),

@@ -1,31 +1,32 @@
-import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from asvid.dataprep import PreparedDataset, Segment
 from asvid.errors import RegionError
+from asvid.estimator import IdentifiedModel, resolve_alpha
 from asvid.model import (
-    BodyVelocity,
-    DynamicSurgeParams,
-    DynamicSwayYawParams,
-    InertiaLayout,
+    REGION_SIGN,
     OperatingRegion,
-    Pose,
     PwmFrame,
-    StaticSurgeParams,
-    StaticSwayYawParams,
     ThrustDynamicParams,
     ThrustStaticParams,
     classify_region,
-    force_torque_from_thrusts,
-    input_gain_dynamic_step,
-    input_gain_static_p,
-    input_gain_static_u,
-    rotation_matrix,
+    classify_regions,
     swayyaw_thrust_columns,
     thrust_dynamic_step,
     thrust_static,
 )
+from asvid.oracle import (
+    DiscreteGenConfig,
+    SigmaSurge,
+    SigmaSwayYaw,
+    default_ground_truth,
+    generate_discrete,
+)
+from asvid.regressors import TERMS, build_systems, term_index
 
 
 def random_frame(rng) -> PwmFrame:
@@ -39,26 +40,34 @@ def random_allowed_frame(rng) -> PwmFrame:
             return frame
 
 
-class TestRotation:
-    def test_identity_at_zero(self):
-        assert np.array_equal(rotation_matrix(0.0), np.eye(3))
+def input_gain(kind: str, axis: str, frame: PwmFrame, x: np.ndarray) -> float:
+    """The input gain a parameter vector induces: its row at rest, bias aside.
 
-    def test_quarter_turn(self):
-        r = rotation_matrix(math.pi / 2)
-        expected2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert np.allclose(r[:2, :2], expected2, atol=1e-15)
-        assert r[2, 2] == 1.0
-        assert np.all(r[2, :2] == 0.0) and np.all(r[:2, 2] == 0.0)
+    The static kind reads the frame at k, the dynamic kind at k-1 (the
+    dynamic gain's increment from one step of PWM history).
+    """
+    step = SimpleNamespace(
+        u=0.0, v=0.0, r=0.0, mean=frame.delta_mean, diff=frame.delta_diff,
+        sign=REGION_SIGN[frame.region],
+    )
+    row = np.array([float(t.column(step)) for t in TERMS[(kind, axis)]])
+    row[term_index(kind, axis, "1")] = 0.0
+    return float(row @ x)
 
-    def test_orthogonal_unit_determinant(self, rng):
-        for psi in rng.uniform(-20, 20, size=1000):
-            r = rotation_matrix(psi)
-            assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
-            assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            rotation_matrix(float("nan"))
+def one_step_dataset(*frames: PwmFrame) -> PreparedDataset:
+    """A three-step segment at rest per frame, then an all-FF one so every system has rows."""
+    segments = []
+    for sid, frame in enumerate((*frames, PwmFrame(0.5, 0.5))):
+        segments.append(
+            Segment(
+                segment_id=sid, t=0.2 * np.arange(3), u=np.zeros(3), v=np.zeros(3),
+                r=np.zeros(3), delta_mean=np.full(3, frame.delta_mean),
+                delta_diff=np.full(3, frame.delta_diff), region=np.full(3, frame.region, np.int8),
+                h=0.2,
+            )
+        )
+    return PreparedDataset(segments=segments, h=0.2)
 
 
 class TestClassifyRegion:
@@ -95,6 +104,13 @@ class TestClassifyRegion:
                 (False, False): OperatingRegion.RR,
             }[(dl >= 0, dr >= 0)]
             assert region is by_sign
+
+    def test_vectorized_matches_scalar(self, rng):
+        dl = np.concatenate([rng.uniform(-1, 1, size=500), [0.0, 0.0, -0.0, -1e-300]])
+        dr = np.concatenate([rng.uniform(-1, 1, size=500), [0.0, -1e-300, 0.0, 0.0]])
+        codes = classify_regions(dl, dr)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [int(classify_region(a, b)) for a, b in zip(dl, dr)]
 
 
 class TestThrustStatic:
@@ -161,21 +177,6 @@ class TestThrustDynamic:
         assert not ThrustDynamicParams(1.01, 0.1, static).stable
 
 
-class TestForceTorque:
-    @pytest.mark.parametrize(
-        "tl,tr,d,expected",
-        [
-            (1.0, 1.0, 0.8, (2.0, 0.0)),
-            (1.0, -1.0, 0.8, (0.0, 0.8)),
-            (2.0, 1.0, 1.0, (3.0, 0.5)),
-        ],
-    )
-    def test_cases(self, tl, tr, d, expected):
-        fu, tau = force_torque_from_thrusts(tl, tr, d)
-        assert fu == pytest.approx(expected[0])
-        assert tau == pytest.approx(expected[1])
-
-
 class TestPwmFrame:
     def test_mean_diff_roundtrip(self, rng):
         for _ in range(1000):
@@ -200,97 +201,73 @@ class TestPwmFrame:
             PwmFrame(1.2, 0.0)
 
 
-class TestParamVectors:
-    @pytest.mark.parametrize(
-        "cls,n",
-        [
-            (StaticSurgeParams, 7),
-            (StaticSwayYawParams, 13),
-            (DynamicSurgeParams, 11),
-            (DynamicSwayYawParams, 21),
-        ],
-    )
-    def test_length_contract(self, cls, n):
-        vec = cls(np.arange(1.0, n + 1.0))
-        assert len(vec) == n
-        with pytest.raises(ValueError):
-            cls(np.zeros(n + 1))
-        with pytest.raises(ValueError):
-            cls(np.full(n, np.nan))
-
-    def test_immutable(self):
-        p = StaticSurgeParams(np.zeros(7))
-        with pytest.raises(ValueError):
-            p.x[0] = 1.0
-
-
-class TestInertiaLayout:
-    def test_validation(self):
-        InertiaLayout(0.1, -0.01, 0.2, d=0.8)
-        with pytest.raises(ValueError):
-            InertiaLayout(0.1, -0.01, 0.2, d=0.8, h=0.0)
-        with pytest.raises(ValueError):
-            InertiaLayout(0.1, -0.01, 0.2, d=-1.0)
-
-
 class TestStaticInputGains:
     def test_surge_reported_values(self):
         # bold surge entries of the vessel's identified static model
-        p = StaticSurgeParams([0, 0, 0, 0, 0, -0.0145, 0.1403])
+        x = np.array([0, 0, 0, 0, 0, -0.0145, 0.1403])
         frame = PwmFrame.from_mean_diff(1.0, 0.0)
-        assert input_gain_static_u(frame, p) == pytest.approx(0.1258, abs=1e-12)
+        assert input_gain("static", "u", frame, x) == pytest.approx(0.1258, abs=1e-12)
 
     def test_surge_zero_input(self):
-        p = StaticSurgeParams(np.arange(1.0, 8.0))
-        assert input_gain_static_u(PwmFrame.from_mean_diff(0.0, 0.0), p) == 0.0
+        x = np.arange(1.0, 8.0)
+        assert input_gain("static", "u", PwmFrame.from_mean_diff(0.0, 0.0), x) == 0.0
 
     def test_surge_matches_direct_formula(self, rng):
+        quad = term_index("static", "u", "mean^2+diff^2/4")
+        lin = term_index("static", "u", "mean")
         for _ in range(300):
             x = rng.normal(size=7)
-            p = StaticSurgeParams(x)
             mean = rng.uniform(0.0, 0.5)
             lim = 2.0 * min(mean, 1.0 - mean)
             diff = rng.uniform(-lim, lim) if mean > 0 else 0.0
             frame = PwmFrame.from_mean_diff(mean, diff)
-            direct = x[5] * (mean**2 + diff**2 / 4.0) + x[6] * mean
-            assert input_gain_static_u(frame, p) == pytest.approx(direct, abs=1e-15)
+            direct = x[quad] * (mean**2 + diff**2 / 4.0) + x[lin] * mean
+            assert input_gain("static", "u", frame, x) == pytest.approx(direct, abs=1e-15)
 
     def test_surge_rejects_non_ff(self):
-        p = StaticSurgeParams(np.zeros(7))
-        with pytest.raises(RegionError):
-            input_gain_static_u(PwmFrame(0.4, -0.2), p)
+        # the surge gain is only identified in forward-forward: no FR surge rows
+        systems = build_systems(one_step_dataset(PwmFrame(0.4, -0.2)), "static")
+        assert 0 not in systems["u"].segment
+        assert 0 in systems["v"].segment
 
     def test_swayyaw_ff_reported_values(self):
         x = np.zeros(13)
-        x[10], x[12] = -0.0381, -0.0505
-        p = StaticSwayYawParams(x)
+        x[term_index("static", "v", "mean*diff")] = -0.0381
+        x[term_index("static", "v", "diff/2")] = -0.0505
         frame = PwmFrame.from_mean_diff(0.5, 0.2)
         assert frame.region is OperatingRegion.FF
-        assert input_gain_static_p(frame, p) == pytest.approx(-0.00886, abs=1e-12)
+        assert input_gain("static", "v", frame, x) == pytest.approx(-0.00886, abs=1e-12)
 
     def test_swayyaw_zero_input(self, rng):
-        p = StaticSwayYawParams(rng.normal(size=13))
-        assert input_gain_static_p(PwmFrame.from_mean_diff(0.0, 0.0), p) == 0.0
+        x = rng.normal(size=13)
+        assert input_gain("static", "v", PwmFrame.from_mean_diff(0.0, 0.0), x) == 0.0
 
     def test_fr_and_rf_branch_formulas(self, rng):
+        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
+        idx = [term_index("static", "v", name) for name in names]
         for _ in range(200):
             x = rng.normal(size=13)
-            p = StaticSwayYawParams(x)
+            t1, t2, t3, t4 = x[idx]
             mean = rng.uniform(0.05, 0.45)
             diff = rng.uniform(2 * mean + 0.01, min(2 * mean + 0.5, 2 * (1 - mean) - 0.01))
             fr = PwmFrame.from_mean_diff(mean, diff)
             rf = PwmFrame.from_mean_diff(mean, -diff)
             assert fr.region is OperatingRegion.FR and rf.region is OperatingRegion.RF
             m1 = mean**2 + diff**2 / 4.0
-            direct_fr = x[9] * m1 + x[10] * mean * diff + x[11] * mean + x[12] * diff / 2.0
-            direct_rf = -x[9] * m1 + x[10] * mean * (-diff) - x[11] * mean + x[12] * (-diff) / 2.0
-            assert input_gain_static_p(fr, p) == pytest.approx(direct_fr, abs=1e-14)
-            assert input_gain_static_p(rf, p) == pytest.approx(direct_rf, abs=1e-14)
+            direct_fr = t1 * m1 + t2 * mean * diff + t3 * mean + t4 * diff / 2.0
+            direct_rf = -t1 * m1 + t2 * mean * (-diff) - t3 * mean + t4 * (-diff) / 2.0
+            assert input_gain("static", "v", fr, x) == pytest.approx(direct_fr, abs=1e-14)
+            assert input_gain("static", "v", rf, x) == pytest.approx(direct_rf, abs=1e-14)
+            # the generator's scalar reference agrees with the table
+            assert float(swayyaw_thrust_columns(fr) @ x[idx]) == pytest.approx(direct_fr, abs=1e-14)
 
     def test_fr_rf_same_pwm_differ_by_signed_terms(self, rng):
         # same (mean, diff) evaluated under both sign conventions
+        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
+        idx = [term_index("static", "v", name) for name in names]
         for _ in range(200):
             x = rng.normal(size=13)
+            t1, _, t3, _ = x[idx]
             mean = rng.uniform(0.05, 0.45)
             diff = rng.uniform(2 * mean + 0.01, min(2 * mean + 0.5, 2 * (1 - mean) - 0.01))
             frame = PwmFrame.from_mean_diff(mean, diff)
@@ -299,77 +276,81 @@ class TestStaticInputGains:
             flipped = cols.copy()
             flipped[0] *= -1.0
             flipped[2] *= -1.0
-            expected_gap = 2.0 * (x[9] * m1 + x[11] * mean)
-            assert float((cols - flipped) @ x[9:13]) == pytest.approx(expected_gap, rel=1e-12)
+            expected_gap = 2.0 * (t1 * m1 + t3 * mean)
+            assert float((cols - flipped) @ x[idx]) == pytest.approx(expected_gap, rel=1e-12)
 
     def test_rr_rejected(self):
-        p = StaticSwayYawParams(np.zeros(13))
         with pytest.raises(RegionError):
-            input_gain_static_p(PwmFrame(-0.5, -0.5), p)
+            swayyaw_thrust_columns(PwmFrame(-0.5, -0.5))
+        systems = build_systems(one_step_dataset(PwmFrame(-0.5, -0.5)), "static")
+        assert all(0 not in sys.segment for sys in systems.values())
+
+
+def zero_disturbance_run(alpha: float, schedule: np.ndarray, g0) -> np.ndarray:
+    """Velocity increments of the dynamic generator with no lumped disturbance.
+
+    Each increment is then the input gain itself: g(k) = alpha*g(k-1) + thrust(k-1).
+    """
+    gt = replace(
+        default_ground_truth(dynamic=True, alpha=alpha),
+        sigma_override=(SigmaSurge(0, 0, 0, 0, 0), SigmaSwayYaw(*[0] * 9), SigmaSwayYaw(*[0] * 9)),
+    )
+    cfg = DiscreteGenConfig(steps=len(schedule), kind="dynamic", schedule=schedule, g0=g0)
+    seg = generate_discrete(gt, cfg).segments[0]
+    return np.diff(np.column_stack([seg.u, seg.v, seg.r]), axis=0)
 
 
 class TestDynamicInputGain:
     def test_memoryless_pole_reduces_to_static_increment(self, rng):
+        # with alpha = 0 the dynamic gain is the thrust row of the previous step
         x = rng.normal(size=21)
-        p = DynamicSwayYawParams(x)
-        frame = random_allowed_frame(rng)
-        g = input_gain_dynamic_step(3.7, frame, 0.0, p)
-        assert g == pytest.approx(float(swayyaw_thrust_columns(frame) @ x[17:21]), abs=1e-15)
-
-    def test_zero_pwm_history_decays_geometrically(self):
-        p = DynamicSurgeParams(np.ones(11))
-        idle = PwmFrame.from_mean_diff(0.0, 0.0)
-        g0, alpha = 0.8, 0.9
-        g = g0
-        for k in range(1, 60):
-            g = input_gain_dynamic_step(g, idle, alpha, p)
-            assert g == pytest.approx(g0 * alpha**k, rel=1e-12)
-
-    def test_affine_in_previous_gain_with_slope_alpha(self, rng):
-        x = rng.normal(size=21)
-        p = DynamicSwayYawParams(x)
-        alpha = 0.93
+        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
+        idx = [term_index("dynamic", "v", f"{name}[k-1]") for name in names]
         for _ in range(100):
             frame = random_allowed_frame(rng)
-            g1, g2 = rng.normal(size=2)
-            out1 = input_gain_dynamic_step(g1, frame, alpha, p)
-            out2 = input_gain_dynamic_step(g2, frame, alpha, p)
-            assert (out1 - out2) == pytest.approx(alpha * (g1 - g2), rel=1e-12, abs=1e-15)
+            g = input_gain("dynamic", "v", frame, np.where(np.isin(np.arange(21), idx), x, 0.0))
+            assert g == pytest.approx(float(swayyaw_thrust_columns(frame) @ x[idx]), abs=1e-15)
+
+    def test_zero_pwm_history_decays_geometrically(self):
+        g0, alpha = 0.8, 0.9
+        steps = np.arange(59)
+        inc = zero_disturbance_run(alpha, np.zeros((60, 2)), (g0, 0.0, 0.0))
+        assert np.allclose(inc[:, 0], g0 * alpha**steps, rtol=1e-12, atol=0.0)
+        assert np.all(inc[:, 1:] == 0.0)
+
+    def test_affine_in_previous_gain_with_slope_alpha(self, rng):
+        alpha = 0.93
+        frames = [random_allowed_frame(rng) for _ in range(100)]
+        schedule = np.array([(f.delta_mean, f.delta_diff) for f in frames])
+        inc_a = zero_disturbance_run(alpha, schedule, tuple(rng.normal(size=3) * 0.1))
+        inc_b = zero_disturbance_run(alpha, schedule, tuple(rng.normal(size=3) * 0.1))
+        gap = inc_a - inc_b
+        assert np.allclose(gap[1:], alpha * gap[:-1], rtol=1e-9, atol=1e-15)
 
     def test_initial_condition_sensitivity_is_alpha_power(self, rng):
         # two rollouts over one shared frame sequence, different starts
-        x = rng.normal(size=11) * 0.1
-        p = DynamicSurgeParams(x)
         alpha = 0.9
-        frames = [PwmFrame.from_mean_diff(m, 0.0) for m in rng.uniform(0.0, 0.9, size=200)]
-        ga, gb = 0.7, 0.2
-        for k, frame in enumerate(frames, start=1):
-            ga = input_gain_dynamic_step(ga, frame, alpha, p)
-            gb = input_gain_dynamic_step(gb, frame, alpha, p)
-            assert abs(abs(ga - gb) - alpha**k * 0.5) < 1e-12
+        schedule = np.column_stack([rng.uniform(0.0, 0.9, size=200), np.zeros(200)])
+        inc_a = zero_disturbance_run(alpha, schedule, (0.7, 0.3, -0.1))
+        inc_b = zero_disturbance_run(alpha, schedule, (0.2, -0.2, 0.4))
+        k = np.arange(199)
+        for j, gap in enumerate((0.5, 0.5, -0.5)):
+            assert np.max(np.abs((inc_a[:, j] - inc_b[:, j]) - gap * alpha**k)) < 1e-12
 
     def test_surge_requires_ff(self):
-        p = DynamicSurgeParams(np.zeros(11))
-        with pytest.raises(RegionError):
-            input_gain_dynamic_step(0.0, PwmFrame(0.5, -0.5), 0.9, p)
-
-    def test_rr_rejected(self):
-        p = DynamicSwayYawParams(np.zeros(21))
-        with pytest.raises(RegionError):
-            input_gain_dynamic_step(0.0, PwmFrame(-0.5, -0.5), 0.9, p)
+        # the dynamic surge gain recursion needs forward-forward PWM history
+        systems = build_systems(one_step_dataset(PwmFrame(0.5, -0.5)), "dynamic")
+        assert 0 not in systems["u"].segment
+        assert 0 in systems["v"].segment
 
     def test_rejects_wrong_vector_type(self):
-        with pytest.raises(TypeError):
-            input_gain_dynamic_step(0.0, PwmFrame(0.5, 0.5), 0.9, np.zeros(21))
+        # a dynamic model only takes vectors in the dynamic layout
+        with pytest.raises(ValueError, match="vector lengths"):
+            IdentifiedModel(kind="dynamic", surge=np.zeros(7), sway=np.zeros(13),
+                            yaw=np.zeros(13), alpha=0.9)
+        with pytest.raises(ValueError, match="dynamic vectors"):
+            resolve_alpha(np.zeros(7), np.zeros(21), np.zeros(21))
 
-
-class TestSimpleTypes:
-    def test_body_velocity_finite(self):
-        BodyVelocity(1.0, 0.0, -0.2)
-        with pytest.raises(ValueError):
-            BodyVelocity(np.inf, 0.0, 0.0)
-
-    def test_pose_finite(self):
-        Pose(1.0, 2.0, 10.0)  # unwrapped headings beyond 2*pi are fine
-        with pytest.raises(ValueError):
-            Pose(0.0, np.nan, 0.0)
+    def test_rr_rejected(self):
+        systems = build_systems(one_step_dataset(PwmFrame(-0.5, -0.5)), "dynamic")
+        assert all(0 not in sys.segment for sys in systems.values())

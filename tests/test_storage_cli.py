@@ -7,9 +7,9 @@ import pytest
 from asvid import storage
 from asvid.cli import main
 from asvid.errors import SchemaError
-from asvid.estimator import identify_static
+from asvid.estimator import identify_dynamic, identify_static
 from asvid.model import ThrustStaticParams
-from asvid.oracle import SigmaSurge, SigmaSwayYaw, default_ground_truth
+from asvid.oracle import SigmaSurge, SigmaSwayYaw, default_ground_truth, known_params_to_X
 
 
 class TestRawLogs:
@@ -127,17 +127,33 @@ class TestModelFile:
         with pytest.raises(SchemaError, match="version"):
             storage.read_model_file(path)
 
-    def test_unit_labels_mirror_parameter_tables(self):
-        assert storage.unit_labels("static", "u") == [
-            "(m/s)^-1", "(m/s)^-1", "(m/s)^-1", "-", "m/s", "m/s", "m/s",
-        ]
-        labels_v = storage.unit_labels("static", "v")
-        assert len(labels_v) == 13
+    def test_unit_labels_mirror_parameter_tables(self, tmp_path, gt_static, gt_dynamic):
+        def units(kind, gt):
+            path = tmp_path / f"{kind}.json"
+            storage.write_expected_x(path, kind, known_params_to_X(gt, kind))
+            vectors = json.loads(path.read_text())["vectors"]
+            return {axis: [row["unit"] for row in rows] for axis, rows in vectors.items()}
+
+        static, dynamic = units("static", gt_static), units("dynamic", gt_dynamic)
+        assert static["u"] == ["(m/s)^-1", "(m/s)^-1", "(m/s)^-1", "-", "m/s", "m/s", "m/s"]
+        labels_v = static["v"]
+        assert len(labels_v) == 13 and labels_v == static["r"]
         assert labels_v[6] == "-" and labels_v[8] == "m/s"
-        dyn_u = storage.unit_labels("dynamic", "u")
+        dyn_u = dynamic["u"]
         assert len(dyn_u) == 11 and dyn_u[0] == "-" and dyn_u[4] == "-"
-        dyn_v = storage.unit_labels("dynamic", "v")
+        dyn_v = dynamic["v"]
         assert len(dyn_v) == 21 and dyn_v[7] == "-" and dyn_v[8] == "-" and dyn_v[15] == "-"
+        assert dyn_v == dynamic["r"]
+
+    def test_write_read_write_identical(self, tmp_path, ds_static, ds_dynamic):
+        for model in (identify_static(ds_static), identify_dynamic(ds_dynamic)):
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            storage.write_model_file(first, model, {"dataset_sha256": "ab", "created_unix": 0})
+            storage.write_model_file(second, storage.read_model_file(first))
+            assert second.read_bytes() == first.read_bytes()
+            doc = json.loads(first.read_text())
+            assert doc["rows_used"] is not None and doc["residual_norms"] is not None
+            assert (doc["alpha_stable"] is None) == (model.kind == "static")
 
 
 class TestGroundTruthFile:
@@ -272,6 +288,23 @@ class TestCli:
         for name in ("gnss.csv", "heading.csv", "pwm.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         capsys.readouterr()
+
+    def test_ground_truth_config_errors_name_the_config(self, tmp_path, gt_static, capsys):
+        gt_path = tmp_path / "gt.json"
+        storage.write_ground_truth(gt_path, gt_static)
+        doc = json.loads(gt_path.read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ground_truth": doc, "simulate": {"duration_s": 2.0}}))
+        assert self.run("--config", str(cfg), "simulate", "--out", str(tmp_path / "ok")) == 0
+        assert json.loads((tmp_path / "ok" / "ground_truth.json").read_text()) == doc
+
+        del doc["y_v"]
+        cfg.write_text(json.dumps({"ground_truth": doc}))
+        out = tmp_path / "bad"
+        assert self.run("--config", str(cfg), "simulate", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and "y_v" in err
+        assert not (out / "_gt_input.json").exists()
 
     def test_report_regenerates_identically(self, tmp_path, ds_static, capsys):
         prep = tmp_path / "prepared.csv"

@@ -12,8 +12,6 @@ from asvid.validate import (
     mae,
     partition,
     prediction_traces,
-    predict_one_step_dynamic,
-    predict_one_step_static,
     r_squared,
     run_validation,
     sensitivity_study,
@@ -26,15 +24,13 @@ H = 0.2
 def fake_systems(n_u: int, n_vr: int, n_segments: int = 1):
     """Minimal consistent system triple with the given row counts."""
 
-    def rows_for(n):
-        per = n // n_segments
-        return [(min(i // max(per, 1), n_segments - 1), i) for i in range(n)]
-
     def sys(n, cols, kind, axis):
+        per = max(n // n_segments, 1)
         return RegressionSystem(
             a=np.ones((n, cols)),
             b=np.zeros(n),
-            rows=rows_for(n),
+            segment=np.minimum(np.arange(n) // per, n_segments - 1),
+            k=np.arange(n),
             model_kind=kind,
             axis=axis,
             base=np.zeros(n),
@@ -130,9 +126,9 @@ class TestPartitionBySegments:
         for axis in ("u", "v", "r"):
             sys = systems[axis]
             for i in split.train[axis]:
-                assert sys.rows[int(i)][0] in split.train_segments
+                assert sys.segment[i] in split.train_segments
             for i in split.val[axis]:
-                assert sys.rows[int(i)][0] in split.val_segments
+                assert sys.segment[i] in split.val_segments
 
     def test_needs_two_segments(self):
         ds = fake_dataset([100])
@@ -203,18 +199,21 @@ class TestPredictors:
         model = IdentifiedModel(
             kind="static", surge=np.zeros(7), sway=np.zeros(13), yaw=np.zeros(13)
         )
+        metrics = evaluate(model, systems)
         for axis in ("u", "v", "r"):
-            truth, pred = predict_one_step_static(model, systems[axis])
-            assert np.array_equal(pred, systems[axis].base)
-            assert np.array_equal(truth, systems[axis].base + systems[axis].b)
+            sys = systems[axis]
+            # persistence predicts nu(k+1) = nu(k): the error is the increment b
+            assert metrics.mae[axis] == pytest.approx(np.mean(np.abs(sys.b)), rel=1e-12)
+            truth = sys.base + sys.b
+            persistence = 1.0 - np.sum(sys.b**2) / np.sum((truth - truth.mean()) ** 2)
+            assert metrics.r2[axis] == pytest.approx(persistence, rel=1e-12)
 
     def test_exact_on_generator_data(self, gt_static, ds_static):
         x = known_params_to_X(gt_static, "static")
         systems = build_systems(ds_static, "static")
         model = IdentifiedModel(kind="static", surge=x["u"], sway=x["v"], yaw=x["r"])
-        for axis in ("u", "v", "r"):
-            truth, pred = predict_one_step_static(model, systems[axis])
-            assert np.max(np.abs(truth - pred)) < 1e-12
+        traces = prediction_traces(model, systems, ds_static)
+        assert max(abs(truth - pred) for _, _, truth, pred in traces) < 1e-12
 
     def test_exact_dynamic_prediction(self, gt_dynamic, ds_dynamic):
         x = known_params_to_X(gt_dynamic, "dynamic")
@@ -222,22 +221,21 @@ class TestPredictors:
         model = IdentifiedModel(
             kind="dynamic", surge=x["u"], sway=x["v"], yaw=x["r"], alpha=0.9
         )
-        for axis in ("u", "v", "r"):
-            truth, pred = predict_one_step_dynamic(model, systems[axis])
-            assert np.max(np.abs(truth - pred)) < 1e-12
+        traces = prediction_traces(model, systems, ds_dynamic)
+        assert max(abs(truth - pred) for _, _, truth, pred in traces) < 1e-12
 
     def test_kind_mismatch_rejected(self, ds_static):
         systems = build_systems(ds_static, "static")
         model = IdentifiedModel(
             kind="dynamic", surge=np.zeros(11), sway=np.zeros(21), yaw=np.zeros(21), alpha=0.9
         )
-        with pytest.raises(ValueError):
-            predict_one_step_dynamic(model, systems["u"])
+        with pytest.raises(ValueError, match="dynamic model cannot predict on a static system"):
+            evaluate(model, systems)
         static_model = IdentifiedModel(
             kind="static", surge=np.zeros(7), sway=np.zeros(13), yaw=np.zeros(13)
         )
-        with pytest.raises(ValueError):
-            predict_one_step_dynamic(static_model, systems["u"])
+        with pytest.raises(ValueError, match="static model cannot predict on a dynamic system"):
+            evaluate(static_model, build_systems(ds_static, "dynamic"))
 
     def test_perfect_prediction_gives_unit_r2(self, gt_static, ds_static):
         x = known_params_to_X(gt_static, "static")
