@@ -1,14 +1,16 @@
 """Command-line entry point: simulate | prepare | identify | validate | report.
 
 Every command is deterministic given its inputs, config and seed.  Exit
-codes: 0 success, 1 numerical failure, 2 I/O or schema failure.
+codes: 0 success, 1 numerical failure, 2 an input file that is missing or
+malformed (the message names the file, and the line of a bad CSV cell) or
+another I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +53,10 @@ EXIT_IO = 2
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file is missing: {p}")
-    with open(p, encoding="utf-8") as fh:
-        return json.load(fh)
+    cfg = {} if path is None else storage.read_json(path)
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
+    return cfg
 
 
 def _geo_reference(cfg: dict) -> GeoReference:
@@ -70,25 +69,11 @@ def _geo_reference(cfg: dict) -> GeoReference:
 
 
 def _prepare_config(cfg: dict) -> PrepareConfig:
-    prep = cfg.get("prepare", {})
-    kwargs = {}
-    if "h" in prep:
-        kwargs["h"] = prep["h"]
-    if "pwm_map" in prep:
-        kwargs["pwm_map"] = PwmMapConfig(**prep["pwm_map"])
-    if "savgol" in prep:
-        kwargs["savgol"] = SavGolConfig(**prep["savgol"])
-    for key in (
-        "gnss_degree",
-        "gnss_window",
-        "heading_degree",
-        "heading_window",
-        "pwm_degree",
-        "pwm_window",
-        "gap_factor",
-    ):
-        if key in prep:
-            kwargs[key] = prep[key]
+    known = {f.name for f in fields(PrepareConfig)}
+    kwargs = {key: value for key, value in cfg.get("prepare", {}).items() if key in known}
+    for key, section in (("pwm_map", PwmMapConfig), ("savgol", SavGolConfig)):
+        if key in kwargs:
+            kwargs[key] = section(**kwargs[key])
     return PrepareConfig(**kwargs)
 
 
@@ -142,7 +127,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     ds = build_prepared_dataset(bundle, _geo_reference(cfg), _prepare_config(cfg))
     storage.write_prepared_csv(out / "prepared.csv", ds)
     summary = ds.summary()
-    storage.atomic_write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    storage.write_json(out / "summary.json", summary)
     print(
         f"prepared {summary['points']} points in {summary['segments']} segments "
         f"({summary['minutes']:.2f} minutes at h={ds.h} s)"
@@ -170,21 +155,18 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _metrics_csv_rows(doc: dict) -> list[tuple]:
-    rows = []
-    for section in ("train", "validation"):
-        if section not in doc:
-            continue
-        block = doc[section]
-        for metric in ("r2", "mae"):
-            for axis, value in block[metric].items():
-                rows.append(("metrics", section, axis, metric, value))
-    for entry in doc.get("sweep", []):
-        for section in ("train", "validation"):
-            for metric in ("r2", "mae"):
-                for axis, value in entry[section][metric].items():
-                    rows.append(
-                        (f"sweep_{entry['train_fraction']}", section, axis, metric, value)
-                    )
+    blocks = [("metrics", side, doc[side]) for side in ("train", "validation") if side in doc]
+    blocks += [
+        (f"sweep_{entry['train_fraction']}", side, entry[side])
+        for entry in doc.get("sweep", [])
+        for side in ("train", "validation")
+    ]
+    rows = [
+        (section, side, axis, metric, value)
+        for section, side, block in blocks
+        for metric in ("r2", "mae")
+        for axis, value in block[metric].items()
+    ]
     sens = doc.get("sensitivity")
     if sens:
         for stat in ("mean_r2", "sd_r2", "mean_mae", "sd_mae"):
@@ -206,9 +188,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.model:
         model = storage.read_model_file(args.model)
         if model.kind != kind:
-            raise SchemaError(f"model kind {model.kind!r} does not match requested {kind!r}")
+            raise SchemaError(f"{Path(args.model).name}: model kind {model.kind!r} is not {kind!r}")
         metrics = evaluate(model, systems, None, {"side": "full dataset"})
-        doc["validation"] = metrics.as_dict()
+        doc["validation"] = asdict(metrics)
         traces = prediction_traces(model, systems, ds)
     else:
         spec = PartitionSpec(args.method, args.train_fraction, seed)
@@ -218,8 +200,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         train_metrics = evaluate(model, systems, split.train, {**info, "side": "train"})
         val_metrics = evaluate(model, systems, split.val, {**info, "side": "validation"})
         doc["partition"] = info
-        doc["train"] = train_metrics.as_dict()
-        doc["validation"] = val_metrics.as_dict()
+        doc["train"] = asdict(train_metrics)
+        doc["validation"] = asdict(val_metrics)
         traces = prediction_traces(model, systems, ds, rows=split.val)
         if model.alpha is not None:
             doc["alpha"] = model.alpha
@@ -228,27 +210,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.sensitivity:
         spec = PartitionSpec(args.method, args.train_fraction, seed)
         report = sensitivity_study(ds, kind, spec, repetitions=args.sensitivity)
-        doc["sensitivity"] = report.as_dict()
+        doc["sensitivity"] = asdict(report)
     if args.sweep:
         fractions = tuple(float(f) for f in args.sweep.split(","))
         sweep = training_fraction_sweep(ds, kind, fractions, seed=seed)
         doc["sweep"] = [
             {
                 "train_fraction": entry["train_fraction"],
-                "train": entry["train"].as_dict(),
-                "validation": entry["validation"].as_dict(),
+                "train": asdict(entry["train"]),
+                "validation": asdict(entry["validation"]),
             }
             for entry in sweep
         ]
 
-    storage.atomic_write_text(out / "metrics.json", json.dumps(doc, indent=2) + "\n")
-    csv_rows = _metrics_csv_rows(doc)
-    lines = ["section,side,axis,metric,value"]
-    lines += [",".join(str(x) for x in row) for row in csv_rows]
-    storage.atomic_write_text(out / "metrics.csv", "\n".join(lines) + "\n")
-    trace_lines = ["t,axis,truth,prediction"]
-    trace_lines += [f"{t!r},{axis},{tr!r},{pr!r}" for t, axis, tr, pr in traces]
-    storage.atomic_write_text(out / "traces.csv", "\n".join(trace_lines) + "\n")
+    storage.write_json(out / "metrics.json", doc)
+    storage.write_csv(
+        out / "metrics.csv", ("section", "side", "axis", "metric", "value"), _metrics_csv_rows(doc)
+    )
+    storage.write_csv(out / "traces.csv", ("t", "axis", "truth", "prediction"), traces)
 
     val = doc["validation"]
     print("validation R^2:", {a: round(val["r2"][a], 6) for a in ("u", "v", "r")})
@@ -267,12 +246,7 @@ def _format_metric_table(title: str, block: dict) -> list[str]:
     return lines
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    metrics_path = Path(args.metrics)
-    if not metrics_path.exists():
-        raise FileNotFoundError(f"metrics file is missing: {metrics_path}")
-    with open(metrics_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _report_lines(doc: dict) -> list[str]:
     lines: list[str] = [f"Model kind: {doc.get('kind', '?')}", ""]
     if "alpha" in doc:
         lines.append(f"Shared propeller pole alpha = {doc['alpha']:.6f} "
@@ -285,9 +259,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"seed={part.get('seed')} realized={part.get('realized_train_fraction'):.4f}"
         )
         lines.append("")
-    for section, title in (("train", "Training metrics"), ("validation", "Validation metrics")):
-        if section in doc:
-            lines += _format_metric_table(title, doc[section])
+    if "train" in doc:
+        lines += _format_metric_table("Training metrics", doc["train"])
+    lines += _format_metric_table("Validation metrics", doc["validation"])
     if "sensitivity" in doc:
         sens = doc["sensitivity"]
         lines.append(
@@ -308,6 +282,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"Training share {entry['train_fraction']:.0%} (validation side)",
             entry["validation"],
         )
+    return lines
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    path = Path(args.metrics)
+    doc = storage.read_json(path)
+    try:
+        lines = _report_lines(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path.name}: not a metrics file: {exc!r}") from None
     text = "\n".join(lines).rstrip() + "\n"
     if args.out:
         storage.atomic_write_text(Path(args.out), text)
@@ -366,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, SchemaError, json.JSONDecodeError) as exc:
+    except (OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -22,6 +22,7 @@ from .model import classify_regions
 __all__ = [
     "EARTH_RADIUS_M",
     "GeoReference",
+    "RAW_STREAMS",
     "RawLogBundle",
     "SavGolConfig",
     "PwmMapConfig",
@@ -82,6 +83,14 @@ def _check_stream(name: str, t: np.ndarray, *cols: np.ndarray) -> None:
             raise DataError(f"{name} columns must match timestamp length")
 
 
+# Per raw stream: its name (the log file's stem), CSV columns, RawLogBundle fields.
+RAW_STREAMS = (
+    ("gnss", ("t", "lat", "lon"), ("gnss_t", "lat", "lon")),
+    ("heading", ("t", "psi"), ("heading_t", "psi")),
+    ("pwm", ("t", "pwm_l", "pwm_r"), ("pwm_t", "pwm_l", "pwm_r")),
+)
+
+
 @dataclass
 class RawLogBundle:
     """Unsynchronized sensor logs: GNSS fixes, heading, and raw PWM in us."""
@@ -96,11 +105,10 @@ class RawLogBundle:
     pwm_r: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("gnss_t", "lat", "lon", "heading_t", "psi", "pwm_t", "pwm_l", "pwm_r"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        _check_stream("gnss", self.gnss_t, self.lat, self.lon)
-        _check_stream("heading", self.heading_t, self.psi)
-        _check_stream("pwm", self.pwm_t, self.pwm_l, self.pwm_r)
+        for stream, _, names in RAW_STREAMS:
+            for name in names:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            _check_stream(stream, *(getattr(self, name) for name in names))
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,9 @@ class PrepareConfig:
                 raise ValueError(f"{name} window must hold at least degree+1 samples")
 
 
+_ROW_COLUMNS = ("t", "u", "v", "r", "delta_mean", "delta_diff", "region")
+
+
 @dataclass
 class Segment:
     """One contiguous run of prepared samples on the uniform grid."""
@@ -187,7 +198,7 @@ class Segment:
 
     def __post_init__(self) -> None:
         n = self.t.size
-        for name in ("u", "v", "r", "delta_mean", "delta_diff", "region"):
+        for name in _ROW_COLUMNS[1:]:
             if getattr(self, name).size != n:
                 raise DataError(f"segment column {name} length mismatch")
         if n >= 2:
@@ -212,6 +223,35 @@ class PreparedDataset:
         for seg in self.segments:
             if abs(seg.h - self.h) > 1e-12:
                 raise DataError("all segments must share the dataset sampling period")
+
+    @classmethod
+    def from_columns(cls, h: float, segment, **cols: np.ndarray) -> "PreparedDataset":
+        """One :class:`Segment` per distinct id in ``segment``, in ascending order.
+
+        ``cols`` are per-row arrays named like the :class:`Segment` fields;
+        each segment keeps its rows in the order given.
+        """
+        order = np.argsort(segment, kind="stable")
+        ids, starts = np.unique(np.asarray(segment)[order], return_index=True)
+        segments = [
+            Segment(segment_id=int(sid), h=h, **{name: col[rows] for name, col in cols.items()})
+            for sid, rows in zip(ids, np.split(order, starts[1:]))
+        ]
+        return cls(segments=segments, h=h)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every column of every segment, concatenated in segment order.
+
+        Adds ``segment``, the id of each row's segment, and ``k``, the row's
+        index within it.  The pose columns ``x``, ``y``, ``psi`` are left out.
+        """
+        cols = {
+            name: np.concatenate([getattr(s, name) for s in self.segments]) for name in _ROW_COLUMNS
+        }
+        lengths = [len(s) for s in self.segments]
+        cols["segment"] = np.repeat([s.segment_id for s in self.segments], lengths)
+        cols["k"] = np.concatenate([np.arange(n) for n in lengths])
+        return cols
 
     @property
     def n_samples(self) -> int:

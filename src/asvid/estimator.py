@@ -79,6 +79,8 @@ class IdentifiedModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.kind not in ("static", "dynamic"):
+            raise ValueError(f"unknown model kind {self.kind!r}")
         expected = tuple(len(TERMS[(self.kind, axis)]) for axis in ("u", "v", "r"))
         got = (self.surge.size, self.sway.size, self.yaw.size)
         if got != expected:

@@ -29,7 +29,6 @@ from .dataprep import (
     PreparedDataset,
     PwmMapConfig,
     RawLogBundle,
-    Segment,
     denormalize_pwm,
 )
 from .errors import DataError
@@ -576,27 +575,12 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
         rng = np.random.default_rng(cfg.seed + 1)
         nus = nus + rng.normal(0.0, cfg.noise_std, size=nus.shape)
 
-    t = h * np.arange(cfg.steps)
-    mean = schedule[:, 0]
-    diff = schedule[:, 1]
     region = np.array([int(f.region) for f in frames], dtype=np.int8)
-    segments = []
-    for sid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        sl = slice(a, b)
-        segments.append(
-            Segment(
-                segment_id=sid,
-                t=t[sl],
-                u=nus[sl, 0],
-                v=nus[sl, 1],
-                r=nus[sl, 2],
-                delta_mean=mean[sl],
-                delta_diff=diff[sl],
-                region=region[sl],
-                h=h,
-            )
-        )
-    return PreparedDataset(segments=segments, h=h)
+    return PreparedDataset.from_columns(
+        h, np.repeat(np.arange(cfg.n_segments), np.diff(bounds)),
+        t=h * np.arange(cfg.steps), u=nus[:, 0], v=nus[:, 1], r=nus[:, 2],
+        delta_mean=schedule[:, 0], delta_diff=schedule[:, 1], region=region,
+    )
 
 
 def merge_datasets(datasets: list[PreparedDataset]) -> PreparedDataset:
@@ -766,29 +750,13 @@ def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedData
     mean = 0.5 * (traj.delta[idx, 0] + traj.delta[idx, 1])
     diff = traj.delta[idx, 0] - traj.delta[idx, 1]
     region = classify_regions(traj.delta[idx, 0], traj.delta[idx, 1])
-    n = idx.size
-    bounds = np.linspace(0, n, n_segments + 1).astype(int)
-    segments = []
-    for sid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        sl = slice(a, b)
-        rows = idx[sl]
-        segments.append(
-            Segment(
-                segment_id=sid,
-                t=traj.t[rows],
-                u=traj.nu[rows, 0],
-                v=traj.nu[rows, 1],
-                r=traj.nu[rows, 2],
-                delta_mean=mean[sl],
-                delta_diff=diff[sl],
-                region=region[sl],
-                h=traj.h,
-                x=traj.eta[rows, 0],
-                y=traj.eta[rows, 1],
-                psi=traj.eta[rows, 2],
-            )
-        )
-    return PreparedDataset(segments=segments, h=traj.h)
+    bounds = np.linspace(0, idx.size, n_segments + 1).astype(int)
+    return PreparedDataset.from_columns(
+        traj.h, np.repeat(np.arange(n_segments), np.diff(bounds)),
+        t=traj.t[idx], u=traj.nu[idx, 0], v=traj.nu[idx, 1], r=traj.nu[idx, 2],
+        delta_mean=mean, delta_diff=diff, region=region,
+        x=traj.eta[idx, 0], y=traj.eta[idx, 1], psi=traj.eta[idx, 2],
+    )
 
 
 @dataclass(frozen=True)

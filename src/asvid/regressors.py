@@ -178,7 +178,9 @@ def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSyste
     """Evaluate the term table of (kind, axis) on every row that passes the row rule."""
     lag = 1 if kind == "dynamic" else 0
     region = data["region"]
-    rows = np.flatnonzero((data["k"] >= lag) & (data["k"] < data["length"] - 1))
+    k = data["k"]
+    # k+1 is in the same segment unless the next row starts one (k == 0).
+    rows = np.flatnonzero((k >= lag) & np.append(k[1:] != 0, False))
     ok = region[rows] == OperatingRegion.FF if axis == "u" else region[rows] != OperatingRegion.RR
     if lag:
         ok &= region[rows - 1] == region[rows]
@@ -199,7 +201,7 @@ def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSyste
         a=np.column_stack([t.column(steps[t.lag]) for t in TERMS[(kind, axis)]]),
         b=series[rows + 1] - series[rows],
         segment=data["segment"][rows],
-        k=data["k"][rows],
+        k=k[rows],
         model_kind=kind,
         axis=axis,
         base=series[rows],
@@ -213,12 +215,5 @@ def build_systems(ds: PreparedDataset, kind: str) -> dict[str, RegressionSystem]
         raise ValueError(f"unknown model kind {kind!r}")
     if not ds.segments:
         raise DataError("dataset has no segments")
-    data = {
-        name: np.concatenate([getattr(seg, name) for seg in ds.segments])
-        for name in ("u", "v", "r", "delta_mean", "delta_diff", "region")
-    }
-    lengths = [len(seg) for seg in ds.segments]
-    data["segment"] = np.repeat([seg.segment_id for seg in ds.segments], lengths)
-    data["length"] = np.repeat(lengths, lengths)
-    data["k"] = np.concatenate([np.arange(n) for n in lengths])
+    data = ds.columns()
     return {axis: _build(data, kind, axis) for axis in ("u", "v", "r")}

@@ -1,8 +1,21 @@
 """File formats: raw log CSVs, prepared datasets, model files, metrics.
 
-All CSVs are UTF-8 with a header row and ``.`` decimal separator; floats
-are written with ``repr`` so they round-trip bit for bit.  Files are
-written atomically (temp file in the target directory, then rename).
+Every file is UTF-8 and written atomically (temp file in the target
+directory, then rename).
+
+* CSV (raw logs ``gnss.csv``, ``heading.csv``, ``pwm.csv``; prepared
+  datasets; ``metrics.csv``, ``traces.csv``): one header line of column
+  names, then one line per row.  Lines that start with ``#`` are records,
+  not rows: a prepared dataset has ``# h=<repr(h)>`` right after its header.
+  Floats are written with ``repr``, so they read back bit for bit.  The
+  prepared ``region`` column holds operating-region names (``FF``, ``FR``,
+  ``RF``, ``RR``); the pose columns ``x``, ``y``, ``psi`` are not stored.
+* JSON (config, model, expected-x, ground truth, summary, metrics):
+  indented by two spaces.
+
+A missing file raises ``FileNotFoundError``.  A malformed one raises
+:class:`SchemaError` naming the file, and the line of a bad CSV cell
+(``prepared.csv:12: column 'u': ...``).  The CLI exits 2 on either.
 """
 
 from __future__ import annotations
@@ -10,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -18,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataprep import PreparedDataset, RawLogBundle, Segment
+from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle
 from .errors import SchemaError
 from .estimator import IdentifiedModel
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
@@ -27,6 +41,9 @@ from .regressors import TERMS
 
 __all__ = [
     "atomic_write_text",
+    "write_csv",
+    "read_json",
+    "write_json",
     "read_raw_logs",
     "write_raw_logs",
     "write_prepared_csv",
@@ -41,12 +58,6 @@ __all__ = [
 ]
 
 MODEL_FILE_VERSION = 1
-
-RAW_SCHEMAS = {
-    "gnss": ("t", "lat", "lon"),
-    "heading": ("t", "psi"),
-    "pwm": ("t", "pwm_l", "pwm_r"),
-}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -63,28 +74,66 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _read_csv_columns(path: Path, columns: tuple[str, ...], adapter: dict | None) -> dict:
-    """Read the named columns, applying an optional canonical->actual rename."""
-    if not path.exists():
-        raise FileNotFoundError(f"required log file is missing: {path}")
-    rename = adapter or {}
-    actual = {canon: rename.get(canon, canon) for canon in columns}
-    out: dict[str, list[float]] = {canon: [] for canon in columns}
+def read_json(path: str | Path):
+    """The document in a JSON file; one that does not parse is a :class:`SchemaError`."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}: not valid JSON: {exc}") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+
+
+def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | None = None):
+    """The named columns of a CSV file as arrays, and its ``#`` records.
+
+    ``adapter`` maps a column name to the one in the header; ``parsers`` maps
+    a column name to the function that parses its cells (default ``float``).
+    """
+    rename, parsers = adapter or {}, parsers or {}
+    out: dict[str, list] = {name: [] for name in columns}
+    records: list[str] = []
+    cells = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for canon, col in actual.items():
-            if col not in header:
-                raise SchemaError(f"{path.name}: missing column {col!r} (have {header})")
-        for line_no, row in enumerate(reader, start=2):
-            for canon, col in actual.items():
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            if row[0].startswith("#"):
+                records.append(",".join(row))
+            elif cells is None:
+                names = {name: rename.get(name, name) for name in columns}
+                missing = [col for col in names.values() if col not in row]
+                if missing:
+                    raise SchemaError(f"{path.name}: missing column {missing[0]!r} (have {row})")
+                cells = [(name, row.index(col), parsers.get(name, float), out[name].append)
+                         for name, col in names.items()]
+            else:
                 try:
-                    out[canon].append(float(row[col]))
-                except (TypeError, ValueError) as exc:
+                    for name, i, parse, append in cells:
+                        append(parse(row[i]))
+                except (IndexError, ValueError) as exc:
+                    why = "missing from a short row" if isinstance(exc, IndexError) else exc
                     raise SchemaError(
-                        f"{path.name}:{line_no}: column {col!r} is not numeric: {row[col]!r}"
-                    ) from exc
-    return {k: np.asarray(v) for k, v in out.items()}
+                        f"{path.name}:{reader.line_num}: column {name!r}: {why}"
+                    ) from None
+    if cells is None:
+        raise SchemaError(f"{path.name}: no header line")
+    return {name: np.asarray(values) for name, values in out.items()}, records
+
+
+def write_csv(path: str | Path, header, rows, records=()) -> None:
+    """Header line, ``#`` records, then one line per row; floats as ``repr``."""
+    lines = [",".join(header), *records]
+    for row in rows:
+        lines.append(",".join(
+            repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row
+        ))
+    atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def read_raw_logs(log_dir: str | Path, adapter: dict | None = None) -> RawLogBundle:
@@ -95,84 +144,51 @@ def read_raw_logs(log_dir: str | Path, adapter: dict | None = None) -> RawLogBun
     """
     log_dir = Path(log_dir)
     adapter = adapter or {}
-    gnss = _read_csv_columns(log_dir / "gnss.csv", RAW_SCHEMAS["gnss"], adapter.get("gnss"))
-    heading = _read_csv_columns(
-        log_dir / "heading.csv", RAW_SCHEMAS["heading"], adapter.get("heading")
-    )
-    pwm = _read_csv_columns(log_dir / "pwm.csv", RAW_SCHEMAS["pwm"], adapter.get("pwm"))
-    return RawLogBundle(
-        gnss_t=gnss["t"],
-        lat=gnss["lat"],
-        lon=gnss["lon"],
-        heading_t=heading["t"],
-        psi=heading["psi"],
-        pwm_t=pwm["t"],
-        pwm_l=pwm["pwm_l"],
-        pwm_r=pwm["pwm_r"],
-    )
-
-
-def _csv_text(header: tuple[str, ...], rows, records: tuple[str, ...] = ()) -> str:
-    lines = [",".join(header), *records]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    fields = {}
+    for stream, columns, names in RAW_STREAMS:
+        cols, _ = _read_csv(log_dir / f"{stream}.csv", columns, adapter.get(stream))
+        fields.update(zip(names, (cols[c] for c in columns)))
+    return RawLogBundle(**fields)
 
 
 def write_raw_logs(log_dir: str | Path, bundle: RawLogBundle) -> None:
     log_dir = Path(log_dir)
-    atomic_write_text(
-        log_dir / "gnss.csv",
-        _csv_text(RAW_SCHEMAS["gnss"], zip(bundle.gnss_t, bundle.lat, bundle.lon)),
-    )
-    atomic_write_text(
-        log_dir / "heading.csv",
-        _csv_text(RAW_SCHEMAS["heading"], zip(bundle.heading_t, bundle.psi)),
-    )
-    atomic_write_text(
-        log_dir / "pwm.csv",
-        _csv_text(RAW_SCHEMAS["pwm"], zip(bundle.pwm_t, bundle.pwm_l, bundle.pwm_r)),
-    )
+    for stream, columns, names in RAW_STREAMS:
+        write_csv(log_dir / f"{stream}.csv", columns, zip(*(getattr(bundle, n) for n in names)))
 
 
 PREPARED_HEADER = ("t", "segment", "u", "v", "r", "delta_mean", "delta_diff", "region")
 H_RECORD = "# h="
+_REGION_NAMES = {region.value: region.name for region in OperatingRegion}
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
+
+
+def _region(cell: str) -> int:
+    try:
+        return OperatingRegion[cell].value
+    except KeyError:
+        raise ValueError(f"unknown operating region {cell!r}") from None
+
+
+_PREPARED_PARSERS = {
+    **{name: _finite for name in PREPARED_HEADER},
+    "segment": int,
+    "region": _region,
+}
 
 
 def write_prepared_csv(path: str | Path, ds: PreparedDataset) -> None:
-    """Write a prepared dataset as one CSV row per grid point.
-
-    The first line is the column header ``PREPARED_HEADER``.  The line right
-    after it is the sampling-period record ``# h=<repr(ds.h)>``, so that
-    :func:`read_prepared_csv` gets ``h`` back bit for bit.  The pose columns
-    ``x``, ``y``, ``psi`` of :class:`Segment` are not stored.
-    """
-    rows = []
-    for seg in ds.segments:
-        for i in range(len(seg)):
-            rows.append(
-                (
-                    float(seg.t[i]),
-                    seg.segment_id,
-                    float(seg.u[i]),
-                    float(seg.v[i]),
-                    float(seg.r[i]),
-                    float(seg.delta_mean[i]),
-                    float(seg.delta_diff[i]),
-                    OperatingRegion(int(seg.region[i])).name,
-                )
-            )
-    record = f"{H_RECORD}{float(ds.h)!r}"
-    atomic_write_text(Path(path), _csv_text(PREPARED_HEADER, rows, (record,)))
-
-
-def _skip_comments(lines, comments: list[str]):
-    """Yield the lines that do not start with ``#``; collect the others."""
-    for line in lines:
-        if line.startswith("#"):
-            comments.append(line)
-        else:
-            yield line
+    """One CSV row per grid point of ``ds``, in segment order."""
+    cols = ds.columns()
+    cols["region"] = [_REGION_NAMES[code] for code in cols["region"].tolist()]
+    rows = zip(*(cols[name] for name in PREPARED_HEADER))
+    write_csv(path, PREPARED_HEADER, rows, (f"{H_RECORD}{float(ds.h)!r}",))
 
 
 def _parse_h_record(path: Path, text: str) -> float:
@@ -190,63 +206,29 @@ def _parse_h_record(path: Path, text: str) -> float:
 def read_prepared_csv(path: str | Path) -> PreparedDataset:
     """Read a file written by :func:`write_prepared_csv`.
 
-    Lines that start with ``#`` are not data.  If the file holds the record
-    ``# h=<value>`` (written on the line after the header), ``h`` is that
-    value verbatim; a value that is not a finite positive number raises
-    :class:`SchemaError`.  Files without the record (asvid 0.1.0, or written
-    by hand) get ``h`` inferred as the median timestamp step of the first
-    segment with two or more points; that value is only approximate, since
-    the steps of ``repr``-written timestamps differ from ``h`` by a few ulps.
-    The pose columns are not stored, so each segment read back has ``x``,
-    ``y`` and ``psi`` set to ``None``.
+    Files without the ``# h=`` record (asvid 0.1.0, or written by hand) get
+    ``h`` inferred as the median timestamp step of the first segment with
+    two or more points; that value is only approximate, since the steps of
+    ``repr``-written timestamps differ from ``h`` by a few ulps.  Segments
+    read back have ``x``, ``y`` and ``psi`` set to ``None``.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"prepared dataset is missing: {path}")
-    cols: dict[str, list] = {name: [] for name in PREPARED_HEADER}
-    comments: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_skip_comments(fh, comments))
-        for name in PREPARED_HEADER:
-            if name not in (reader.fieldnames or []):
-                raise SchemaError(f"{path.name}: missing column {name!r}")
-        for row in reader:
-            for name in PREPARED_HEADER:
-                cols[name].append(row[name])
-    seg_ids = np.asarray(cols["segment"], dtype=int)
-    t = np.asarray(cols["t"], dtype=float)
-    region = np.array([OperatingRegion[name].value for name in cols["region"]], dtype=np.int8)
-    arrays = {k: np.asarray(cols[k], dtype=float) for k in ("u", "v", "r", "delta_mean", "delta_diff")}
-
+    cols, records = _read_csv(path, PREPARED_HEADER, parsers=_PREPARED_PARSERS)
+    seg_ids = cols.pop("segment")
     h = None
-    for line in comments:
+    for line in records:
         if line.startswith(H_RECORD):
             h = _parse_h_record(path, line[len(H_RECORD):].strip())
     if h is None:
         for sid in np.unique(seg_ids):
-            seg_t = t[seg_ids == sid]
+            seg_t = cols["t"][seg_ids == sid]
             if seg_t.size >= 2:
                 h = float(np.median(np.diff(seg_t)))
                 break
     if h is None:
         raise SchemaError(f"{path.name}: cannot infer sampling period from single-point segments")
-    segments = []
-    for sid in np.unique(seg_ids):
-        idx = np.flatnonzero(seg_ids == sid)
-        segments.append(
-            Segment(
-                segment_id=int(sid),
-                t=t[idx],
-                u=arrays["u"][idx],
-                v=arrays["v"][idx],
-                r=arrays["r"][idx],
-                delta_mean=arrays["delta_mean"][idx],
-                delta_diff=arrays["delta_diff"][idx],
-                region=region[idx],
-                h=h,
-            )
-        )
-    return PreparedDataset(segments=segments, h=h)
+    cols["region"] = cols["region"].astype(np.int8)
+    return PreparedDataset.from_columns(h, seg_ids, **cols)
 
 
 def _vector_rows(kind: str, axis: str, vec: np.ndarray) -> list[dict]:
@@ -282,33 +264,38 @@ def write_model_file(
         "rows_used": model.metadata.get("rows_used"),
         "provenance": provenance or model.metadata.get("provenance") or {},
     }
-    atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def read_model_file(path: str | Path) -> IdentifiedModel:
+    """Read a file written by :func:`write_model_file`.
+
+    The version, the keys and the vector lengths of the model kind are
+    checked; a file that fails a check is a :class:`SchemaError` naming it.
+    """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"model file is missing: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
+    doc = read_json(path)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != MODEL_FILE_VERSION:
         raise SchemaError(f"{path.name}: unsupported model file version {version!r}")
-    kind = doc["kind"]
-    vectors = {
-        axis: np.array([row["value"] for row in doc["vectors"][axis]]) for axis in ("u", "v", "r")
-    }
-    return IdentifiedModel(
-        kind=kind,
-        surge=vectors["u"],
-        sway=vectors["v"],
-        yaw=vectors["r"],
-        alpha=doc.get("alpha"),
-        metadata={
-            key: doc.get(key)
-            for key in ("h", "alpha_stable", "residual_norms", "rows_used", "provenance")
-        },
-    )
+    try:
+        vectors = [
+            np.array([row["value"] for row in doc["vectors"][axis]], dtype=float)
+            for axis in ("u", "v", "r")
+        ]
+        return IdentifiedModel(
+            doc["kind"],
+            *vectors,
+            alpha=doc.get("alpha"),
+            metadata={
+                key: doc.get(key)
+                for key in ("h", "alpha_stable", "residual_norms", "rows_used", "provenance")
+            },
+        )
+    except KeyError as exc:
+        raise SchemaError(f"{path.name}: model file lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path.name}: not a valid model: {exc}") from None
 
 
 def write_expected_x(path: str | Path, kind: str, vectors: dict[str, np.ndarray],
@@ -319,7 +306,7 @@ def write_expected_x(path: str | Path, kind: str, vectors: dict[str, np.ndarray]
         "alpha": alpha,
         "vectors": {axis: _vector_rows(kind, axis, vec) for axis, vec in vectors.items()},
     }
-    atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 _GT_UNITS = {
@@ -355,15 +342,11 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
         su, sv, sr = gt.sigma_override
         doc["sigma_override"] = {"u": asdict(su), "v": asdict(sv), "r": asdict(sr)}
     doc["_units"] = _GT_UNITS
-    atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"ground-truth config is missing: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_ground_truth(json.load(fh), path.name)
+    return parse_ground_truth(read_json(path), Path(path).name)
 
 
 def parse_ground_truth(doc: dict, source: str) -> GroundTruth:

@@ -220,16 +220,6 @@ class MetricsReport:
             if self.mae[axis] < 0.0:
                 raise ValueError("MAE cannot be negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r2": dict(self.r2),
-            "mae": dict(self.mae),
-            "evaluated": dict(self.evaluated),
-            "skipped": dict(self.skipped),
-            "partition": dict(self.partition),
-        }
-
 
 def evaluate(
     model: IdentifiedModel,
@@ -309,17 +299,6 @@ class SensitivityReport:
     sd_r2: dict[str, float]
     mean_mae: dict[str, float]
     sd_mae: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "method": self.method,
-            "repetitions": self.repetitions,
-            "mean_r2": dict(self.mean_r2),
-            "sd_r2": dict(self.sd_r2),
-            "mean_mae": dict(self.mean_mae),
-            "sd_mae": dict(self.sd_mae),
-        }
 
 
 def sensitivity_study(

@@ -8,6 +8,7 @@ from asvid.dataprep import (
     EARTH_RADIUS_M,
     GeoReference,
     PrepareConfig,
+    PreparedDataset,
     PwmMapConfig,
     RawLogBundle,
     SavGolConfig,
@@ -348,3 +349,29 @@ class TestBuildPreparedDataset:
             PrepareConfig(h=0.0)
         with pytest.raises(ValueError):
             PrepareConfig(heading_window=5)  # degree 8 needs >= 9 samples
+
+
+class TestPreparedColumns:
+    def test_columns_then_from_columns_round_trip(self, ds_static):
+        cols = ds_static.columns()
+        lengths = [len(seg) for seg in ds_static.segments]
+        assert np.array_equal(cols["k"], np.concatenate([np.arange(n) for n in lengths]))
+        segment = cols.pop("segment")
+        del cols["k"]
+        back = PreparedDataset.from_columns(ds_static.h, segment, **cols)
+        assert [s.segment_id for s in back.segments] == [s.segment_id for s in ds_static.segments]
+        for got, want in zip(back.segments, ds_static.segments):
+            for name in ("t", "u", "v", "r", "delta_mean", "delta_diff", "region"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_from_columns_sorts_ids_and_keeps_row_order(self):
+        segment = np.array([7, 2, 7, 2, 7])
+        t = np.array([0.0, 5.0, 0.2, 5.2, 0.4])
+        zeros = np.zeros(5)
+        ds = PreparedDataset.from_columns(
+            0.2, segment, t=t, u=np.arange(5.0), v=zeros, r=zeros, delta_mean=zeros,
+            delta_diff=zeros, region=np.zeros(5, dtype=np.int8),
+        )
+        assert [s.segment_id for s in ds.segments] == [2, 7]
+        assert list(ds.segments[0].u) == [1.0, 3.0]
+        assert list(ds.segments[1].u) == [0.0, 2.0, 4.0]

@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from asvid import storage
 from asvid.regressors import build_systems
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -36,3 +37,19 @@ def test_system_rows_reads_build_systems(ds_dynamic):
         "rows.vr": systems["v"].n_rows,
         "skipped.vr": systems["v"].n_skipped,
     }
+
+
+def test_raw_log_attrs_read_real_storage_calls(tmp_path, small_bundle):
+    spans = load_spans()
+    sites = [site for site in spans.SITES if site[2].endswith("_raw_logs")]
+    with spans.Tracer(sites) as tracer:
+        storage.write_raw_logs(log_dir=tmp_path, bundle=small_bundle)
+        storage.write_raw_logs(tmp_path, small_bundle)
+        bundle = storage.read_raw_logs(tmp_path)
+    written = sum((tmp_path / f"{s}.csv").stat().st_size for s in ("gnss", "heading", "pwm"))
+    rows = bundle.gnss_t.size + bundle.heading_t.size + bundle.pwm_t.size
+    assert [(s.name, s.attrs) for s in tracer.spans] == [
+        ("storage.write_raw_logs", {"bytes": written}),
+        ("storage.write_raw_logs", {"bytes": written}),
+        ("storage.read_raw_logs", {"rows": rows}),
+    ]

@@ -1,0 +1,131 @@
+"""Property tests: exact file round trips and causality of the preparation filters."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from asvid import storage
+from asvid.dataprep import (
+    _TIME_TOL,
+    PreparedDataset,
+    RawLogBundle,
+    SavGolConfig,
+    Segment,
+    _ulps,
+    resample_causal,
+    savitzky_golay,
+)
+
+SPECIALS = [-0.0, 1e-300, -1e-300, 1e300, -1e300]
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIALS))
+# Raw logs keep non-finite cells; the NaN is the one repr writes back ("nan").
+raw_value = st.one_of(finite, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+epoch = st.one_of(st.floats(-10.0, 10.0), st.floats(1.7e9 - 1e3, 1.7e9 + 1e3))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def prepared_datasets(draw):
+    h = draw(st.sampled_from([0.2, 0.1, 0.05, 0.013, 1.0]))
+    lengths = draw(st.lists(st.integers(2, 50), min_size=1, max_size=6))
+    ids = sorted(draw(st.lists(st.integers(0, 10_000), min_size=len(lengths),
+                               max_size=len(lengths), unique=True)))
+    t0 = draw(epoch)
+    segments = []
+    for i, (sid, n) in enumerate(zip(ids, lengths)):
+        values = dict(zip(("u", "v", "r", "delta_mean", "delta_diff"),
+                          draw(arrays(np.float64, (5, n), elements=finite))))
+        region = draw(arrays(np.int8, n, elements=st.integers(0, 3)))
+        t = (t0 + 100.0 * i) + h * np.arange(n)
+        segments.append(Segment(segment_id=sid, t=t, region=region, h=h, **values))
+    return PreparedDataset(segments=segments, h=h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=prepared_datasets())
+def test_prepared_csv_round_trip_is_bitwise(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("prep") / "prepared.csv"
+    storage.write_prepared_csv(path, ds)
+    back = storage.read_prepared_csv(path)
+    assert back.h == ds.h
+    assert [s.segment_id for s in back.segments] == [s.segment_id for s in ds.segments]
+    for want, got in zip(ds.segments, back.segments):
+        for name in ("t", "u", "v", "r", "delta_mean", "delta_diff", "region"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def raw_bundles(draw):
+    fields = {}
+    t0 = draw(epoch)
+    for stream, names in (("gnss", ("lat", "lon")), ("heading", ("psi",)),
+                          ("pwm", ("pwm_l", "pwm_r"))):
+        steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=50))
+        n = len(steps)
+        fields[f"{stream}_t"] = t0 + np.cumsum(steps)
+        for name in names:
+            fields[name] = draw(arrays(np.float64, n, elements=raw_value))
+    return RawLogBundle(**fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=raw_bundles())
+def test_raw_log_round_trip_is_bitwise(tmp_path_factory, bundle):
+    log_dir = tmp_path_factory.mktemp("logs")
+    storage.write_raw_logs(log_dir, bundle)
+    back = storage.read_raw_logs(log_dir)
+    for name in ("gnss_t", "lat", "lon", "heading_t", "psi", "pwm_t", "pwm_l", "pwm_r"):
+        assert same_bits(getattr(back, name), getattr(bundle, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=60),
+    t0=epoch,
+    degree=st.integers(1, 4),
+    extra=st.integers(0, 6),
+    h=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_resample_causal_never_looks_ahead(steps, t0, degree, extra, h, seed, data):
+    rng = np.random.default_rng(seed)
+    t_raw = t0 + np.cumsum(steps)
+    y_raw = rng.normal(0.0, 10.0, t_raw.size)
+    grid = t_raw[0] + h * np.arange(int((t_raw[-1] - t_raw[0]) / h) + 1)
+    window = degree + 1 + extra
+    j = data.draw(st.integers(0, grid.size - 1))
+    tol = max(_TIME_TOL, _ulps(t_raw, grid))
+    later = t_raw > grid[j] + tol
+    y_pert = y_raw.copy()
+    y_pert[later] += rng.normal(0.0, 100.0, int(later.sum()))
+    out, valid = resample_causal(t_raw, y_raw, grid, degree, window)
+    out_p, valid_p = resample_causal(t_raw, y_pert, grid, degree, window)
+    assert same_bits(out[: j + 1], out_p[: j + 1])
+    assert same_bits(valid[: j + 1], valid_p[: j + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    half=st.integers(0, 7),
+    order=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_causal_savitzky_golay_never_looks_ahead(n, half, order, seed, data):
+    window = 2 * half + 1
+    cfg = SavGolConfig(window, min(order, window - 1))
+    rng = np.random.default_rng(seed)
+    signal = rng.normal(0.0, 1.0, n)
+    k = data.draw(st.integers(0, n - 1))
+    perturbed = signal.copy()
+    perturbed[k + 1:] += rng.normal(0.0, 100.0, n - k - 1)
+    out = savitzky_golay(signal, cfg, causal=True)
+    out_p = savitzky_golay(perturbed, cfg, causal=True)
+    assert same_bits(out[: k + 1], out_p[: k + 1])

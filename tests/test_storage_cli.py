@@ -94,6 +94,30 @@ class TestPreparedCsv:
         assert np.array_equal(back.segments[0].u, ds_static.segments[0].u)
         assert back.segments[0].x is None
 
+    @pytest.mark.parametrize("column, cell", [
+        (2, "abc"), (2, "nan"), (0, "inf"), (1, "1.5"), (7, "XX"), (7, None),
+    ])
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, ds_static, column, cell):
+        path = tmp_path / "prepared.csv"
+        storage.write_prepared_csv(path, ds_static)
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column:column + 1] = [] if cell is None else [cell]  # None: a short row
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        name = storage.PREPARED_HEADER[column]
+        with pytest.raises(SchemaError, match=f"prepared.csv:5: column '{name}'"):
+            storage.read_prepared_csv(path)
+
+    def test_comment_and_blank_lines_are_not_rows(self, tmp_path, ds_static):
+        path = tmp_path / "prepared.csv"
+        storage.write_prepared_csv(path, ds_static)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["# note", *lines[:5], "", "# another", *lines[5:]]) + "\n")
+        back = storage.read_prepared_csv(path)
+        assert back.h == ds_static.h
+        assert np.array_equal(back.segments[0].u, ds_static.segments[0].u)
+
     @pytest.mark.parametrize("value", ["abc", "inf", "-0.2"])
     def test_malformed_h_record_rejected(self, tmp_path, ds_static, value):
         path = tmp_path / "prepared.csv"
@@ -317,3 +341,103 @@ class TestCli:
         assert self.run("report", "--metrics", str(val / "metrics.json"), "--out", str(r2)) == 0
         assert r1.read_bytes() == r2.read_bytes()
         capsys.readouterr()
+
+
+def _edit_prepared_row(line: int, edit):
+    """Case builder: prepared.csv with file line ``line`` (1-based) edited."""
+    def build(tmp_path, ds, model, bundle):
+        path = tmp_path / "prepared.csv"
+        storage.write_prepared_csv(path, ds)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1].split(","))
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["identify", "--prepared", str(path), "--kind", "static", "--out", str(tmp_path)]
+        return argv, f"prepared.csv:{line}"
+    return build
+
+
+def _edit_model(edit):
+    """Case builder: validate --model on a static model file changed by ``edit``."""
+    def build(tmp_path, ds, model, bundle):
+        prep, path = tmp_path / "prepared.csv", tmp_path / "model.json"
+        storage.write_prepared_csv(prep, ds)
+        storage.write_model_file(path, model)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        argv = ["validate", "--prepared", str(prep), "--model", str(path), "--kind", "static",
+                "--out", str(tmp_path / "val")]
+        return argv, "model.json"
+    return build
+
+
+def _undecodable(role: str):
+    """Case builder: a JSON file that does not parse (or a config that is a list)."""
+    def build(tmp_path, ds, model, bundle):
+        bad, prep = tmp_path / "bad.json", tmp_path / "prepared.csv"
+        bad.write_text("[1, 2]" if role == "config-list" else "{not json")
+        storage.write_prepared_csv(prep, ds)
+        argv = {
+            "config": ["--config", str(bad), "identify", "--prepared", str(prep),
+                       "--out", str(tmp_path)],
+            "config-list": ["--config", str(bad), "identify", "--prepared", str(prep),
+                            "--out", str(tmp_path)],
+            "model": ["validate", "--prepared", str(prep), "--model", str(bad), "--kind",
+                      "static", "--out", str(tmp_path)],
+            "metrics": ["report", "--metrics", str(bad)],
+        }[role]
+        return argv, "bad.json"
+    return build
+
+
+def _missing_file(tmp_path, ds, model, bundle):
+    path = tmp_path / "absent.csv"
+    return ["identify", "--prepared", str(path), "--out", str(tmp_path)], "absent.csv"
+
+
+def _report_not_metrics(tmp_path, ds, model, bundle):
+    path = tmp_path / "expected_x.json"
+    storage.write_expected_x(path, "static", {"u": model.surge, "v": model.sway, "r": model.yaw})
+    return ["report", "--metrics", str(path)], "expected_x.json"
+
+
+def _raw_non_numeric(tmp_path, ds, model, bundle):
+    storage.write_raw_logs(tmp_path / "logs", bundle)
+    path = tmp_path / "logs" / "heading.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",abc"
+    path.write_text("\n".join(lines) + "\n")
+    return ["prepare", "--logs", str(tmp_path / "logs"), "--out", str(tmp_path)], "heading.csv:4"
+
+
+def _set(index: int, value: str):
+    return lambda cells: ",".join(cells[:index] + [value] + cells[index + 1:])
+
+
+ERROR_CASES = {
+    "missing-file": _missing_file,
+    "config-undecodable": _undecodable("config"),
+    "model-undecodable": _undecodable("model"),
+    "metrics-undecodable": _undecodable("metrics"),
+    "config-not-an-object": _undecodable("config-list"),
+    "model-short-surge": _edit_model(lambda doc: doc["vectors"]["u"].pop()),
+    "model-without-kind": _edit_model(lambda doc: doc.pop("kind")),
+    "model-without-vectors": _edit_model(lambda doc: doc.pop("vectors")),
+    "model-without-value": _edit_model(lambda doc: doc["vectors"]["v"][2].pop("value")),
+    "prepared-non-numeric-u": _edit_prepared_row(6, _set(2, "abc")),
+    "prepared-nan-u": _edit_prepared_row(7, _set(2, "nan")),
+    "prepared-unknown-region": _edit_prepared_row(8, _set(7, "XX")),
+    "prepared-short-row": _edit_prepared_row(9, lambda cells: ",".join(cells[:5])),
+    "report-not-metrics": _report_not_metrics,
+    "raw-non-numeric": _raw_non_numeric,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_exits_2_naming_the_file(case, tmp_path, ds_static, small_bundle, capsys):
+    model = identify_static(ds_static)
+    argv, where = ERROR_CASES[case](tmp_path, ds_static, model, small_bundle)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err

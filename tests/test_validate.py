@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,7 @@ class TestSensitivity:
     def test_deterministic_given_base_seed(self, ds_static):
         r1 = sensitivity_study(ds_static, "static", PartitionSpec("by_points", 0.6, 5), 3)
         r2 = sensitivity_study(ds_static, "static", PartitionSpec("by_points", 0.6, 5), 3)
-        assert r1.as_dict() == r2.as_dict()
+        assert asdict(r1) == asdict(r2)
 
     def test_repetition_count_validated(self, ds_static):
         with pytest.raises(ValueError):
