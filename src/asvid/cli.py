@@ -9,6 +9,7 @@ another I/O failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -52,10 +53,64 @@ EXIT_NUMERICAL = 1
 EXIT_IO = 2
 
 
+# The keys each config section may hold; every section is a JSON object.
+_CONFIG_KEYS = {
+    (): {"kind", "seed", "ground_truth", "column_adapter", "geo_reference", "prepare",
+         "simulate"},
+    ("geo_reference",): {f.name for f in fields(GeoReference)},
+    ("prepare",): {f.name for f in fields(PrepareConfig)},
+    ("prepare", "pwm_map"): {f.name for f in fields(PwmMapConfig)},
+    ("prepare", "savgol"): {f.name for f in fields(SavGolConfig)},
+    ("simulate",): {"duration_s", "dt", "excitation", "noise"},
+    ("simulate", "noise"): {"pos_m", "psi_rad", "pwm_us"},
+}
+# The keys of simulate.excitation besides "type", per excitation type.
+_EXCITATION_KEYS = {
+    "smooth": set(inspect.signature(smooth_excitation).parameters),
+    "prbs": {"hold"},
+}
+
+
+def _section(cfg: dict, path: tuple[str, ...], known: set[str], name: str) -> dict:
+    """The config section at ``path`` ({} when absent), checked to hold only ``known`` keys."""
+    doc = cfg
+    for key in path:
+        doc = doc.get(key, {})
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{name}: config key {'.'.join(path)!r} must hold a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise SchemaError(f"{name}: unknown config key {'.'.join((*path, unknown[0]))!r}")
+    return doc
+
+
+def _check_config(cfg: dict, name: str) -> None:
+    """Every section an object, every key known, the excitation well formed."""
+    for path, known in _CONFIG_KEYS.items():
+        _section(cfg, path, known, name)
+    path = ("simulate", "excitation")
+    any_key = {"type"}.union(*_EXCITATION_KEYS.values())
+    kind = _section(cfg, path, any_key, name).get("type", "smooth")
+    if kind not in _EXCITATION_KEYS:
+        raise SchemaError(
+            f"{name}: config key 'simulate.excitation.type' must be one of "
+            f"{sorted(_EXCITATION_KEYS)}, got {kind!r}"
+        )
+    hold = _section(cfg, path, {"type", *_EXCITATION_KEYS[kind]}, name).get("hold", 5)
+    if isinstance(hold, bool) or not isinstance(hold, int) or hold < 1:
+        raise SchemaError(
+            f"{name}: config key 'simulate.excitation.hold' must be a positive integer, "
+            f"got {hold!r}"
+        )
+
+
 def _load_config(path: str | None) -> dict:
-    cfg = {} if path is None else storage.read_json(path)
+    if path is None:
+        return {}
+    cfg = storage.read_json(path)
     if not isinstance(cfg, dict):
         raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
+    _check_config(cfg, Path(path).name)
     return cfg
 
 
@@ -69,8 +124,7 @@ def _geo_reference(cfg: dict) -> GeoReference:
 
 
 def _prepare_config(cfg: dict) -> PrepareConfig:
-    known = {f.name for f in fields(PrepareConfig)}
-    kwargs = {key: value for key, value in cfg.get("prepare", {}).items() if key in known}
+    kwargs = dict(cfg.get("prepare", {}))
     for key, section in (("pwm_map", PwmMapConfig), ("savgol", SavGolConfig)):
         if key in kwargs:
             kwargs[key] = section(**kwargs[key])
@@ -94,7 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     exc_cfg = sim.get("excitation", {"type": "smooth"})
     if exc_cfg.get("type") == "prbs":
         steps = int(round(duration / gt.h))
-        frames = prbs_frames(steps, seed=seed, hold=int(exc_cfg.get("hold", 5)))
+        frames = prbs_frames(steps, seed=seed, hold=exc_cfg.get("hold", 5))
         excitation = zoh_excitation(frames, gt.h)
     else:
         params = {k: v for k, v in exc_cfg.items() if k != "type"}

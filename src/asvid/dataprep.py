@@ -54,6 +54,15 @@ def _ulps(*stamps: np.ndarray) -> float:
     return 4 * float(np.spacing(max(float(np.max(np.abs(t), initial=0.0)) for t in stamps)))
 
 
+def off_grid_row(t: np.ndarray, h: float) -> int | None:
+    """Index of the first stamp in ``t`` that is not ``h`` after the one before."""
+    if t.size < 2:
+        return None
+    tol = max(_TIME_TOL, _ulps(t))
+    bad = np.flatnonzero(~np.isclose(np.diff(t), h, rtol=0.0, atol=tol))
+    return int(bad[0]) + 1 if bad.size else None
+
+
 @dataclass(frozen=True)
 class GeoReference:
     """Geodetic origin of the local NED frame plus the GNSS antenna lever arm.
@@ -201,10 +210,8 @@ class Segment:
         for name in _ROW_COLUMNS[1:]:
             if getattr(self, name).size != n:
                 raise DataError(f"segment column {name} length mismatch")
-        if n >= 2:
-            tol = max(_TIME_TOL, _ulps(self.t))
-            if not np.allclose(np.diff(self.t), self.h, rtol=0.0, atol=tol):
-                raise DataError("segment timestamps must step by exactly h")
+        if off_grid_row(self.t, self.h) is not None:
+            raise DataError("segment timestamps must step by exactly h")
         for name in ("u", "v", "r", "delta_mean", "delta_diff"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"segment column {name} has non-finite values")

@@ -19,6 +19,7 @@ multi-rate sensor logs for end-to-end pipeline tests.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -627,11 +628,11 @@ def smooth_excitation(
 
 def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
     """Hold a (steps, 2) (mean, diff) schedule constant over each h interval."""
-    frames = np.asarray(frames, dtype=float)
+    rows = np.asarray(frames, dtype=float).tolist()
+    last = len(rows) - 1
 
     def schedule(t: float) -> tuple[float, float]:
-        k = min(int(t / h + 1e-9), frames.shape[0] - 1)
-        mean, diff = frames[k]
+        mean, diff = rows[min(int(t / h + 1e-9), last)]
         return mean + diff / 2.0, mean - diff / 2.0
 
     return schedule
@@ -652,6 +653,14 @@ def simulate_continuous(
     force/torque from the excitation schedule (no lateral force), kinematics
     eta_dot = R(psi) nu.  A dynamic thrust model updates its first-order
     state at each sampling instant h and holds it in between.
+
+    Each substep works on six Python floats in a fixed arithmetic order:
+    stage states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
+    ``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)`` summed left to right, and
+    ``t[k] = k*dt``.  Trajectories are therefore bitwise reproducible, and
+    tests pin their SHA-256.  States and commands are appended to packed
+    ``array("d")`` buffers, 8 bytes per value, which the returned float64
+    C-contiguous arrays view without a copy.
     """
     dt = dt if dt is not None else gt.h / 20.0
     n_sub = round(gt.h / dt)
@@ -668,6 +677,7 @@ def simulate_continuous(
     tw1, tw2, tw3 = (float(w) for w in tau_w)
     ts = gt.static_thrust
     dynamic = isinstance(gt.thrust, ThrustDynamicParams)
+    half_d = 0.5 * gt.d
 
     def nu_dot(u: float, v: float, r: float, fu: float, tr: float):
         c13 = -a1 * v - a2 * r
@@ -689,58 +699,83 @@ def simulate_continuous(
         )
         return i11 * f1, i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
 
-    t_arr = dt * np.arange(n_steps + 1)
-    eta = np.empty((n_steps + 1, 3))
-    nu = np.empty((n_steps + 1, 3))
-    delta = np.empty((n_steps + 1, 2))
-    eta[0] = eta0
-    nu[0] = nu0
+    def rates(psi: float, u: float, v: float, r: float, fu: float, tr: float):
+        """(x, y, psi, u, v, r) derivatives; x and y never enter them."""
+        du, dv, dr = nu_dot(u, v, r, fu, tr)
+        c, s = math.cos(psi), math.sin(psi)
+        return c * u - s * v, s * u + c * v, r, du, dv, dr
 
-    # Dynamic thrust state per propeller, updated at multiples of h.
-    t_l = t_r = 0.0
-    prev_dl, prev_dr = excitation(0.0)
+    plain = not ts.has_dead_zone
+    a_f, b_f, a_r, b_r = ts.a_f, ts.b_f, ts.a_r, ts.b_r
 
     def forces_at(time: float) -> tuple[float, float, float, float]:
+        """Static-thrust surge force and yaw torque, and the commands, at ``time``."""
         dl, dr = excitation(time)
-        if dynamic:
-            tl, tr_ = t_l, t_r
-        else:
-            tl, tr_ = thrust_static(dl, ts), thrust_static(dr, ts)
-        return tl + tr_, 0.5 * gt.d * (tl - tr_), dl, dr
+        if plain and -1.0 <= dl <= 1.0 and -1.0 <= dr <= 1.0:
+            tl = a_f * dl * dl + b_f * dl if dl >= 0.0 else a_r * dl * dl + b_r * dl
+            tr = a_f * dr * dr + b_f * dr if dr >= 0.0 else a_r * dr * dr + b_r * dr
+        else:  # dead zone, or a command thrust_static rejects
+            tl, tr = thrust_static(dl, ts), thrust_static(dr, ts)
+        return tl + tr, half_d * (tl - tr), dl, dr
+
+    x, y, psi = (float(c) for c in eta0)
+    u, v, r = (float(c) for c in nu0)
+    eta_buf, nu_buf, delta_buf = array("d", (x, y, psi)), array("d", (u, v, r)), array("d")
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    # Dynamic thrust state per propeller, updated at multiples of h; the
+    # forces it gives hold until the next update.
+    t_l = t_r = 0.0
+    fu_a = fu_b = fu_c = t_l + t_r
+    tr_a = tr_b = tr_c = half_d * (t_l - t_r)
 
     for k in range(n_steps):
-        tk = float(t_arr[k])
-        if dynamic and k % n_sub == 0 and k > 0:
-            dyn = gt.dynamic_thrust
-            t_l = dyn.alpha * t_l + dyn.beta * thrust_static(prev_dl, ts)
-            t_r = dyn.alpha * t_r + dyn.beta * thrust_static(prev_dr, ts)
-            prev_dl, prev_dr = excitation(tk)
-        fu_a, tr_a, dl, dr = forces_at(tk)
-        fu_b, tr_b, _, _ = forces_at(tk + dt / 2.0)
-        fu_c, tr_c, _, _ = forces_at(tk + dt)
-        delta[k] = (dl, dr)
+        tk = k * dt
+        if dynamic:
+            dl, dr = excitation(tk)
+            if k % n_sub == 0:
+                if k > 0:
+                    dyn = gt.dynamic_thrust
+                    t_l = dyn.alpha * t_l + dyn.beta * thrust_static(prev_dl, ts)
+                    t_r = dyn.alpha * t_r + dyn.beta * thrust_static(prev_dr, ts)
+                    fu_a = fu_b = fu_c = t_l + t_r
+                    tr_a = tr_b = tr_c = half_d * (t_l - t_r)
+                prev_dl, prev_dr = dl, dr
+        else:
+            fu_a, tr_a, dl, dr = forces_at(tk)
+            fu_b, tr_b, _, _ = forces_at(tk + half)
+            fu_c, tr_c, _, _ = forces_at(tk + dt)
+        delta_buf.extend((dl, dr))
 
-        x, y, psi = eta[k]
-        u, v, r = nu[k]
-
-        def full_dot(state, fu, tr):
-            xx, yy, ps, uu, vv, rr = state
-            du, dv, dr_ = nu_dot(uu, vv, rr, fu, tr)
-            c, s = math.cos(ps), math.sin(ps)
-            return np.array([c * uu - s * vv, s * uu + c * vv, rr, du, dv, dr_])
-
-        state = np.array([x, y, psi, u, v, r])
-        k1 = full_dot(state, fu_a, tr_a)
-        k2 = full_dot(state + 0.5 * dt * k1, fu_b, tr_b)
-        k3 = full_dot(state + 0.5 * dt * k2, fu_b, tr_b)
-        k4 = full_dot(state + dt * k3, fu_c, tr_c)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta[k + 1] = state[:3]
-        nu[k + 1] = state[3:]
-        if np.linalg.norm(nu[k + 1]) > divergence_bound:
+        k1x, k1y, k1p, k1u, k1v, k1r = rates(psi, u, v, r, fu_a, tr_a)
+        k2x, k2y, k2p, k2u, k2v, k2r = rates(
+            psi + half * k1p, u + half * k1u, v + half * k1v, r + half * k1r, fu_b, tr_b
+        )
+        k3x, k3y, k3p, k3u, k3v, k3r = rates(
+            psi + half * k2p, u + half * k2u, v + half * k2v, r + half * k2r, fu_b, tr_b
+        )
+        k4x, k4y, k4p, k4u, k4v, k4r = rates(
+            psi + dt * k3p, u + dt * k3u, v + dt * k3v, r + dt * k3r, fu_c, tr_c
+        )
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        eta_buf.extend((x, y, psi))
+        nu_buf.extend((u, v, r))
+        if math.hypot(u, v, r) > divergence_bound:
             raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
-    delta[n_steps] = excitation(float(t_arr[n_steps]))
-    return Trajectory(t=t_arr, eta=eta, nu=nu, delta=delta, dt=dt, h=gt.h)
+    delta_buf.extend(excitation(n_steps * dt))
+
+    def packed(buf: array, width: int) -> np.ndarray:
+        return np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
+
+    return Trajectory(
+        t=dt * np.arange(n_steps + 1), eta=packed(eta_buf, 3), nu=packed(nu_buf, 3),
+        delta=packed(delta_buf, 2), dt=dt, h=gt.h,
+    )
 
 
 def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedDataset:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle
-from .errors import SchemaError
+from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle, off_grid_row
+from .errors import DataError, SchemaError
 from .estimator import IdentifiedModel
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
 from .oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
@@ -124,6 +125,15 @@ def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | 
     if cells is None:
         raise SchemaError(f"{path.name}: no header line")
     return {name: np.asarray(values) for name, values in out.items()}, records
+
+
+def _row_line(path: Path, index: int) -> int:
+    """The file line of row ``index`` (0-based, after the header) of a CSV
+    that :func:`_read_csv` read."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = (reader.line_num for row in reader if row and not row[0].startswith("#"))
+        return next(itertools.islice(lines, index + 1, None))
 
 
 def write_csv(path: str | Path, header, rows, records=()) -> None:
@@ -228,7 +238,16 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
     if h is None:
         raise SchemaError(f"{path.name}: cannot infer sampling period from single-point segments")
     cols["region"] = cols["region"].astype(np.int8)
-    return PreparedDataset.from_columns(h, seg_ids, **cols)
+    try:
+        return PreparedDataset.from_columns(h, seg_ids, **cols)
+    except DataError as exc:
+        for sid in np.unique(seg_ids):
+            rows = np.flatnonzero(seg_ids == sid)
+            bad = off_grid_row(cols["t"][rows], h)
+            if bad is not None:
+                line = _row_line(path, int(rows[bad]))
+                raise SchemaError(f"{path.name}:{line}: column 't': {exc}") from None
+        raise
 
 
 def _vector_rows(kind: str, axis: str, vec: np.ndarray) -> list[dict]:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +281,72 @@ class TestContinuousSimulator:
 
         ratio = mean_gap(0.2) / mean_gap(0.1)
         assert 2.5 < ratio < 6.0
+
+
+def _dead_zone_run(gt):
+    thrust = replace(gt.thrust, dead_zone_forward=0.1, dead_zone_reverse=-0.08)
+    exc = smooth_excitation(mean_center=0.1, mean_amp=0.3, mean_freq=0.05, diff_amp=0.3,
+                            diff_freq=0.07)
+    return simulate_continuous(replace(gt, thrust=thrust), exc, 20.0)
+
+
+# SHA-256 of the t, eta, nu and delta bytes of 20 s runs, as the vectorized
+# RK4 of asvid 0.1 computed them; the scalar integrator must keep every bit.
+PINNED_RUNS = {
+    "static-smooth": (
+        lambda gt, frames: simulate_continuous(gt, smooth_excitation(), 20.0),
+        "b4cd0d593e599171944681761dbc0accb985e9342b8a4b6dd9a5fced395f7d3a",
+    ),
+    "static-zoh-prbs": (
+        lambda gt, frames: simulate_continuous(gt, zoh_excitation(frames, gt.h), 20.0),
+        "1b612e0461e2abf8de88d85e963eb81146879ace4fa18cfb48ccaf436296efe6",
+    ),
+    "static-dead-zone": (
+        lambda gt, frames: _dead_zone_run(gt),
+        "03863e11b46d45866c2212d56185149ae20291fed82360f7fe975da3ea0cbad1",
+    ),
+    "dynamic-prbs": (
+        lambda gt, frames: simulate_continuous(
+            default_ground_truth(dynamic=True), zoh_excitation(frames, gt.h), 20.0,
+            nu0=(0.4, -0.05, 0.02), eta0=(1.0, -2.0, 0.3),
+        ),
+        "9c399735c6c41d831b3f1b5e1abd3c6b5053947f01bdcfd908ae73b08a7db569",
+    ),
+}
+
+
+class TestSimulatorBits:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_trajectory_bytes_are_pinned(self, name, gt_static):
+        run, expected = PINNED_RUNS[name]
+        traj = run(gt_static, prbs_frames(100, seed=3, hold=5))
+        digest = hashlib.sha256()
+        for values in (traj.t, traj.eta, traj.nu, traj.delta):
+            assert values.dtype == np.float64 and values.flags.c_contiguous
+            digest.update(values.tobytes())
+        assert traj.t.shape == (2001,)
+        assert (traj.eta.shape, traj.nu.shape, traj.delta.shape) == ((2001, 3), (2001, 3), (2001, 2))
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.2, r"out of \[-1, 1\]: 1.2"), (float("nan"), "must be finite, got nan"),
+    ])
+    def test_static_command_out_of_range_raises(self, bad, message, gt_static):
+        exc = lambda t: (0.5, bad) if t > 1.0 else (0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            simulate_continuous(gt_static, exc, duration=2.0)
+
+    def test_memory_stays_near_the_returned_arrays(self, gt_dynamic):
+        # Packed float buffers: lists of per-step tuples would peak at ~7x.
+        exc = zoh_excitation(prbs_frames(600, seed=1, hold=5), gt_dynamic.h)
+        tracemalloc.start()
+        try:
+            traj = simulate_continuous(gt_dynamic, exc, duration=120.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (traj.t, traj.eta, traj.nu, traj.delta))
+        assert peak <= 3 * returned
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from asvid import storage
+from asvid import cli, storage
+from asvid.oracle import default_ground_truth, smooth_excitation
 from asvid.regressors import build_systems
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -52,4 +53,15 @@ def test_raw_log_attrs_read_real_storage_calls(tmp_path, small_bundle):
         ("storage.write_raw_logs", {"bytes": written}),
         ("storage.write_raw_logs", {"bytes": written}),
         ("storage.read_raw_logs", {"rows": rows}),
+    ]
+
+
+def test_simulate_site_counts_substeps():
+    # The traced benchmark reads traj.t.size, so the trajectory must hold arrays.
+    spans = load_spans()
+    sites = [site for site in spans.SITES if site[2] == "oracle.simulate_continuous"]
+    with spans.Tracer(sites) as tracer:
+        cli.simulate_continuous(default_ground_truth(), smooth_excitation(), 2.0)
+    assert [(s.name, s.attrs) for s in tracer.spans] == [
+        ("oracle.simulate_continuous", {"substeps": 200}),
     ]

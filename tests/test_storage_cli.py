@@ -428,6 +428,9 @@ ERROR_CASES = {
     "prepared-nan-u": _edit_prepared_row(7, _set(2, "nan")),
     "prepared-unknown-region": _edit_prepared_row(8, _set(7, "XX")),
     "prepared-short-row": _edit_prepared_row(9, lambda cells: ",".join(cells[:5])),
+    "prepared-off-grid-t": _edit_prepared_row(
+        10, lambda cells: ",".join([repr(float(cells[0]) + 0.05), *cells[1:]])
+    ),
     "report-not-metrics": _report_not_metrics,
     "raw-non-numeric": _raw_non_numeric,
 }
@@ -441,3 +444,67 @@ def test_bad_input_exits_2_naming_the_file(case, tmp_path, ds_static, small_bund
     err = capsys.readouterr().err
     assert where in err
     assert "Traceback" not in err
+
+
+def _sim(**section):
+    return {"simulate": {"duration_s": 2.0, **section}}
+
+
+# config, the key the error must name
+BAD_CONFIGS = {
+    "top-unknown": ({"sede": 3}, "'sede'"),
+    "prepare-not-object": ({"prepare": 5}, "'prepare'"),
+    "prepare-unknown": ({"prepare": {"gnss_windw": 2}}, "'prepare.gnss_windw'"),
+    "savgol-unknown": ({"prepare": {"savgol": {"window": 5}}}, "'prepare.savgol.window'"),
+    "geo-not-object": ({"geo_reference": [37.4, -6.0]}, "'geo_reference'"),
+    "geo-unknown": ({"geo_reference": {"lat": 37.4}}, "'geo_reference.lat'"),
+    "simulate-not-object": ({"simulate": 5}, "'simulate'"),
+    "simulate-unknown": (_sim(duration=2.0), "'simulate.duration'"),
+    "excitation-not-object": (_sim(excitation="prbs"), "'simulate.excitation'"),
+    "excitation-type-case": (_sim(excitation={"type": "PRBS"}), "'simulate.excitation.type'"),
+    "excitation-type-typo": (
+        _sim(excitation={"type": "prsb", "hold": 5}), "'simulate.excitation.type'"
+    ),
+    "excitation-hold-zero": (
+        _sim(excitation={"type": "prbs", "hold": 0}), "'simulate.excitation.hold'"
+    ),
+    "excitation-smooth-hold": (
+        _sim(excitation={"type": "smooth", "hold": 5}), "'simulate.excitation.hold'"
+    ),
+    "noise-not-object": (_sim(noise=0.02), "'simulate.noise'"),
+    "noise-unknown": (_sim(noise={"pos": 0.02}), "'simulate.noise.pos'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+@pytest.mark.parametrize("command", ["simulate", "prepare"])
+def test_bad_config_exits_2_naming_the_key(case, command, tmp_path, small_bundle, capsys):
+    doc, key = BAD_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    storage.write_raw_logs(tmp_path / "logs", small_bundle)
+    argv = {
+        "simulate": ["simulate", "--out", str(tmp_path / "sim")],
+        "prepare": ["prepare", "--logs", str(tmp_path / "logs"), "--out", str(tmp_path / "p")],
+    }[command]
+    assert main(["--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and key in err
+    assert "Traceback" not in err
+
+
+def test_benchmark_shaped_configs_load(tmp_path, capsys):
+    noise = {"pos_m": 0.02, "psi_rad": 0.003, "pwm_us": 2.0}
+    geo = {"lat0": 37.4, "lon0": -6.0, "antenna_offset": [0.0, 0.0]}
+    cfg = tmp_path / "cfg.json"
+    for doc in (
+        {"kind": "static", "seed": 1, "geo_reference": geo},
+        {"kind": "dynamic", "seed": 1,
+         "simulate": {"duration_s": 4.0, "excitation": {"type": "prbs", "hold": 5},
+                      "noise": noise}},
+        {"prepare": {"h": 0.2, "gnss_window": 5, "savgol": {"window_length": 9}},
+         "simulate": {"duration_s": 4.0, "excitation": {"type": "smooth", "mean_amp": 0.1}}},
+    ):
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
