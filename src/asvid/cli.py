@@ -62,7 +62,7 @@ _CONFIG_KEYS = {
     ("prepare", "pwm_map"): {f.name for f in fields(PwmMapConfig)},
     ("prepare", "savgol"): {f.name for f in fields(SavGolConfig)},
     ("simulate",): {"duration_s", "dt", "excitation", "noise"},
-    ("simulate", "noise"): {"pos_m", "psi_rad", "pwm_us"},
+    ("simulate", "noise"): {f.name for f in fields(SensorNoise)} - {"seed"},
 }
 # The keys of simulate.excitation besides "type", per excitation type.
 _EXCITATION_KEYS = {
@@ -156,13 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = simulate_continuous(gt, excitation, duration, dt=sim.get("dt"))
 
     ref = _geo_reference(cfg)
-    noise_cfg = sim.get("noise", {})
-    noise = SensorNoise(
-        pos_m=noise_cfg.get("pos_m", 0.0),
-        psi_rad=noise_cfg.get("psi_rad", 0.0),
-        pwm_us=noise_cfg.get("pwm_us", 0.0),
-        seed=seed,
-    )
+    noise = SensorNoise(**sim.get("noise", {}), seed=seed)
     bundle = emit_sensor_logs(traj, ref, noise=noise)
     storage.write_raw_logs(out, bundle)
     storage.write_ground_truth(out / "ground_truth.json", gt)

@@ -705,17 +705,10 @@ def simulate_continuous(
         c, s = math.cos(psi), math.sin(psi)
         return c * u - s * v, s * u + c * v, r, du, dv, dr
 
-    plain = not ts.has_dead_zone
-    a_f, b_f, a_r, b_r = ts.a_f, ts.b_f, ts.a_r, ts.b_r
-
     def forces_at(time: float) -> tuple[float, float, float, float]:
         """Static-thrust surge force and yaw torque, and the commands, at ``time``."""
         dl, dr = excitation(time)
-        if plain and -1.0 <= dl <= 1.0 and -1.0 <= dr <= 1.0:
-            tl = a_f * dl * dl + b_f * dl if dl >= 0.0 else a_r * dl * dl + b_r * dl
-            tr = a_f * dr * dr + b_f * dr if dr >= 0.0 else a_r * dr * dr + b_r * dr
-        else:  # dead zone, or a command thrust_static rejects
-            tl, tr = thrust_static(dl, ts), thrust_static(dr, ts)
+        tl, tr = thrust_static(dl, ts), thrust_static(dr, ts)
         return tl + tr, half_d * (tl - tr), dl, dr
 
     x, y, psi = (float(c) for c in eta0)

@@ -89,6 +89,19 @@ def write_json(path: str | Path, doc) -> None:
     atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
 
 
+def _lines(fh, records: list[str]):
+    """``(line number, row)`` for the header and data rows of a CSV file;
+    blank lines are skipped and ``#`` lines appended to ``records``."""
+    reader = csv.reader(fh)
+    for row in reader:
+        if not row:
+            continue
+        if row[0].startswith("#"):
+            records.append(",".join(row))
+        else:
+            yield reader.line_num, row
+
+
 def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | None = None):
     """The named columns of a CSV file as arrays, and its ``#`` records.
 
@@ -100,13 +113,8 @@ def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | 
     records: list[str] = []
     cells = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                records.append(",".join(row))
-            elif cells is None:
+        for line_num, row in _lines(fh, records):
+            if cells is None:
                 names = {name: rename.get(name, name) for name in columns}
                 missing = [col for col in names.values() if col not in row]
                 if missing:
@@ -120,7 +128,7 @@ def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | 
                 except (IndexError, ValueError) as exc:
                     why = "missing from a short row" if isinstance(exc, IndexError) else exc
                     raise SchemaError(
-                        f"{path.name}:{reader.line_num}: column {name!r}: {why}"
+                        f"{path.name}:{line_num}: column {name!r}: {why}"
                     ) from None
     if cells is None:
         raise SchemaError(f"{path.name}: no header line")
@@ -131,9 +139,8 @@ def _row_line(path: Path, index: int) -> int:
     """The file line of row ``index`` (0-based, after the header) of a CSV
     that :func:`_read_csv` read."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        lines = (reader.line_num for row in reader if row and not row[0].startswith("#"))
-        return next(itertools.islice(lines, index + 1, None))
+        line_num, _ = next(itertools.islice(_lines(fh, []), index + 1, None))
+        return line_num
 
 
 def write_csv(path: str | Path, header, rows, records=()) -> None:

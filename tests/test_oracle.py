@@ -292,6 +292,9 @@ def _dead_zone_run(gt):
 
 # SHA-256 of the t, eta, nu and delta bytes of 20 s runs, as the vectorized
 # RK4 of asvid 0.1 computed them; the scalar integrator must keep every bit.
+# math.sin/cos come from the platform's libm, so the digests hold for glibc
+# on x86-64; FINAL_STATES tells a different libm (states agree to 1e-12,
+# digests differ) from a change in arithmetic (both fail).
 PINNED_RUNS = {
     "static-smooth": (
         lambda gt, frames: simulate_continuous(gt, smooth_excitation(), 20.0),
@@ -315,17 +318,42 @@ PINNED_RUNS = {
 }
 
 
+# (x, y, psi, u, v, r) at t = 20 s of each pinned run.
+FINAL_STATES = {
+    "static-smooth": (12.95220129045772, 13.598081474624642, 2.2251261594256246,
+                      1.2666084047145008, -0.20082752812565885, 0.17671320487530728),
+    "static-zoh-prbs": (6.631664749568166, 6.662388454951551, 3.437516967134523,
+                        0.5002090928064375, -0.16503143699117284, 0.03327047426362255),
+    "static-dead-zone": (4.313914162764682, 3.7432797476537183, 0.5849477321376284,
+                         0.015905464130655817, 0.015429499592935268, 0.021980841729161087),
+    "dynamic-prbs": (7.416713962813785, 6.763937818890232, 3.2446636654377943,
+                     0.6402802498993178, -0.23688760175049065, 0.36618861819852555),
+}
+
+
+def _pinned_run(name, gt):
+    run, _ = PINNED_RUNS[name]
+    return run(gt, prbs_frames(100, seed=3, hold=5))
+
+
 class TestSimulatorBits:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_final_state_matches_reference(self, name, gt_static):
+        traj = _pinned_run(name, gt_static)
+        final = [*traj.eta[-1], *traj.nu[-1]]
+        np.testing.assert_allclose(final, FINAL_STATES[name], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_trajectory_bytes_are_pinned(self, name, gt_static):
-        run, expected = PINNED_RUNS[name]
-        traj = run(gt_static, prbs_frames(100, seed=3, hold=5))
+        _, expected = PINNED_RUNS[name]
+        traj = _pinned_run(name, gt_static)
         digest = hashlib.sha256()
         for values in (traj.t, traj.eta, traj.nu, traj.delta):
             assert values.dtype == np.float64 and values.flags.c_contiguous
             digest.update(values.tobytes())
         assert traj.t.shape == (2001,)
-        assert (traj.eta.shape, traj.nu.shape, traj.delta.shape) == ((2001, 3), (2001, 3), (2001, 2))
+        shapes = (traj.eta.shape, traj.nu.shape, traj.delta.shape)
+        assert shapes == ((2001, 3), (2001, 3), (2001, 2))
         assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("bad, message", [

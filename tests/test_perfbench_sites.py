@@ -9,11 +9,12 @@ from asvid import cli, storage
 from asvid.oracle import default_ground_truth, smooth_excitation
 from asvid.regressors import build_systems
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -24,14 +25,15 @@ def load_spans():
 
 
 def test_every_traced_site_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for module_name, attr, _, _ in spans.SITES:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
 
 
 def test_system_rows_reads_build_systems(ds_dynamic):
     systems = build_systems(ds_dynamic, "dynamic")
-    attrs = load_spans()._system_rows(build_systems, (ds_dynamic, "dynamic"), {}, systems)
+    spans = load_perfbench("spans")
+    attrs = spans._system_rows(build_systems, (ds_dynamic, "dynamic"), {}, systems)
     assert attrs == {
         "rows.u": systems["u"].n_rows,
         "skipped.u": systems["u"].n_skipped,
@@ -41,7 +43,7 @@ def test_system_rows_reads_build_systems(ds_dynamic):
 
 
 def test_raw_log_attrs_read_real_storage_calls(tmp_path, small_bundle):
-    spans = load_spans()
+    spans = load_perfbench("spans")
     sites = [site for site in spans.SITES if site[2].endswith("_raw_logs")]
     with spans.Tracer(sites) as tracer:
         storage.write_raw_logs(log_dir=tmp_path, bundle=small_bundle)
@@ -58,10 +60,23 @@ def test_raw_log_attrs_read_real_storage_calls(tmp_path, small_bundle):
 
 def test_simulate_site_counts_substeps():
     # The traced benchmark reads traj.t.size, so the trajectory must hold arrays.
-    spans = load_spans()
+    spans = load_perfbench("spans")
     sites = [site for site in spans.SITES if site[2] == "oracle.simulate_continuous"]
     with spans.Tracer(sites) as tracer:
         cli.simulate_continuous(default_ground_truth(), smooth_excitation(), 2.0)
     assert [(s.name, s.attrs) for s in tracer.spans] == [
         ("oracle.simulate_continuous", {"substeps": 200}),
     ]
+
+
+def test_benchmark_configs_load(tmp_path, capsys):
+    # Every config the benchmark writes passes the CLI's config check.
+    workloads = load_perfbench("workloads")
+    tiny = workloads.Size(static_s=2.0, discrete_steps=50, dynamic_s=2.0, sensitivity=1)
+    for name, w in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        w.generate(tmp_path / name, 1, tiny)
+        cfg = str(tmp_path / name / "config.json")
+        if "simulate" in cli._load_config(cfg):
+            assert cli.main(["--config", cfg, "simulate", "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()

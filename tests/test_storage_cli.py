@@ -491,20 +491,3 @@ def test_bad_config_exits_2_naming_the_key(case, command, tmp_path, small_bundle
     err = capsys.readouterr().err
     assert "cfg.json" in err and key in err
     assert "Traceback" not in err
-
-
-def test_benchmark_shaped_configs_load(tmp_path, capsys):
-    noise = {"pos_m": 0.02, "psi_rad": 0.003, "pwm_us": 2.0}
-    geo = {"lat0": 37.4, "lon0": -6.0, "antenna_offset": [0.0, 0.0]}
-    cfg = tmp_path / "cfg.json"
-    for doc in (
-        {"kind": "static", "seed": 1, "geo_reference": geo},
-        {"kind": "dynamic", "seed": 1,
-         "simulate": {"duration_s": 4.0, "excitation": {"type": "prbs", "hold": 5},
-                      "noise": noise}},
-        {"prepare": {"h": 0.2, "gnss_window": 5, "savgol": {"window_length": 9}},
-         "simulate": {"duration_s": 4.0, "excitation": {"type": "smooth", "mean_amp": 0.1}}},
-    ):
-        cfg.write_text(json.dumps(doc))
-        assert main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "sim")]) == 0
-    capsys.readouterr()
