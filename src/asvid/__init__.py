@@ -15,7 +15,7 @@ from .dataprep import (
     SavGolConfig,
     build_prepared_dataset,
 )
-from .errors import DataError, RegionError, SchemaError
+from .errors import DataError, SchemaError
 from .estimator import (
     IdentifiedModel,
     identify_dynamic,
@@ -26,11 +26,8 @@ from .estimator import (
 )
 from .model import (
     OperatingRegion,
-    PwmFrame,
     ThrustDynamicParams,
     ThrustStaticParams,
-    classify_region,
-    thrust_dynamic_step,
     thrust_static,
 )
 from .oracle import (

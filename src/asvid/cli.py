@@ -26,11 +26,9 @@ from .dataprep import (
 )
 from .errors import SchemaError
 from .oracle import (
-    DiscreteGenConfig,
     SensorNoise,
     default_ground_truth,
     emit_sensor_logs,
-    generate_discrete,
     known_params_to_X,
     prbs_frames,
     simulate_continuous,

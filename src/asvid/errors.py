@@ -1,12 +1,6 @@
 """Exception types shared across the package."""
 
 
-class RegionError(ValueError):
-    """An operation was asked to act on a propeller operating region it
-    does not support (typically reverse-reverse, or non-forward-forward
-    data fed to the surge map)."""
-
-
 class SchemaError(ValueError):
     """An input file does not match the expected column schema."""
 

@@ -1,4 +1,4 @@
-"""Core vessel-model types: PWM frames, operating regions and thrust maps.
+"""Core vessel-model types: operating regions and thrust maps.
 
 Conventions used throughout the package:
 
@@ -15,23 +15,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import RegionError
 
 __all__ = [
     "OperatingRegion",
     "REGION_SIGN",
-    "PwmFrame",
     "ThrustStaticParams",
     "ThrustDynamicParams",
-    "classify_region",
     "classify_regions",
     "thrust_static",
-    "thrust_dynamic_step",
-    "swayyaw_thrust_columns",
 ]
 
 
@@ -58,31 +52,6 @@ def _require_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PwmFrame:
-    """One synchronized pair of normalized PWM commands.
-
-    ``delta_mean``/``delta_diff`` and ``region`` are derived at construction
-    and kept consistent with ``delta_l``/``delta_r`` by the constructors.
-    """
-
-    delta_l: float
-    delta_r: float
-    delta_mean: float = field(init=False)
-    delta_diff: float = field(init=False)
-    region: OperatingRegion = field(init=False)
-
-    def __post_init__(self) -> None:
-        region = classify_region(self.delta_l, self.delta_r)
-        object.__setattr__(self, "delta_mean", (self.delta_l + self.delta_r) / 2.0)
-        object.__setattr__(self, "delta_diff", self.delta_l - self.delta_r)
-        object.__setattr__(self, "region", region)
-
-    @classmethod
-    def from_mean_diff(cls, mean: float, diff: float) -> "PwmFrame":
-        return cls(delta_l=mean + diff / 2.0, delta_r=mean - diff / 2.0)
 
 
 @dataclass(frozen=True)
@@ -133,22 +102,13 @@ class ThrustDynamicParams:
         return self.alpha < 1.0
 
 
-def classify_region(delta_l: float, delta_r: float) -> OperatingRegion:
-    """Operating region from the signs of the two normalized PWM commands.
+def classify_regions(delta_l: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
+    """Operating region codes (int8) from the signs of the two PWM commands.
 
     Zero counts as forward, so the boundary cases land in the forward
-    branches (both thrust branches agree at zero anyway).
+    branches (both thrust branches agree at zero anyway).  Nothing is
+    range-checked here; NaN counts as reverse.
     """
-    _require_finite("classify_region", delta_l, delta_r)
-    if abs(delta_l) > 1.0 or abs(delta_r) > 1.0:
-        raise ValueError(f"normalized PWM out of [-1, 1]: ({delta_l}, {delta_r})")
-    if delta_l >= 0.0:
-        return OperatingRegion.FF if delta_r >= 0.0 else OperatingRegion.FR
-    return OperatingRegion.RF if delta_r >= 0.0 else OperatingRegion.RR
-
-
-def classify_regions(delta_l: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify_region` without range checks: int8 region codes."""
     reverse_l = ~(np.asarray(delta_l) >= 0.0)
     reverse_r = ~(np.asarray(delta_r) >= 0.0)
     return (2 * reverse_l + reverse_r).astype(np.int8)
@@ -170,23 +130,3 @@ def thrust_static(delta: float, p: ThrustStaticParams) -> float:
     if delta >= 0.0:
         return p.a_f * delta * delta + p.b_f * delta
     return p.a_r * delta * delta + p.b_r * delta
-
-
-def thrust_dynamic_step(t_prev: float, delta_prev: float, p: ThrustDynamicParams) -> float:
-    """One step of the first-order thrust lag driven by the static map."""
-    _require_finite("thrust_dynamic_step", t_prev, delta_prev)
-    return p.alpha * t_prev + p.beta * thrust_static(delta_prev, p.static_part)
-
-
-def swayyaw_thrust_columns(frame: PwmFrame) -> np.ndarray:
-    """The four thrust-coupled regressor columns for sway/yaw at one step.
-
-    Ordered [mean^2 + diff^2/4, mean*diff, mean, diff/2] with the first and
-    third entries carrying the region sign (zeroed in FF, negated in RF).
-    Reverse-reverse operation is outside the identified model.
-    """
-    if frame.region is OperatingRegion.RR:
-        raise RegionError("sway/yaw thrust columns are undefined in reverse-reverse")
-    s = float(REGION_SIGN[frame.region])
-    mean, dd = frame.delta_mean, frame.delta_diff
-    return np.array([s * (mean * mean + 0.25 * dd * dd), mean * dd, s * mean, 0.5 * dd])

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -32,15 +33,13 @@ from .dataprep import (
     RawLogBundle,
     denormalize_pwm,
 )
-from .errors import DataError
 from .dataprep import ned_to_geodetic
 from .model import (
+    REGION_SIGN,
     OperatingRegion,
-    PwmFrame,
     ThrustDynamicParams,
     ThrustStaticParams,
     classify_regions,
-    swayyaw_thrust_columns,
     thrust_static,
 )
 from .regressors import TERMS, term_index
@@ -53,12 +52,9 @@ __all__ = [
     "DiscreteGenConfig",
     "Trajectory",
     "default_ground_truth",
-    "assemble_matrices",
-    "sigma_quasi_quadratic",
     "known_params_to_X",
     "prbs_frames",
     "generate_discrete",
-    "merge_datasets",
     "simulate_continuous",
     "trajectory_to_dataset",
     "emit_sensor_logs",
@@ -186,31 +182,6 @@ def default_ground_truth(dynamic: bool = False, alpha: float = 0.9) -> GroundTru
     )
 
 
-def assemble_matrices(gt: GroundTruth, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inertia, Coriolis and damping matrices at one body velocity."""
-    u, v, r = float(nu[0]), float(nu[1]), float(nu[2])
-    m_mat = gt.mass_matrix()
-    c13 = -(gt.m - gt.y_vdot) * v - (gt.m * gt.x_g - gt.y_rdot) * r
-    c23 = (gt.m - gt.x_udot) * u
-    c_mat = np.array([[0.0, 0.0, c13], [0.0, 0.0, c23], [-c13, -c23, 0.0]])
-    d_mat = np.array(
-        [
-            [-gt.x_u - gt.x_uu * abs(u), 0.0, 0.0],
-            [
-                0.0,
-                -gt.y_v - gt.y_vv * abs(v) - gt.y_rv * abs(r),
-                -gt.y_r - gt.y_vr * abs(v) - gt.y_rr * abs(r),
-            ],
-            [
-                0.0,
-                -gt.n_v - gt.n_vv * abs(v) - gt.n_rv * abs(r),
-                -gt.n_r - gt.n_vr * abs(v) - gt.n_rr * abs(r),
-            ],
-        ]
-    )
-    return m_mat, c_mat, d_mat
-
-
 @dataclass(frozen=True)
 class SigmaSurge:
     """Lumped quasi-quadratic surge disturbance: total monomial coefficients.
@@ -281,47 +252,12 @@ def sigma_coeffs(gt: GroundTruth) -> tuple[SigmaSurge, SigmaSwayYaw, SigmaSwayYa
     return su, swayyaw(i22, i23, gt.bias[1]), swayyaw(i23, i33, gt.bias[2])
 
 
-def sigma_quasi_quadratic(gt: GroundTruth, nu) -> np.ndarray:
-    """Evaluate the lumped disturbance via its quasi-quadratic coefficients."""
-    su, sv, sr = sigma_coeffs(gt)
-    u, v, r = float(nu[0]), float(nu[1]), float(nu[2])
-    sigma_u = su.uu * u * abs(u) + su.vr * v * r + su.rr * r * r + su.u * u + su.c
-
-    def eval_p(s: SigmaSwayYaw) -> float:
-        return (
-            s.vv * v * abs(v)
-            + s.v_ar * v * abs(r)
-            + s.r_av * r * abs(v)
-            + s.rr * r * abs(r)
-            + s.uv * u * v
-            + s.ur * u * r
-            + s.v * v
-            + s.r * r
-            + s.c
-        )
-
-    return np.array([sigma_u, eval_p(sv), eval_p(sr)])
-
-
-def _sigma_full_fossen(gt: GroundTruth, nu) -> np.ndarray:
-    """Evaluate the lumped disturbance straight from the Fossen matrices."""
-    m_mat, c_mat, d_mat = assemble_matrices(gt, nu)
-    nu = np.asarray(nu, dtype=float)
-    tau_w = m_mat @ np.asarray(gt.bias)
-    return np.linalg.solve(m_mat, -(c_mat + d_mat) @ nu + tau_w)
-
-
-def known_params_to_X(
-    gt: GroundTruth, kind: str, disturbance_mode: str = "quasi-quadratic"
-) -> dict[str, np.ndarray]:
+def known_params_to_X(gt: GroundTruth, kind: str) -> dict[str, np.ndarray]:
     """Ground truth -> the exact lumped parameter vectors the estimator targets.
 
-    Only defined for the quasi-quadratic disturbance mode: the full-Fossen
-    mode makes no exactness promise at the parameter level, so asking for
-    its lumped vectors is refused rather than silently approximated.
+    The entries are keyed by the term names of ``TERMS[(kind, axis)]`` and
+    returned in the table's column order.
     """
-    if disturbance_mode != "quasi-quadratic":
-        raise ValueError("exact lumped vectors exist only in quasi-quadratic mode")
     if kind not in ("static", "dynamic"):
         raise ValueError(f"unknown model kind {kind!r}")
     h = gt.h
@@ -441,7 +377,6 @@ class DiscreteGenConfig:
     nu0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     schedule: np.ndarray | None = None
     noise_std: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    disturbance_mode: str = "quasi-quadratic"
     seed: int = 0
     n_segments: int = 1
     g0: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -452,8 +387,6 @@ class DiscreteGenConfig:
             raise ValueError("need at least 3 steps")
         if self.kind not in ("static", "dynamic"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.disturbance_mode not in ("quasi-quadratic", "full-fossen"):
-            raise ValueError(f"unknown disturbance mode {self.disturbance_mode!r}")
         if any(s < 0 for s in self.noise_std):
             raise ValueError("noise std must be non-negative")
         if self.n_segments < 1 or self.n_segments > self.steps // 3:
@@ -470,12 +403,13 @@ _DIVERGENCE_BOUND = 50.0
 def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDataset:
     """Iterate the exact identification-class dynamics step by step.
 
-    Velocities follow ``nu(k+1) = nu(k) + G(k) + h * sigma(nu(k))`` with the
-    input gains built from the same region-switched thrust columns the
-    regressors use, so every regression row the builders emit is exactly
-    consistent with :func:`known_params_to_X`.  Reverse-reverse steps (if
-    the schedule produces any) propagate with the physical thrust map and
-    are excluded from regression by the builders.
+    Velocities follow ``nu(k+1) = nu(k) + G(k) + h * sigma(nu(k))``.  The
+    in-class part of the input gains ``G`` is the thrust terms of ``TERMS``
+    times their :func:`known_params_to_X` entries, so every regression row
+    the builders emit is exactly consistent with those vectors.  The rest
+    propagates with the physical thrust map: reverse-reverse steps (which
+    the builders exclude), static surge (equal to the class form in
+    forward-forward) and dynamic surge after a non-forward-forward step.
     """
     if cfg.kind == "dynamic" and not isinstance(gt.thrust, ThrustDynamicParams):
         raise ValueError("dynamic generation needs a dynamic thrust model in the ground truth")
@@ -485,115 +419,118 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (cfg.steps, 2):
         raise ValueError(f"schedule must have shape ({cfg.steps}, 2)")
-    frames = [PwmFrame.from_mean_diff(float(m), float(d)) for m, d in schedule]
+    left = schedule[:, 0] + schedule[:, 1] / 2.0
+    right = schedule[:, 0] - schedule[:, 1] / 2.0
+    bad = np.flatnonzero(~((np.abs(left) <= 1.0) & (np.abs(right) <= 1.0)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"schedule step {k}: normalized PWM ({left[k]}, {right[k]}) is not finite "
+            "or out of [-1, 1]"
+        )
+    region = classify_regions(left, right)
+    is_ff = (region == OperatingRegion.FF).tolist()
+    is_rr = (region == OperatingRegion.RR).tolist()
 
-    # The parameter vectors are the same in both disturbance modes; the mode
-    # only selects how sigma is evaluated during propagation.
+    # The table's thrust columns over all steps, on the mean and difference of
+    # the commands, and their entries of the exact parameter vectors.
+    step = SimpleNamespace(mean=(left + right) / 2.0, diff=left - right, sign=REGION_SIGN[region])
     x_vecs = known_params_to_X(gt, cfg.kind)
     lag = "[k-1]" if cfg.kind == "dynamic" else ""
 
-    def entries(axis: str, *names: str) -> np.ndarray:
-        return x_vecs[axis][[term_index(cfg.kind, axis, name + lag) for name in names]]
+    def thrust_terms(axis: str, *names: str) -> tuple[np.ndarray, np.ndarray]:
+        idx = [term_index(cfg.kind, axis, name + lag) for name in names]
+        terms = TERMS[(cfg.kind, axis)]
+        return np.column_stack([terms[i].column(step) for i in idx]), x_vecs[axis][idx]
 
-    # The entries swayyaw_thrust_columns pairs with, and the surge thrust entries.
-    thrust = {
-        axis: entries(axis, "s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
-        for axis in ("v", "r")
-    }
-    surge_quad, surge_lin = entries("u", "mean^2+diff^2/4", "mean")
-    sigma = (
-        sigma_quasi_quadratic if cfg.disturbance_mode == "quasi-quadratic" else _sigma_full_fossen
-    )
+    swayyaw = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
+    cols, thrust_v = thrust_terms("v", *swayyaw)
+    thrust_r = thrust_terms("r", *swayyaw)[1]
+    surge, (surge_quad, surge_lin) = thrust_terms("u", "mean^2+diff^2/4", "mean")
+    m1, mean = surge[:, 0].tolist(), surge[:, 1].tolist()
+
     ts = gt.static_thrust
+    left_l, right_l = left.tolist(), right.tolist()
 
-    def physical_force(frame: PwmFrame) -> float:
-        return thrust_static(frame.delta_l, ts) + thrust_static(frame.delta_r, ts)
+    def forces(k: int) -> tuple[float, float]:
+        """Physical surge force and yaw torque of the commands at step k."""
+        t_l, t_r = thrust_static(left_l[k], ts), thrust_static(right_l[k], ts)
+        return t_l + t_r, 0.5 * gt.d * (t_l - t_r)
 
-    def physical_torque(frame: PwmFrame) -> float:
-        return 0.5 * gt.d * (thrust_static(frame.delta_l, ts) - thrust_static(frame.delta_r, ts))
+    su, sv, sr = sigma_coeffs(gt)
 
-    def run_static(frames_run, nu0):
-        nu = np.array(nu0, dtype=float)
-        out = np.empty((len(frames_run), 3))
-        for k, frame in enumerate(frames_run):
-            out[k] = nu
-            g_u = h * i11 * physical_force(frame)  # equals the class form in FF
-            if frame.region is OperatingRegion.RR:
-                tau = physical_torque(frame)
-                g_v, g_r = h * i23 * tau, h * i33 * tau
-            else:
-                cols = swayyaw_thrust_columns(frame)
-                g_v = float(cols @ thrust["v"])
-                g_r = float(cols @ thrust["r"])
-            nu = nu + np.array([g_u, g_v, g_r]) + h * sigma(gt, nu)
-            if np.linalg.norm(nu) > _DIVERGENCE_BOUND:
-                raise RuntimeError(f"discrete generation diverged at step {k}")
-        return out
+    def swayyaw_sigma(s: SigmaSwayYaw, u: float, v: float, r: float) -> float:
+        return (
+            s.vv * v * abs(v) + s.v_ar * v * abs(r) + s.r_av * r * abs(v) + s.rr * r * abs(r)
+            + s.uv * u * v + s.ur * u * r + s.v * v + s.r * r + s.c
+        )
 
-    def run_dynamic(frames_run, nu0, g0):
-        dyn = gt.dynamic_thrust
-        alpha, beta = dyn.alpha, dyn.beta
-        nu = np.array(nu0, dtype=float)
+    def sigma(nu: np.ndarray) -> np.ndarray:
+        """The lumped quasi-quadratic disturbance at nu."""
+        u, v, r = float(nu[0]), float(nu[1]), float(nu[2])
+        sigma_u = su.uu * u * abs(u) + su.vr * v * r + su.rr * r * r + su.u * u + su.c
+        return np.array([sigma_u, swayyaw_sigma(sv, u, v, r), swayyaw_sigma(sr, u, v, r)])
+
+    def static_gains(k: int) -> np.ndarray:
+        force, tau = forces(k)
+        if is_rr[k]:
+            return np.array([h * i11 * force, h * i23 * tau, h * i33 * tau])
+        return np.array([h * i11 * force, float(cols[k] @ thrust_v), float(cols[k] @ thrust_r)])
+
+    if cfg.kind == "dynamic":
+        alpha, beta = gt.dynamic_thrust.alpha, gt.dynamic_thrust.beta
+
+    def dynamic_gains(p: int, g: np.ndarray) -> np.ndarray:
+        """The gain state after the commands of step p, from the state g before."""
+        force, tau = forces(p)
+        if is_ff[p]:
+            g_u = alpha * g[0] + surge_quad * m1[p] + surge_lin * mean[p]
+        else:
+            g_u = alpha * g[0] + h * beta * i11 * force
+        if is_rr[p]:
+            g_v = alpha * g[1] + h * beta * i23 * tau
+            g_r = alpha * g[2] + h * beta * i33 * tau
+        else:
+            g_v = alpha * g[1] + float(cols[p] @ thrust_v)
+            g_r = alpha * g[2] + float(cols[p] @ thrust_r)
+        return np.array([g_u, g_v, g_r])
+
+    def run(a: int, b: int, g0) -> np.ndarray:
+        """Steps a..b-1 from velocity nu0; the dynamic kind starts at gain state g0."""
+        nu = np.array(cfg.nu0, dtype=float)
         g = np.array(g0, dtype=float)
-        out = np.empty((len(frames_run), 3))
-        for k, _ in enumerate(frames_run):
-            out[k] = nu
-            if k > 0:
-                prev = frames_run[k - 1]
-                m1 = prev.delta_mean**2 + 0.25 * prev.delta_diff**2
-                if prev.region is OperatingRegion.FF:
-                    g_u = alpha * g[0] + surge_quad * m1 + surge_lin * prev.delta_mean
-                else:
-                    g_u = alpha * g[0] + h * beta * i11 * physical_force(prev)
-                if prev.region is OperatingRegion.RR:
-                    tau = physical_torque(prev)
-                    g_v = alpha * g[1] + h * beta * i23 * tau
-                    g_r = alpha * g[2] + h * beta * i33 * tau
-                else:
-                    cols = swayyaw_thrust_columns(prev)
-                    g_v = alpha * g[1] + float(cols @ thrust["v"])
-                    g_r = alpha * g[2] + float(cols @ thrust["r"])
-                g = np.array([g_u, g_v, g_r])
-            nu = nu + g + h * sigma(gt, nu)
+        out = np.empty((b - a, 3))
+        for k in range(a, b):
+            out[k - a] = nu
+            if cfg.kind == "static":
+                g = static_gains(k)
+            elif k > a:
+                g = dynamic_gains(k - 1, g)
+            nu = nu + g + h * sigma(nu)
             if np.linalg.norm(nu) > _DIVERGENCE_BOUND:
-                raise RuntimeError(f"discrete generation diverged at step {k}")
+                raise RuntimeError(f"discrete generation diverged at step {k - a}")
         return out
 
     bounds = np.linspace(0, cfg.steps, cfg.n_segments + 1).astype(int)
-    nus = np.empty((cfg.steps, 3))
-    if cfg.kind == "static":
-        nus[:] = run_static(frames, cfg.nu0)
-    elif cfg.g0_scale == 0.0:
-        nus[:] = run_dynamic(frames, cfg.nu0, cfg.g0)
+    if cfg.g0_scale == 0.0:
+        nus = run(0, cfg.steps, cfg.g0)
     else:
         # Independent segments with their own initial input-gain state.
         g0_rng = np.random.default_rng(cfg.seed + 2)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            g0 = np.asarray(cfg.g0) + g0_rng.normal(0.0, cfg.g0_scale, 3)
-            nus[a:b] = run_dynamic(frames[a:b], cfg.nu0, g0)
+        nus = np.concatenate([
+            run(a, b, np.asarray(cfg.g0) + g0_rng.normal(0.0, cfg.g0_scale, 3))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ])
 
     if any(s > 0 for s in cfg.noise_std):
         rng = np.random.default_rng(cfg.seed + 1)
         nus = nus + rng.normal(0.0, cfg.noise_std, size=nus.shape)
 
-    region = np.array([int(f.region) for f in frames], dtype=np.int8)
     return PreparedDataset.from_columns(
         h, np.repeat(np.arange(cfg.n_segments), np.diff(bounds)),
         t=h * np.arange(cfg.steps), u=nus[:, 0], v=nus[:, 1], r=nus[:, 2],
         delta_mean=schedule[:, 0], delta_diff=schedule[:, 1], region=region,
     )
-
-
-def merge_datasets(datasets: list[PreparedDataset]) -> PreparedDataset:
-    """Concatenate datasets, renumbering segments."""
-    if not datasets:
-        raise DataError("nothing to merge")
-    h = datasets[0].h
-    segments = []
-    for ds in datasets:
-        for seg in ds.segments:
-            segments.append(replace(seg, segment_id=len(segments)))
-    return PreparedDataset(segments=segments, h=h)
 
 
 @dataclass

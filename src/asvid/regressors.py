@@ -5,7 +5,7 @@ The columns of a (model kind, axis) system are the terms of
 ``TERMS[(kind, axis)]``, in order; each term carries its name, the unit of
 its parameter entry and a vectorized column function of one step's
 velocities and PWM.  Every other reader of the layout (unit labels, the
-pole pairs, the exact parameter vectors, the generator's thrust entries)
+pole pairs, the exact parameter vectors, the generator's thrust columns)
 looks terms up in that table by name.
 
 The right-hand side is always the next-minus-current velocity of the axis.

@@ -350,7 +350,8 @@ def training_fraction_sweep(
 
     A seeded permutation per group fixes the validation rows once; each
     requested fraction then trains on that share of the whole row count,
-    drawn from the remaining rows.  Returns one entry per fraction with
+    drawn from the remaining rows (at most all of them, so shares that sum to
+    1 never fail on rounding).  Returns one entry per fraction with
     train- and validation-side metrics.
     """
     if any(f + validation_fraction > 1.0 + 1e-12 for f in fractions):
@@ -370,8 +371,9 @@ def training_fraction_sweep(
             perm = perms[group]
             n = perm.size
             n_val = int(round(validation_fraction * n))
-            n_train = int(round(f * n))
-            if n_val <= 0 or n_train <= 0 or n_val + n_train > n:
+            # Rounded separately, shares that fill the rows exactly can overshoot by one.
+            n_train = min(int(round(f * n)), n - n_val)
+            if n_val <= 0 or n_train <= 0:
                 raise DataError(f"infeasible shares: {f} train + {validation_fraction} validation")
             val_idx = np.sort(perm[:n_val])
             train_idx = np.sort(perm[n_val : n_val + n_train])

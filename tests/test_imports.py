@@ -1,7 +1,12 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import asvid
 
@@ -23,3 +28,19 @@ def test_import_loads_no_scipy():
         timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(asvid.__path__)))
+def test_module_exports_resolve(name):
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    module = importlib.import_module(f"asvid.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_root_names_are_exported():
+    for name, obj in vars(asvid).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        home = sys.modules[obj.__module__]
+        assert getattr(home, name) is obj
+        assert name in getattr(home, "__all__", (name,)), f"{name} missing from {home.__name__}.__all__"

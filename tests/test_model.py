@@ -5,18 +5,13 @@ import numpy as np
 import pytest
 
 from asvid.dataprep import PreparedDataset, Segment
-from asvid.errors import RegionError
 from asvid.estimator import IdentifiedModel, resolve_alpha
 from asvid.model import (
     REGION_SIGN,
     OperatingRegion,
-    PwmFrame,
     ThrustDynamicParams,
     ThrustStaticParams,
-    classify_region,
     classify_regions,
-    swayyaw_thrust_columns,
-    thrust_dynamic_step,
     thrust_static,
 )
 from asvid.oracle import (
@@ -28,43 +23,58 @@ from asvid.oracle import (
 )
 from asvid.regressors import TERMS, build_systems, term_index
 
-
-def random_frame(rng) -> PwmFrame:
-    return PwmFrame(rng.uniform(-1, 1), rng.uniform(-1, 1))
+SWAYYAW_THRUST = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
 
 
-def random_allowed_frame(rng) -> PwmFrame:
+def frame(delta_l: float, delta_r: float) -> tuple[float, float, OperatingRegion]:
+    """(mean, diff, region) of one pair of normalized PWM commands."""
+    region = classify_regions(np.array([delta_l]), np.array([delta_r]))[0]
+    return (delta_l + delta_r) / 2.0, delta_l - delta_r, OperatingRegion(int(region))
+
+
+def from_mean_diff(mean: float, diff: float) -> tuple[float, float, OperatingRegion]:
+    return frame(mean + diff / 2.0, mean - diff / 2.0)
+
+
+def by_sign(delta_l: float, delta_r: float) -> OperatingRegion:
+    """The sign table: zero counts as forward."""
+    return {
+        (True, True): OperatingRegion.FF,
+        (True, False): OperatingRegion.FR,
+        (False, True): OperatingRegion.RF,
+        (False, False): OperatingRegion.RR,
+    }[(delta_l >= 0, delta_r >= 0)]
+
+
+def random_allowed_frame(rng) -> tuple[float, float, OperatingRegion]:
     while True:
-        frame = random_frame(rng)
-        if frame.region is not OperatingRegion.RR:
-            return frame
+        f = frame(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if f[2] is not OperatingRegion.RR:
+            return f
 
 
-def input_gain(kind: str, axis: str, frame: PwmFrame, x: np.ndarray) -> float:
+def input_gain(kind: str, axis: str, f, x: np.ndarray) -> float:
     """The input gain a parameter vector induces: its row at rest, bias aside.
 
     The static kind reads the frame at k, the dynamic kind at k-1 (the
     dynamic gain's increment from one step of PWM history).
     """
-    step = SimpleNamespace(
-        u=0.0, v=0.0, r=0.0, mean=frame.delta_mean, diff=frame.delta_diff,
-        sign=REGION_SIGN[frame.region],
-    )
+    mean, diff, region = f
+    step = SimpleNamespace(u=0.0, v=0.0, r=0.0, mean=mean, diff=diff, sign=REGION_SIGN[region])
     row = np.array([float(t.column(step)) for t in TERMS[(kind, axis)]])
     row[term_index(kind, axis, "1")] = 0.0
     return float(row @ x)
 
 
-def one_step_dataset(*frames: PwmFrame) -> PreparedDataset:
+def one_step_dataset(*frames) -> PreparedDataset:
     """A three-step segment at rest per frame, then an all-FF one so every system has rows."""
     segments = []
-    for sid, frame in enumerate((*frames, PwmFrame(0.5, 0.5))):
+    for sid, (mean, diff, region) in enumerate((*frames, frame(0.5, 0.5))):
         segments.append(
             Segment(
                 segment_id=sid, t=0.2 * np.arange(3), u=np.zeros(3), v=np.zeros(3),
-                r=np.zeros(3), delta_mean=np.full(3, frame.delta_mean),
-                delta_diff=np.full(3, frame.delta_diff), region=np.full(3, frame.region, np.int8),
-                h=0.2,
+                r=np.zeros(3), delta_mean=np.full(3, mean), delta_diff=np.full(3, diff),
+                region=np.full(3, region, np.int8), h=0.2,
             )
         )
     return PreparedDataset(segments=segments, h=0.2)
@@ -84,33 +94,28 @@ class TestClassifyRegion:
         ],
     )
     def test_cases(self, dl, dr, expected):
-        assert classify_region(dl, dr) is expected
+        assert classify_regions(np.array([dl]), np.array([dr])).tolist() == [expected]
+        assert by_sign(dl, dr) is expected
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_region(1.2, 0.0)
-        with pytest.raises(ValueError):
-            classify_region(0.0, -1.01)
+        # no range check here: out-of-range commands classify by sign, NaN as
+        # reverse; generate_discrete rejects them before they get this far
+        codes = classify_regions(np.array([1.2, 0.0, np.nan]), np.array([0.0, -1.01, 0.5]))
+        assert codes.tolist() == [OperatingRegion.FF, OperatingRegion.FR, OperatingRegion.RF]
 
     def test_total_and_partitions_square(self, rng):
         # every point of [-1,1]^2 lands in exactly one region, matching signs
-        for _ in range(1000):
-            dl, dr = rng.uniform(-1, 1, size=2)
-            region = classify_region(dl, dr)
-            by_sign = {
-                (True, True): OperatingRegion.FF,
-                (True, False): OperatingRegion.FR,
-                (False, True): OperatingRegion.RF,
-                (False, False): OperatingRegion.RR,
-            }[(dl >= 0, dr >= 0)]
-            assert region is by_sign
+        dl, dr = rng.uniform(-1, 1, size=(2, 1000))
+        codes = classify_regions(dl, dr)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [by_sign(a, b) for a, b in zip(dl, dr)]
 
     def test_vectorized_matches_scalar(self, rng):
         dl = np.concatenate([rng.uniform(-1, 1, size=500), [0.0, 0.0, -0.0, -1e-300]])
         dr = np.concatenate([rng.uniform(-1, 1, size=500), [0.0, -1e-300, 0.0, 0.0]])
         codes = classify_regions(dl, dr)
-        assert codes.dtype == np.int8
-        assert codes.tolist() == [int(classify_region(a, b)) for a, b in zip(dl, dr)]
+        assert codes.tolist() == [by_sign(a, b) for a, b in zip(dl, dr)]
+        assert codes[-4:].tolist() == [0, 1, 0, 2]  # -0.0 is forward, -1e-300 reverse
 
 
 class TestThrustStatic:
@@ -154,23 +159,6 @@ class TestThrustStatic:
 
 
 class TestThrustDynamic:
-    def test_memoryless_pole(self):
-        p = ThrustDynamicParams(alpha=0.0, beta=1.0, static_part=ThrustStaticParams(1, 1, 1, 1))
-        assert thrust_dynamic_step(5.0, 0.5, p) == pytest.approx(0.75)
-
-    def test_pure_hold(self):
-        p = ThrustDynamicParams(alpha=1.0, beta=0.0, static_part=ThrustStaticParams(1, 1, 1, 1))
-        assert thrust_dynamic_step(2.0, 0.9, p) == 2.0
-
-    def test_fixed_point(self):
-        p = ThrustDynamicParams(
-            alpha=0.5, beta=0.5, static_part=ThrustStaticParams(a_f=0, b_f=1, a_r=0, b_r=1)
-        )
-        t = 0.0
-        for _ in range(200):
-            t = thrust_dynamic_step(t, 1.0, p)
-        assert t == pytest.approx(1.0, abs=1e-12)
-
     def test_stability_flag(self):
         static = ThrustStaticParams(1, 1, 1, 1)
         assert ThrustDynamicParams(0.9, 0.1, static).stable
@@ -178,39 +166,52 @@ class TestThrustDynamic:
 
 
 class TestPwmFrame:
+    """A schedule row (PWM mean, PWM difference) and the commands it stands for."""
+
     def test_mean_diff_roundtrip(self, rng):
         for _ in range(1000):
             dl, dr = rng.uniform(-1, 1, size=2)
-            frame = PwmFrame(dl, dr)
-            assert frame.delta_mean + frame.delta_diff / 2.0 == dl
-            assert frame.delta_mean - frame.delta_diff / 2.0 == dr
+            mean, diff, _ = frame(dl, dr)
+            assert mean + diff / 2.0 == dl
+            assert mean - diff / 2.0 == dr
 
-    def test_from_mean_diff(self):
-        frame = PwmFrame.from_mean_diff(0.5, 0.2)
-        assert frame.delta_l == pytest.approx(0.6)
-        assert frame.delta_r == pytest.approx(0.4)
-        assert frame.region is OperatingRegion.FF
+    def test_from_mean_diff(self, gt_static):
+        cfg = DiscreteGenConfig(steps=3, kind="static", schedule=np.tile([0.5, 0.2], (3, 1)))
+        seg = generate_discrete(gt_static, cfg).segments[0]
+        assert seg.delta_mean.tolist() == [0.5] * 3 and seg.delta_diff.tolist() == [0.2] * 3
+        assert seg.region.tolist() == [OperatingRegion.FF] * 3
 
-    def test_region_consistency(self, rng):
-        for _ in range(200):
-            frame = random_frame(rng)
-            assert frame.region is classify_region(frame.delta_l, frame.delta_r)
+    def test_region_consistency(self, gt_static, rng):
+        # the generator labels each step by the signs of mean +- diff/2
+        dl, dr = rng.uniform(-1, 1, size=(2, 200))
+        schedule = np.column_stack([(dl + dr) / 2.0, dl - dr])
+        seg = generate_discrete(
+            gt_static, DiscreteGenConfig(steps=200, kind="static", schedule=schedule)
+        ).segments[0]
+        assert seg.region.tolist() == [by_sign(a, b) for a, b in zip(dl, dr)]
+        assert set(seg.region.tolist()) == {0, 1, 2, 3}
 
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            PwmFrame(1.2, 0.0)
+    def test_range_enforced(self, gt_static):
+        # one command at 1.2 (the other at 0), then a NaN mean: both commands NaN
+        for row, message in (((0.6, 1.2), r"\(1.2, 0.0\)"), ((np.nan, 0.0), r"\(nan, nan\)")):
+            schedule = np.tile([0.5, 0.0], (10, 1))
+            schedule[6] = row
+            cfg = DiscreteGenConfig(steps=10, kind="static", schedule=schedule)
+            with pytest.raises(ValueError, match=rf"schedule step 6: normalized PWM {message}"):
+                generate_discrete(gt_static, cfg)
 
 
 class TestStaticInputGains:
     def test_surge_reported_values(self):
         # bold surge entries of the vessel's identified static model
         x = np.array([0, 0, 0, 0, 0, -0.0145, 0.1403])
-        frame = PwmFrame.from_mean_diff(1.0, 0.0)
-        assert input_gain("static", "u", frame, x) == pytest.approx(0.1258, abs=1e-12)
+        assert input_gain("static", "u", from_mean_diff(1.0, 0.0), x) == pytest.approx(
+            0.1258, abs=1e-12
+        )
 
     def test_surge_zero_input(self):
         x = np.arange(1.0, 8.0)
-        assert input_gain("static", "u", PwmFrame.from_mean_diff(0.0, 0.0), x) == 0.0
+        assert input_gain("static", "u", from_mean_diff(0.0, 0.0), x) == 0.0
 
     def test_surge_matches_direct_formula(self, rng):
         quad = term_index("static", "u", "mean^2+diff^2/4")
@@ -220,13 +221,13 @@ class TestStaticInputGains:
             mean = rng.uniform(0.0, 0.5)
             lim = 2.0 * min(mean, 1.0 - mean)
             diff = rng.uniform(-lim, lim) if mean > 0 else 0.0
-            frame = PwmFrame.from_mean_diff(mean, diff)
             direct = x[quad] * (mean**2 + diff**2 / 4.0) + x[lin] * mean
-            assert input_gain("static", "u", frame, x) == pytest.approx(direct, abs=1e-15)
+            gain = input_gain("static", "u", from_mean_diff(mean, diff), x)
+            assert gain == pytest.approx(direct, abs=1e-15)
 
     def test_surge_rejects_non_ff(self):
         # the surge gain is only identified in forward-forward: no FR surge rows
-        systems = build_systems(one_step_dataset(PwmFrame(0.4, -0.2)), "static")
+        systems = build_systems(one_step_dataset(frame(0.4, -0.2)), "static")
         assert 0 not in systems["u"].segment
         assert 0 in systems["v"].segment
 
@@ -234,55 +235,45 @@ class TestStaticInputGains:
         x = np.zeros(13)
         x[term_index("static", "v", "mean*diff")] = -0.0381
         x[term_index("static", "v", "diff/2")] = -0.0505
-        frame = PwmFrame.from_mean_diff(0.5, 0.2)
-        assert frame.region is OperatingRegion.FF
-        assert input_gain("static", "v", frame, x) == pytest.approx(-0.00886, abs=1e-12)
+        f = from_mean_diff(0.5, 0.2)
+        assert f[2] is OperatingRegion.FF
+        assert input_gain("static", "v", f, x) == pytest.approx(-0.00886, abs=1e-12)
 
     def test_swayyaw_zero_input(self, rng):
         x = rng.normal(size=13)
-        assert input_gain("static", "v", PwmFrame.from_mean_diff(0.0, 0.0), x) == 0.0
+        assert input_gain("static", "v", from_mean_diff(0.0, 0.0), x) == 0.0
 
     def test_fr_and_rf_branch_formulas(self, rng):
-        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
-        idx = [term_index("static", "v", name) for name in names]
+        idx = [term_index("static", "v", name) for name in SWAYYAW_THRUST]
         for _ in range(200):
             x = rng.normal(size=13)
             t1, t2, t3, t4 = x[idx]
             mean = rng.uniform(0.05, 0.45)
             diff = rng.uniform(2 * mean + 0.01, min(2 * mean + 0.5, 2 * (1 - mean) - 0.01))
-            fr = PwmFrame.from_mean_diff(mean, diff)
-            rf = PwmFrame.from_mean_diff(mean, -diff)
-            assert fr.region is OperatingRegion.FR and rf.region is OperatingRegion.RF
+            fr = from_mean_diff(mean, diff)
+            rf = from_mean_diff(mean, -diff)
+            assert fr[2] is OperatingRegion.FR and rf[2] is OperatingRegion.RF
             m1 = mean**2 + diff**2 / 4.0
             direct_fr = t1 * m1 + t2 * mean * diff + t3 * mean + t4 * diff / 2.0
             direct_rf = -t1 * m1 + t2 * mean * (-diff) - t3 * mean + t4 * (-diff) / 2.0
             assert input_gain("static", "v", fr, x) == pytest.approx(direct_fr, abs=1e-14)
             assert input_gain("static", "v", rf, x) == pytest.approx(direct_rf, abs=1e-14)
-            # the generator's scalar reference agrees with the table
-            assert float(swayyaw_thrust_columns(fr) @ x[idx]) == pytest.approx(direct_fr, abs=1e-14)
 
     def test_fr_rf_same_pwm_differ_by_signed_terms(self, rng):
         # same (mean, diff) evaluated under both sign conventions
-        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
-        idx = [term_index("static", "v", name) for name in names]
+        idx = [term_index("static", "v", name) for name in SWAYYAW_THRUST]
         for _ in range(200):
             x = rng.normal(size=13)
             t1, _, t3, _ = x[idx]
             mean = rng.uniform(0.05, 0.45)
             diff = rng.uniform(2 * mean + 0.01, min(2 * mean + 0.5, 2 * (1 - mean) - 0.01))
-            frame = PwmFrame.from_mean_diff(mean, diff)
-            cols = swayyaw_thrust_columns(frame)
             m1 = mean**2 + diff**2 / 4.0
-            flipped = cols.copy()
-            flipped[0] *= -1.0
-            flipped[2] *= -1.0
-            expected_gap = 2.0 * (t1 * m1 + t3 * mean)
-            assert float((cols - flipped) @ x[idx]) == pytest.approx(expected_gap, rel=1e-12)
+            gap = (input_gain("static", "v", (mean, diff, OperatingRegion.FR), x)
+                   - input_gain("static", "v", (mean, diff, OperatingRegion.RF), x))
+            assert gap == pytest.approx(2.0 * (t1 * m1 + t3 * mean), rel=1e-12)
 
     def test_rr_rejected(self):
-        with pytest.raises(RegionError):
-            swayyaw_thrust_columns(PwmFrame(-0.5, -0.5))
-        systems = build_systems(one_step_dataset(PwmFrame(-0.5, -0.5)), "static")
+        systems = build_systems(one_step_dataset(frame(-0.5, -0.5)), "static")
         assert all(0 not in sys.segment for sys in systems.values())
 
 
@@ -304,12 +295,14 @@ class TestDynamicInputGain:
     def test_memoryless_pole_reduces_to_static_increment(self, rng):
         # with alpha = 0 the dynamic gain is the thrust row of the previous step
         x = rng.normal(size=21)
-        names = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
-        idx = [term_index("dynamic", "v", f"{name}[k-1]") for name in names]
+        idx = [term_index("dynamic", "v", f"{name}[k-1]") for name in SWAYYAW_THRUST]
+        t1, t2, t3, t4 = x[idx]
         for _ in range(100):
-            frame = random_allowed_frame(rng)
-            g = input_gain("dynamic", "v", frame, np.where(np.isin(np.arange(21), idx), x, 0.0))
-            assert g == pytest.approx(float(swayyaw_thrust_columns(frame) @ x[idx]), abs=1e-15)
+            mean, diff, region = f = random_allowed_frame(rng)
+            s = REGION_SIGN[region]
+            direct = s * t1 * (mean**2 + diff**2 / 4.0) + t2 * mean * diff + s * t3 * mean + t4 * diff / 2.0
+            g = input_gain("dynamic", "v", f, np.where(np.isin(np.arange(21), idx), x, 0.0))
+            assert g == pytest.approx(direct, abs=1e-15)
 
     def test_zero_pwm_history_decays_geometrically(self):
         g0, alpha = 0.8, 0.9
@@ -321,7 +314,7 @@ class TestDynamicInputGain:
     def test_affine_in_previous_gain_with_slope_alpha(self, rng):
         alpha = 0.93
         frames = [random_allowed_frame(rng) for _ in range(100)]
-        schedule = np.array([(f.delta_mean, f.delta_diff) for f in frames])
+        schedule = np.array([(mean, diff) for mean, diff, _ in frames])
         inc_a = zero_disturbance_run(alpha, schedule, tuple(rng.normal(size=3) * 0.1))
         inc_b = zero_disturbance_run(alpha, schedule, tuple(rng.normal(size=3) * 0.1))
         gap = inc_a - inc_b
@@ -339,7 +332,7 @@ class TestDynamicInputGain:
 
     def test_surge_requires_ff(self):
         # the dynamic surge gain recursion needs forward-forward PWM history
-        systems = build_systems(one_step_dataset(PwmFrame(0.5, -0.5)), "dynamic")
+        systems = build_systems(one_step_dataset(frame(0.5, -0.5)), "dynamic")
         assert 0 not in systems["u"].segment
         assert 0 in systems["v"].segment
 
@@ -352,5 +345,5 @@ class TestDynamicInputGain:
             resolve_alpha(np.zeros(7), np.zeros(21), np.zeros(21))
 
     def test_rr_rejected(self):
-        systems = build_systems(one_step_dataset(PwmFrame(-0.5, -0.5)), "dynamic")
+        systems = build_systems(one_step_dataset(frame(-0.5, -0.5)), "dynamic")
         assert all(0 not in sys.segment for sys in systems.values())

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 from asvid.dataprep import GeoReference
-from asvid.model import ThrustDynamicParams, ThrustStaticParams
+from asvid.model import ThrustStaticParams
 from asvid.oracle import (
     DiscreteGenConfig,
+    GroundTruth,
     SigmaSurge,
     SigmaSwayYaw,
-    assemble_matrices,
     default_ground_truth,
     emit_sensor_logs,
     generate_discrete,
     known_params_to_X,
-    merge_datasets,
     prbs_frames,
     sigma_coeffs,
-    sigma_quasi_quadratic,
     simulate_continuous,
     smooth_excitation,
     trajectory_to_dataset,
@@ -29,6 +27,44 @@ from asvid.oracle import (
 from asvid.regressors import build_systems
 
 REF = GeoReference(lat0=37.4, lon0=-6.0, antenna_offset=(0.3, 0.1))
+
+
+def assemble_matrices(gt: GroundTruth, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inertia, Coriolis and damping matrices at one body velocity (Fossen, 2011)."""
+    u, v, r = float(nu[0]), float(nu[1]), float(nu[2])
+    m_mat = gt.mass_matrix()
+    c13 = -(gt.m - gt.y_vdot) * v - (gt.m * gt.x_g - gt.y_rdot) * r
+    c23 = (gt.m - gt.x_udot) * u
+    c_mat = np.array([[0.0, 0.0, c13], [0.0, 0.0, c23], [-c13, -c23, 0.0]])
+    d_mat = np.array(
+        [
+            [-gt.x_u - gt.x_uu * abs(u), 0.0, 0.0],
+            [
+                0.0,
+                -gt.y_v - gt.y_vv * abs(v) - gt.y_rv * abs(r),
+                -gt.y_r - gt.y_vr * abs(v) - gt.y_rr * abs(r),
+            ],
+            [
+                0.0,
+                -gt.n_v - gt.n_vv * abs(v) - gt.n_rv * abs(r),
+                -gt.n_r - gt.n_vr * abs(v) - gt.n_rr * abs(r),
+            ],
+        ]
+    )
+    return m_mat, c_mat, d_mat
+
+
+def sigma_from_coeffs(gt: GroundTruth, nu) -> np.ndarray:
+    """The lumped disturbance at nu, evaluated from its quasi-quadratic coefficients."""
+    su, sv, sr = sigma_coeffs(gt)
+    u, v, r = nu
+
+    def swayyaw(s: SigmaSwayYaw) -> float:
+        return (s.vv * v * abs(v) + s.v_ar * v * abs(r) + s.r_av * r * abs(v) + s.rr * r * abs(r)
+                + s.uv * u * v + s.ur * u * r + s.v * v + s.r * r + s.c)
+
+    sigma_u = su.uu * u * abs(u) + su.vr * v * r + su.rr * r * r + su.u * u + su.c
+    return np.array([sigma_u, swayyaw(sv), swayyaw(sr)])
 
 
 def zero_sigma():
@@ -81,11 +117,11 @@ class TestSigma:
             nu = rng.uniform(-1.5, 1.5, size=3)
             _, c, d = assemble_matrices(gt_static, nu)
             direct = np.linalg.solve(m, -(c + d) @ nu + tau_w)
-            assert np.allclose(sigma_quasi_quadratic(gt_static, nu), direct, atol=1e-13)
+            assert np.allclose(sigma_from_coeffs(gt_static, nu), direct, atol=1e-13)
 
     def test_override_used(self, gt_static):
         gt = replace(gt_static, sigma_override=zero_sigma())
-        assert np.array_equal(sigma_quasi_quadratic(gt, [0.4, -0.2, 0.1]), np.zeros(3))
+        assert np.array_equal(sigma_from_coeffs(gt, [0.4, -0.2, 0.1]), np.zeros(3))
 
 
 class TestKnownParams:
@@ -117,10 +153,6 @@ class TestKnownParams:
             assert x[axis][9] == 0.0
             assert x[axis][11] == 0.0
             assert x[axis][10] != 0.0
-
-    def test_full_fossen_mode_rejected(self, gt_static):
-        with pytest.raises(ValueError):
-            known_params_to_X(gt_static, "static", disturbance_mode="full-fossen")
 
     def test_dynamic_needs_dynamic_thrust(self, gt_static):
         with pytest.raises(ValueError):
@@ -164,15 +196,6 @@ class TestGenerateDiscrete:
         seg = ds.segments[0]
         assert np.all(seg.u == 0.0) and np.all(seg.v == 0.0) and np.all(seg.r == 0.0)
 
-    def test_modes_agree_for_physical_sigma(self, gt_static):
-        cfg_q = DiscreteGenConfig(steps=400, kind="static", seed=7)
-        cfg_f = DiscreteGenConfig(steps=400, kind="static", seed=7, disturbance_mode="full-fossen")
-        ds_q = generate_discrete(gt_static, cfg_q)
-        ds_f = generate_discrete(gt_static, cfg_f)
-        assert np.allclose(ds_q.segments[0].u, ds_f.segments[0].u, atol=1e-12)
-        assert np.allclose(ds_q.segments[0].v, ds_f.segments[0].v, atol=1e-12)
-        assert np.allclose(ds_q.segments[0].r, ds_f.segments[0].r, atol=1e-12)
-
     def test_noise_scaling_of_parameter_error(self, gt_static):
         from asvid.estimator import identify_static
 
@@ -211,11 +234,6 @@ class TestGenerateDiscrete:
             DiscreteGenConfig(steps=100, noise_std=(-1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             DiscreteGenConfig(steps=100, kind="static", g0_scale=0.1)
-
-    def test_merge_datasets(self, gt_static):
-        cfg = DiscreteGenConfig(steps=100, kind="static", seed=0, n_segments=2)
-        merged = merge_datasets([generate_discrete(gt_static, cfg)] * 2)
-        assert [seg.segment_id for seg in merged.segments] == [0, 1, 2, 3]
 
 
 class TestContinuousSimulator:
@@ -375,6 +393,64 @@ class TestSimulatorBits:
             tracemalloc.stop()
         returned = sum(a.nbytes for a in (traj.t, traj.eta, traj.nu, traj.delta))
         assert peak <= 3 * returned
+
+
+def _all_regions_schedule(steps):
+    """Seeded commands in [-0.7, 0.7], held 5 steps: of 600 steps, 115 are reverse-reverse."""
+    rng = np.random.default_rng(4)
+    lr = rng.uniform(-0.7, 0.7, size=(steps // 5, 2)).repeat(5, axis=0)
+    return np.column_stack([(lr[:, 0] + lr[:, 1]) / 2.0, lr[:, 0] - lr[:, 1]])
+
+
+# SHA-256 of the PreparedDataset.columns() bytes, in column order, and the
+# (u, v, r) of the last step; a change in the generator's arithmetic order
+# fails both.  np.dot may round differently under another BLAS build: the
+# digests then differ while the final states still agree to 1e-12.
+GENERATOR_RUNS = {
+    "static-prbs": (
+        False, dict(steps=2000, kind="static", seed=1),
+        "39ff8e8cf6ed41b9fbb0950c24fcd2d6698805555f286df1cc1fbcd657532687",
+        (0.7177846512590326, 0.0410278831695125, -0.14813353476223431),
+    ),
+    "dynamic-prbs": (
+        True, dict(steps=2000, kind="dynamic", seed=1, n_segments=8, g0_scale=0.05),
+        "68de66544ab05e887cd8b1f1e574402e2ce8ea289470f7032abeaa7b0dd04190",
+        (0.9339883665222051, 0.03711601276516343, -0.020333009160802624),
+    ),
+    "static-all-regions": (
+        False, dict(steps=600, kind="static", schedule=_all_regions_schedule(600)),
+        "bcba39135bb764b221de9f2da939574e85ea7e7782232dd08bf53689c4a26658",
+        (0.3816145394124197, 0.14588786369302342, -0.43684780633937365),
+    ),
+    "dynamic-all-regions": (
+        True, dict(steps=600, kind="dynamic", schedule=_all_regions_schedule(600), n_segments=3,
+                   g0_scale=0.05, seed=2),
+        "09a519e9df0b6370ab552966b4bd598afae2bacba45bc50b1051aed4e994fe6f",
+        (0.49644374030673816, 0.054126347541350255, -0.18738134617754573),
+    ),
+}
+
+
+def _generated_columns(name):
+    dynamic, kwargs, _, _ = GENERATOR_RUNS[name]
+    gt = default_ground_truth(dynamic=dynamic)
+    return generate_discrete(gt, DiscreteGenConfig(**kwargs)).columns()
+
+
+class TestGeneratorBits:
+    @pytest.mark.parametrize("name", sorted(GENERATOR_RUNS))
+    def test_final_velocities_match_reference(self, name):
+        cols = _generated_columns(name)
+        final = [cols[axis][-1] for axis in ("u", "v", "r")]
+        np.testing.assert_allclose(final, GENERATOR_RUNS[name][3], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_RUNS))
+    def test_dataset_bytes_are_pinned(self, name):
+        cols = _generated_columns(name)
+        digest = hashlib.sha256()
+        for values in cols.values():
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == GENERATOR_RUNS[name][2]
 
 
 @pytest.fixture(scope="module")

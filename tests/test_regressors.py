@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from asvid.dataprep import PreparedDataset, Segment
 from asvid.errors import DataError
-from asvid.model import OperatingRegion, PwmFrame
+from asvid.model import OperatingRegion, classify_regions
 from asvid.oracle import (
     DiscreteGenConfig,
     default_ground_truth,
@@ -22,9 +22,7 @@ def make_segment(u, v, r, mean, diff, segment_id=0):
     u = np.asarray(u, dtype=float)
     mean = np.asarray(mean, dtype=float)
     diff = np.asarray(diff, dtype=float)
-    region = np.array(
-        [int(PwmFrame.from_mean_diff(m, d).region) for m, d in zip(mean, diff)], dtype=np.int8
-    )
+    region = classify_regions(mean + diff / 2.0, mean - diff / 2.0)
     return Segment(
         segment_id=segment_id,
         t=H * np.arange(u.size),

@@ -322,6 +322,17 @@ class TestTrainingFractionSweep:
         assert v0 == v1  # same held-out rows across fractions
         assert rows[0]["train"].evaluated["u"] > rows[1]["train"].evaluated["u"]
 
+    def test_shares_filling_all_rows_survive_rounding(self, gt_static):
+        # 25 rows per system: 0.3 -> 7.5 -> 8 and 0.7 -> 17.5 -> 18 would need 26 rows.
+        rng = np.random.default_rng(0)
+        schedule = np.column_stack([rng.uniform(0.3, 0.8, 26), rng.uniform(-0.4, 0.4, 26)])
+        cfg = DiscreteGenConfig(steps=26, kind="static", schedule=schedule)
+        ds = generate_discrete(gt_static, cfg)
+        (entry,) = training_fraction_sweep(ds, "static", fractions=(0.7,))
+        for axis in ("u", "v", "r"):
+            assert entry["validation"].evaluated[axis] == 8
+            assert entry["train"].evaluated[axis] == 17
+
     def test_infeasible_shares_rejected(self, ds_static):
         with pytest.raises(ValueError):
             training_fraction_sweep(ds_static, "static", fractions=(0.8,), validation_fraction=0.3)
