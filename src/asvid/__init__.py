@@ -18,9 +18,7 @@ from .dataprep import (
 from .errors import DataError, SchemaError
 from .estimator import (
     IdentifiedModel,
-    identify_dynamic,
     identify_from_systems,
-    identify_static,
     resolve_alpha,
     solve_least_squares,
 )

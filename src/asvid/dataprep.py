@@ -1,4 +1,4 @@
-"""Raw sensor logs -> synchronized, filtered, segmented dataset.
+"""Raw sensor logs -> a synchronized, filtered table of usable grid points.
 
 The pipeline resamples the multi-rate streams (GNSS position, AHRS heading,
 PWM commands) onto a uniform grid anchored to the GNSS stream, converts
@@ -27,7 +27,6 @@ __all__ = [
     "SavGolConfig",
     "PwmMapConfig",
     "PrepareConfig",
-    "Segment",
     "PreparedDataset",
     "geodetic_to_ned",
     "ned_to_geodetic",
@@ -54,13 +53,15 @@ def _ulps(*stamps: np.ndarray) -> float:
     return 4 * float(np.spacing(max(float(np.max(np.abs(t), initial=0.0)) for t in stamps)))
 
 
-def off_grid_row(t: np.ndarray, h: float) -> int | None:
-    """Index of the first stamp in ``t`` that is not ``h`` after the one before."""
-    if t.size < 2:
-        return None
+def off_grid_row(t: np.ndarray, segment: np.ndarray, h: float) -> int | None:
+    """Index of the first row whose stamp is not ``h`` after the row before it
+    in its segment; segments are taken in ascending id order."""
+    order = np.argsort(segment, kind="stable")
+    t, segment = t[order], segment[order]
     tol = max(_TIME_TOL, _ulps(t))
-    bad = np.flatnonzero(~np.isclose(np.diff(t), h, rtol=0.0, atol=tol))
-    return int(bad[0]) + 1 if bad.size else None
+    steps_off = ~np.isclose(np.diff(t), h, rtol=0.0, atol=tol)
+    bad = np.flatnonzero(steps_off & (segment[1:] == segment[:-1]))
+    return int(order[bad[0] + 1]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,21 @@ class PrepareConfig:
 
 
 _ROW_COLUMNS = ("t", "u", "v", "r", "delta_mean", "delta_diff", "region")
+_POSE_COLUMNS = ("x", "y", "psi")
 
 
 @dataclass
-class Segment:
-    """One contiguous run of prepared samples on the uniform grid."""
+class PreparedDataset:
+    """Uniformly sampled identification dataset: one row per usable grid point.
 
-    segment_id: int
+    Each segment is a contiguous run of the grid.  Rows are grouped by
+    ``segment`` in ascending id order; the constructor sorts them stably, so
+    a segment keeps its rows in the order given.  ``k`` is the row's index
+    within its segment.  The pose columns ``x``, ``y``, ``psi`` are optional.
+    """
+
+    h: float
+    segment: np.ndarray
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -200,69 +209,37 @@ class Segment:
     delta_mean: np.ndarray
     delta_diff: np.ndarray
     region: np.ndarray  # OperatingRegion codes, int8
-    h: float
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     psi: np.ndarray | None = None
+    k: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.t.size
-        for name in _ROW_COLUMNS[1:]:
-            if getattr(self, name).size != n:
-                raise DataError(f"segment column {name} length mismatch")
-        if off_grid_row(self.t, self.h) is not None:
-            raise DataError("segment timestamps must step by exactly h")
-        for name in ("u", "v", "r", "delta_mean", "delta_diff"):
+        self.segment = np.asarray(self.segment, dtype=np.int64)
+        names = [n for n in (*_ROW_COLUMNS, *_POSE_COLUMNS) if getattr(self, n) is not None]
+        for name in names:
+            setattr(self, name, np.asarray(getattr(self, name)))
+            if getattr(self, name).shape != self.segment.shape:
+                raise DataError(f"prepared column {name} length mismatch")
+        if np.any(np.diff(self.segment) < 0):
+            order = np.argsort(self.segment, kind="stable")
+            for name in ("segment", *names):
+                setattr(self, name, getattr(self, name)[order])
+        _, starts, counts = np.unique(self.segment, return_index=True, return_counts=True)
+        self.k = np.arange(self.segment.size) - np.repeat(starts, counts)
+        for name in _ROW_COLUMNS[:-1]:  # all but the region codes
             if not np.all(np.isfinite(getattr(self, name))):
-                raise DataError(f"segment column {name} has non-finite values")
-
-    def __len__(self) -> int:
-        return int(self.t.size)
-
-@dataclass
-class PreparedDataset:
-    """Segmented, uniformly sampled identification dataset."""
-
-    segments: list[Segment]
-    h: float
-
-    def __post_init__(self) -> None:
-        for seg in self.segments:
-            if abs(seg.h - self.h) > 1e-12:
-                raise DataError("all segments must share the dataset sampling period")
-
-    @classmethod
-    def from_columns(cls, h: float, segment, **cols: np.ndarray) -> "PreparedDataset":
-        """One :class:`Segment` per distinct id in ``segment``, in ascending order.
-
-        ``cols`` are per-row arrays named like the :class:`Segment` fields;
-        each segment keeps its rows in the order given.
-        """
-        order = np.argsort(segment, kind="stable")
-        ids, starts = np.unique(np.asarray(segment)[order], return_index=True)
-        segments = [
-            Segment(segment_id=int(sid), h=h, **{name: col[rows] for name, col in cols.items()})
-            for sid, rows in zip(ids, np.split(order, starts[1:]))
-        ]
-        return cls(segments=segments, h=h)
+                raise DataError(f"prepared column {name} has non-finite values")
+        if off_grid_row(self.t, self.segment, self.h) is not None:
+            raise DataError("segment timestamps must step by exactly h")
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Every column of every segment, concatenated in segment order.
-
-        Adds ``segment``, the id of each row's segment, and ``k``, the row's
-        index within it.  The pose columns ``x``, ``y``, ``psi`` are left out.
-        """
-        cols = {
-            name: np.concatenate([getattr(s, name) for s in self.segments]) for name in _ROW_COLUMNS
-        }
-        lengths = [len(s) for s in self.segments]
-        cols["segment"] = np.repeat([s.segment_id for s in self.segments], lengths)
-        cols["k"] = np.concatenate([np.arange(n) for n in lengths])
-        return cols
+        """The row columns, then ``segment`` and ``k``, by name (no pose columns)."""
+        return {name: getattr(self, name) for name in (*_ROW_COLUMNS, "segment", "k")}
 
     @property
     def n_samples(self) -> int:
-        return sum(len(s) for s in self.segments)
+        return int(self.t.size)
 
     @property
     def duration_minutes(self) -> float:
@@ -271,7 +248,7 @@ class PreparedDataset:
     def summary(self) -> dict:
         return {
             "points": self.n_samples,
-            "segments": len(self.segments),
+            "segments": int(np.count_nonzero(self.k == 0)),
             "minutes": self.duration_minutes,
             "h": self.h,
         }
@@ -319,15 +296,6 @@ def lever_arm_correct(x, y, psi, offset: tuple[float, float]):
     return cx, cy
 
 
-def _fit_eval_last(t_win: np.ndarray, y_win: np.ndarray, degree: int) -> float:
-    """Least-squares polynomial through one trailing window, evaluated at its end."""
-    tq = t_win[-1]
-    span = max(tq - t_win[0], 1e-12)
-    basis = 2.0 * (t_win - tq) / span + 1.0  # [-1, 1], query point at +1
-    coef, *_ = np.linalg.lstsq(np.vander(basis, degree + 1, increasing=True), y_win, rcond=None)
-    return float(coef.sum())
-
-
 def resample_causal(
     t_raw: np.ndarray,
     y_raw: np.ndarray,
@@ -338,9 +306,10 @@ def resample_causal(
     """Resample a stream onto a grid using only samples at or before each grid time.
 
     A polynomial of ``degree`` is least-squares fitted over the trailing
-    ``window`` raw samples and evaluated at the grid time (extrapolation
-    when the grid time falls past the newest sample).  Grid points with
-    fewer than ``degree + 1`` prior samples are marked invalid.
+    ``window`` raw samples (all prior samples, when there are fewer) and
+    evaluated at the grid time (extrapolation when the grid time falls past
+    the newest sample).  Grid points with fewer than ``degree + 1`` prior
+    samples are marked invalid.
 
     Returns ``(values, valid)``; invalid entries hold NaN.
     """
@@ -357,27 +326,22 @@ def resample_causal(
     valid = n_avail >= degree + 1
     out = np.full(t_grid.shape, np.nan)
 
-    # Full-window grid points go through one batched QR solve.
-    full = n_avail >= window
-    if np.any(full):
-        ends = n_avail[full]
-        idx = ends[:, None] - window + np.arange(window)[None, :]
+    # One batched QR solve per window width: the full window, and each
+    # shorter width of the warm-up points that have less history.
+    width = np.minimum(n_avail, window)
+    for w in np.unique(width[valid]):
+        sel = valid & (width == w)
+        idx = n_avail[sel][:, None] - w + np.arange(w)[None, :]
         t_win = t_raw[idx]
         y_win = y_raw[idx]
-        tq = t_grid[full][:, None]
+        tq = t_grid[sel][:, None]
         span = np.maximum(tq - t_win[:, :1], 1e-12)
-        basis = 2.0 * (t_win - tq) / span + 1.0
+        basis = 2.0 * (t_win - tq) / span + 1.0  # [-1, 1], grid time at +1
         vand = basis[..., None] ** np.arange(degree + 1)
         q, rmat = np.linalg.qr(vand)
         rhs = np.einsum("nwk,nw->nk", q, y_win)
         coef = np.linalg.solve(rmat, rhs[..., None])[..., 0]
-        out[full] = coef.sum(axis=1)
-
-    # Short-history points (warm-up tail) fall back to per-point fits.
-    partial = valid & ~full
-    for i in np.nonzero(partial)[0]:
-        n = n_avail[i]
-        out[i] = _fit_eval_last(t_raw[:n], y_raw[:n], degree)
+        out[sel] = coef.sum(axis=1)
     return out, valid
 
 
@@ -553,33 +517,23 @@ def build_prepared_dataset(
     delta_mean = 0.5 * (delta_l + delta_r)
     delta_diff = delta_l - delta_r
 
-    segments: list[Segment] = []
+    rows, velocities = [], []
     run_edges = np.flatnonzero(np.diff(np.concatenate(([0], usable.view(np.int8), [0]))))
     for start, stop in zip(run_edges[::2], run_edges[1::2]):
         if stop - start < 2:
             warnings.warn(f"dropping singleton segment at t={grid[start]:.3f}", stacklevel=2)
             continue
         sl = slice(start, stop)
-        u, v, r = body_velocities_from_pose(
+        velocities.append(body_velocities_from_pose(
             grid[sl], x[sl], y[sl], psi[sl], h, savgol=cfg.savgol, causal=True
-        )
-        keep = slice(start + 1, stop)  # backward difference consumes the first point
-        segments.append(
-            Segment(
-                segment_id=len(segments),
-                t=grid[keep],
-                u=u,
-                v=v,
-                r=r,
-                delta_mean=delta_mean[keep],
-                delta_diff=delta_diff[keep],
-                region=region[keep],
-                h=h,
-                x=x[keep],
-                y=y[keep],
-                psi=psi[keep],
-            )
-        )
-    if not segments:
+        ))
+        rows.append(np.arange(start + 1, stop))  # backward difference consumes the first point
+    if not rows:
         raise DataError("no segments with at least two usable points")
-    return PreparedDataset(segments=segments, h=h)
+    u, v, r = (np.concatenate(series) for series in zip(*velocities))
+    keep = np.concatenate(rows)
+    return PreparedDataset(
+        h, np.repeat(np.arange(len(rows)), [run.size for run in rows]),
+        t=grid[keep], u=u, v=v, r=r, delta_mean=delta_mean[keep], delta_diff=delta_diff[keep],
+        region=region[keep], x=x[keep], y=y[keep], psi=psi[keep],
+    )

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataprep import PreparedDataset
 from .errors import DataError
-from .regressors import TERMS, RegressionSystem, build_systems, term_index
+from .regressors import TERMS, RegressionSystem, term_index
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -26,8 +25,6 @@ __all__ = [
     "IdentifiedModel",
     "solve_least_squares",
     "identify_from_systems",
-    "identify_static",
-    "identify_dynamic",
     "resolve_alpha",
 ]
 
@@ -283,13 +280,3 @@ def identify_from_systems(
         reports=reports,
         metadata=metadata,
     )
-
-
-def identify_static(ds: PreparedDataset) -> IdentifiedModel:
-    """Identify the static-propeller parameter vectors from a dataset."""
-    return identify_from_systems("static", build_systems(ds, "static"), ds.h)
-
-
-def identify_dynamic(ds: PreparedDataset) -> IdentifiedModel:
-    """Identify the dynamic-propeller vectors and the shared pole."""
-    return identify_from_systems("dynamic", build_systems(ds, "dynamic"), ds.h)

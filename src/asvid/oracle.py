@@ -526,10 +526,11 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
         rng = np.random.default_rng(cfg.seed + 1)
         nus = nus + rng.normal(0.0, cfg.noise_std, size=nus.shape)
 
-    return PreparedDataset.from_columns(
+    return PreparedDataset(
         h, np.repeat(np.arange(cfg.n_segments), np.diff(bounds)),
         t=h * np.arange(cfg.steps), u=nus[:, 0], v=nus[:, 1], r=nus[:, 2],
-        delta_mean=schedule[:, 0], delta_diff=schedule[:, 1], region=region,
+        # Copies, so the dataset never aliases the caller's schedule.
+        delta_mean=schedule[:, 0].copy(), delta_diff=schedule[:, 1].copy(), region=region,
     )
 
 
@@ -716,7 +717,7 @@ def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedData
     diff = traj.delta[idx, 0] - traj.delta[idx, 1]
     region = classify_regions(traj.delta[idx, 0], traj.delta[idx, 1])
     bounds = np.linspace(0, idx.size, n_segments + 1).astype(int)
-    return PreparedDataset.from_columns(
+    return PreparedDataset(
         traj.h, np.repeat(np.arange(n_segments), np.diff(bounds)),
         t=traj.t[idx], u=traj.nu[idx, 0], v=traj.nu[idx, 1], r=traj.nu[idx, 2],
         delta_mean=mean, delta_diff=diff, region=region,

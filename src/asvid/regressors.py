@@ -1,20 +1,21 @@
 """Assembly of the linear-in-parameters systems A @ X = b.
 
-Each usable time step k of a prepared dataset contributes one row per axis.
-The columns of a (model kind, axis) system are the terms of
-``TERMS[(kind, axis)]``, in order; each term carries its name, the unit of
-its parameter entry and a vectorized column function of one step's
-velocities and PWM.  Every other reader of the layout (unit labels, the
-pole pairs, the exact parameter vectors, the generator's thrust columns)
-looks terms up in that table by name.
+Each usable row of the prepared table contributes one row per axis; ``k``
+is the row's index within its segment.  The columns of a (model kind, axis)
+system are the terms of ``TERMS[(kind, axis)]``, in order; each term carries
+its name, the unit of its parameter entry and a vectorized column function
+of one step's velocities and PWM.  Every other reader of the layout (unit
+labels, the pole pairs, the exact parameter vectors, the generator's thrust
+columns) looks terms up in that table by name.
 
 The right-hand side is always the next-minus-current velocity of the axis.
-A row at k needs k+1 in the same segment and an allowed operating region at
-k: forward-forward for surge, anything but reverse-reverse for sway and
-yaw.  The dynamic kind also needs k-1 in the segment with the same region
-as k, so a row never mixes thrust-model branches.  The region-signed thrust
-columns vanish in forward-forward rows, which keeps forward-forward-only
-systems from chasing coefficients the data cannot show.
+A row at k needs the next table row to be k+1 of the same segment, and an
+allowed operating region at k: forward-forward for surge, anything but
+reverse-reverse for sway and yaw.  The dynamic kind also needs the row
+before to be k-1 of the segment, with the same region as k, so a row never
+mixes thrust-model branches.  The region-signed thrust columns vanish in
+forward-forward rows, which keeps forward-forward-only systems from chasing
+coefficients the data cannot show.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def build_systems(ds: PreparedDataset, kind: str) -> dict[str, RegressionSystem]
     """All three per-axis systems for one model kind."""
     if kind not in ("static", "dynamic"):
         raise ValueError(f"unknown model kind {kind!r}")
-    if not ds.segments:
-        raise DataError("dataset has no segments")
+    if not ds.n_samples:
+        raise DataError("dataset has no rows")
     data = ds.columns()
     return {axis: _build(data, kind, axis) for axis in ("u", "v", "r")}

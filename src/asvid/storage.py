@@ -53,7 +53,6 @@ __all__ = [
     "read_model_file",
     "write_expected_x",
     "write_ground_truth",
-    "read_ground_truth",
     "parse_ground_truth",
     "MODEL_FILE_VERSION",
 ]
@@ -201,7 +200,7 @@ _PREPARED_PARSERS = {
 
 
 def write_prepared_csv(path: str | Path, ds: PreparedDataset) -> None:
-    """One CSV row per grid point of ``ds``, in segment order."""
+    """One CSV row per row of ``ds``, in its order."""
     cols = ds.columns()
     cols["region"] = [_REGION_NAMES[code] for code in cols["region"].tolist()]
     rows = zip(*(cols[name] for name in PREPARED_HEADER))
@@ -226,19 +225,19 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
     Files without the ``# h=`` record (asvid 0.1.0, or written by hand) get
     ``h`` inferred as the median timestamp step of the first segment with
     two or more points; that value is only approximate, since the steps of
-    ``repr``-written timestamps differ from ``h`` by a few ulps.  Segments
-    read back have ``x``, ``y`` and ``psi`` set to ``None``.
+    ``repr``-written timestamps differ from ``h`` by a few ulps.  Rows may
+    come in any order; the dataset groups them by segment, each segment in
+    file order.  The pose columns ``x``, ``y`` and ``psi`` read back as ``None``.
     """
     path = Path(path)
     cols, records = _read_csv(path, PREPARED_HEADER, parsers=_PREPARED_PARSERS)
-    seg_ids = cols.pop("segment")
     h = None
     for line in records:
         if line.startswith(H_RECORD):
             h = _parse_h_record(path, line[len(H_RECORD):].strip())
     if h is None:
-        for sid in np.unique(seg_ids):
-            seg_t = cols["t"][seg_ids == sid]
+        for sid in np.unique(cols["segment"]):
+            seg_t = cols["t"][cols["segment"] == sid]
             if seg_t.size >= 2:
                 h = float(np.median(np.diff(seg_t)))
                 break
@@ -246,14 +245,11 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
         raise SchemaError(f"{path.name}: cannot infer sampling period from single-point segments")
     cols["region"] = cols["region"].astype(np.int8)
     try:
-        return PreparedDataset.from_columns(h, seg_ids, **cols)
+        return PreparedDataset(h, **cols)
     except DataError as exc:
-        for sid in np.unique(seg_ids):
-            rows = np.flatnonzero(seg_ids == sid)
-            bad = off_grid_row(cols["t"][rows], h)
-            if bad is not None:
-                line = _row_line(path, int(rows[bad]))
-                raise SchemaError(f"{path.name}:{line}: column 't': {exc}") from None
+        bad = off_grid_row(cols["t"], cols["segment"], h)
+        if bad is not None:
+            raise SchemaError(f"{path.name}:{_row_line(path, bad)}: column 't': {exc}") from None
         raise
 
 
@@ -369,10 +365,6 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
         doc["sigma_override"] = {"u": asdict(su), "v": asdict(sv), "r": asdict(sr)}
     doc["_units"] = _GT_UNITS
     write_json(path, doc)
-
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    return parse_ground_truth(read_json(path), Path(path).name)
 
 
 def parse_ground_truth(doc: dict, source: str) -> GroundTruth:

@@ -123,7 +123,8 @@ def partition(
         )
 
     # by_segments: whole segments, shared across the three axes
-    lengths = {seg.segment_id: len(seg) for seg in ds.segments}
+    ids, counts = np.unique(ds.segment, return_counts=True)
+    lengths = dict(zip(ids.tolist(), counts.tolist()))
     if len(lengths) < 2:
         raise DataError("segment partition needs at least two segments")
     rng = np.random.default_rng(spec.seed)
@@ -275,15 +276,15 @@ def prediction_traces(
 
     The time stamps the predicted instant (one step past the row's k).
     """
-    seg_t = {seg.segment_id: seg.t for seg in ds.segments}
+    ids, starts = np.unique(ds.segment, return_index=True)
     out: list[tuple[float, str, float, float]] = []
     for axis in AXES:
         system = systems[axis]
         idx = np.arange(system.n_rows) if rows is None else np.asarray(rows[axis], dtype=int)
         truth, pred = _predict(model, system, idx)
-        for j, i in enumerate(idx):
-            t = seg_t[int(system.segment[i])][system.k[i]]
-            out.append((float(t + ds.h), axis, float(truth[j]), float(pred[j])))
+        ds_rows = starts[np.searchsorted(ids, system.segment[idx])] + system.k[idx]
+        times = ds.t[ds_rows] + ds.h
+        out.extend(zip(times.tolist(), [axis] * idx.size, truth.tolist(), pred.tolist()))
     out.sort(key=lambda row: (row[1], row[0]))
     return out
 

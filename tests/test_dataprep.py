@@ -110,6 +110,15 @@ class TestResampleCausal:
         assert list(valid) == [False, False, False, True, True]
         assert np.all(np.isnan(vals[~valid]))
 
+    def test_short_history_evaluated_at_grid_time(self):
+        # Points with fewer samples than the window fit those they have and,
+        # like full-window points, evaluate the fit at the grid time.
+        t = np.arange(0, 1, 0.1)
+        grid = np.array([0.05, 0.15, 0.25, 0.35])
+        vals, valid = resample_causal(t, 2 * t + 1, grid, 1, 4)
+        assert list(valid) == [False, True, True, True]
+        assert np.allclose(vals[1:], 2 * grid[1:] + 1, rtol=0.0, atol=1e-12)
+
     def test_causality_by_perturbation(self):
         t = np.arange(0, 10, 0.1)
         y = np.sin(t)
@@ -290,12 +299,13 @@ def synthetic_logs(duration=60.0, gap_at=None, gap_len=1.0):
 class TestBuildPreparedDataset:
     def test_uniform_grid(self):
         ds = build_prepared_dataset(synthetic_logs(), REF)
-        for seg in ds.segments:
-            assert np.allclose(np.diff(seg.t), ds.h, atol=1e-9)
+        within = ds.k[1:] > 0  # steps between rows of one segment
+        assert np.allclose(np.diff(ds.t)[within], ds.h, atol=1e-9)
 
     def test_gap_splits_segments(self):
         ds = build_prepared_dataset(synthetic_logs(gap_at=30.0, gap_len=1.5), REF)
-        assert len(ds.segments) == 2
+        assert ds.summary()["segments"] == 2
+        assert np.unique(ds.segment).tolist() == [0, 1]
 
     def test_summary_counts(self):
         ds = build_prepared_dataset(synthetic_logs(), REF)
@@ -314,11 +324,10 @@ class TestBuildPreparedDataset:
         )
         base = build_prepared_dataset(small_bundle, REF)
         ds = build_prepared_dataset(shifted, REF)
-        assert [len(s) for s in ds.segments] == [len(s) for s in base.segments]
-        for seg, ref_seg in zip(ds.segments, base.segments):
-            assert np.array_equal(seg.region, ref_seg.region)
-            for name in ("u", "v", "r"):
-                assert np.allclose(getattr(seg, name), getattr(ref_seg, name), rtol=0.0, atol=1e-6)
+        assert np.array_equal(ds.segment, base.segment)
+        assert np.array_equal(ds.region, base.region)
+        for name in ("u", "v", "r"):
+            assert np.allclose(getattr(ds, name), getattr(base, name), rtol=0.0, atol=1e-6)
 
     def test_epoch_grid_keeps_last_point(self):
         # (t[-1] - t0) / h is 298.99999976 near 1.7e9 s: the grid must still end
@@ -332,9 +341,7 @@ class TestBuildPreparedDataset:
         ds = build_prepared_dataset(shifted, REF)
         assert base.n_samples == ds.n_samples == 296
         for name in ("u", "v", "r"):
-            got = np.concatenate([getattr(seg, name) for seg in ds.segments])
-            want = np.concatenate([getattr(seg, name) for seg in base.segments])
-            assert np.max(np.abs(got - want)) < 1e-7
+            assert np.max(np.abs(getattr(ds, name) - getattr(base, name))) < 1e-7
 
     def test_empty_data_rejected(self):
         raw = synthetic_logs()
@@ -351,27 +358,44 @@ class TestBuildPreparedDataset:
             PrepareConfig(heading_window=5)  # degree 8 needs >= 9 samples
 
 
-class TestPreparedColumns:
-    def test_columns_then_from_columns_round_trip(self, ds_static):
-        cols = ds_static.columns()
-        lengths = [len(seg) for seg in ds_static.segments]
-        assert np.array_equal(cols["k"], np.concatenate([np.arange(n) for n in lengths]))
-        segment = cols.pop("segment")
-        del cols["k"]
-        back = PreparedDataset.from_columns(ds_static.h, segment, **cols)
-        assert [s.segment_id for s in back.segments] == [s.segment_id for s in ds_static.segments]
-        for got, want in zip(back.segments, ds_static.segments):
-            for name in ("t", "u", "v", "r", "delta_mean", "delta_diff", "region"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    def test_from_columns_sorts_ids_and_keeps_row_order(self):
-        segment = np.array([7, 2, 7, 2, 7])
-        t = np.array([0.0, 5.0, 0.2, 5.2, 0.4])
-        zeros = np.zeros(5)
-        ds = PreparedDataset.from_columns(
-            0.2, segment, t=t, u=np.arange(5.0), v=zeros, r=zeros, delta_mean=zeros,
-            delta_diff=zeros, region=np.zeros(5, dtype=np.int8),
+class TestPreparedDataset:
+    @staticmethod
+    def table(segment, t, u):
+        zeros = np.zeros(len(t))
+        return PreparedDataset(
+            0.2, segment, t=np.asarray(t), u=np.asarray(u, dtype=float), v=zeros, r=zeros,
+            delta_mean=zeros, delta_diff=zeros, region=np.zeros(len(t), dtype=np.int8),
         )
-        assert [s.segment_id for s in ds.segments] == [2, 7]
-        assert list(ds.segments[0].u) == [1.0, 3.0]
-        assert list(ds.segments[1].u) == [0.0, 2.0, 4.0]
+
+    def test_sorts_ids_and_keeps_row_order(self):
+        ds = self.table([7, 2, 7, 2, 7], [0.0, 5.0, 0.2, 5.2, 0.4], np.arange(5.0))
+        assert ds.segment.tolist() == [2, 2, 7, 7, 7]
+        assert ds.u.tolist() == [1.0, 3.0, 0.0, 2.0, 4.0]
+        assert ds.t.tolist() == [5.0, 5.2, 0.0, 0.2, 0.4]
+        assert ds.k.tolist() == [0, 1, 0, 1, 2]
+        assert ds.summary()["segments"] == 2 and ds.n_samples == 5
+
+    def test_columns_round_trip_through_constructor(self, ds_static):
+        cols = ds_static.columns()
+        assert list(cols) == ["t", "u", "v", "r", "delta_mean", "delta_diff", "region",
+                              "segment", "k"]
+        assert (cols["segment"].dtype, cols["k"].dtype, cols["region"].dtype) == (
+            np.int64, np.int64, np.int8)
+        lengths = np.bincount(cols["segment"])
+        assert np.array_equal(cols["k"], np.concatenate([np.arange(n) for n in lengths]))
+        del cols["k"]
+        back = PreparedDataset(ds_static.h, **cols)
+        for name, want in ds_static.columns().items():
+            assert np.array_equal(getattr(back, name), want), name
+
+    def test_steps_checked_within_segments_only(self):
+        # The jump from 0.2 to 5.0 crosses a segment boundary, so it is allowed.
+        self.table([0, 0, 1, 1], [0.0, 0.2, 5.0, 5.2], np.zeros(4))
+        with pytest.raises(DataError, match="step by exactly h"):
+            self.table([0, 0, 0], [0.0, 0.2, 0.5], np.zeros(3))
+
+    def test_bad_columns_rejected(self):
+        with pytest.raises(DataError, match="length mismatch"):
+            self.table([0, 0, 0], [0.0, 0.2, 0.4], np.zeros(2))
+        with pytest.raises(DataError, match="column u has non-finite"):
+            self.table([0, 0], [0.0, 0.2], [0.0, np.nan])

@@ -4,8 +4,7 @@ import pytest
 from asvid.errors import DataError
 from asvid.estimator import (
     CONDITION_WARN_THRESHOLD,
-    identify_dynamic,
-    identify_static,
+    identify_from_systems,
     resolve_alpha,
     solve_least_squares,
 )
@@ -176,17 +175,21 @@ class TestResolveAlpha:
             resolve_alpha(np.zeros(11), np.zeros(21), np.zeros(20))
 
 
+def identify(ds, kind):
+    return identify_from_systems(kind, build_systems(ds, kind), ds.h)
+
+
 class TestIdentify:
     def test_static_recovery(self, gt_static, ds_static):
         x = known_params_to_X(gt_static, "static")
-        model = identify_static(ds_static)
+        model = identify(ds_static, "static")
         for axis in ("u", "v", "r"):
             rel = np.max(np.abs(model.vector(axis) - x[axis]) / np.abs(x[axis]))
             assert rel < 1e-8
 
     def test_dynamic_recovery(self, gt_dynamic, ds_dynamic):
         x = known_params_to_X(gt_dynamic, "dynamic")
-        model = identify_dynamic(ds_dynamic)
+        model = identify(ds_dynamic, "dynamic")
         for axis in ("u", "v", "r"):
             rel = np.max(np.abs(model.vector(axis) - x[axis]) / np.abs(x[axis]))
             assert rel < 1e-6
@@ -198,13 +201,13 @@ class TestIdentify:
         frames = prbs_frames(1500, seed=9, mean_levels=(0.3, 0.5, 0.7), diff_levels=(-0.2, 0.0, 0.2))
         cfg = DiscreteGenConfig(steps=1500, kind="static", schedule=frames, seed=9)
         ds = generate_discrete(gt_static, cfg)
-        model = identify_static(ds)
+        model = identify(ds, "static")
         assert model.sway[9] == 0.0 and model.sway[11] == 0.0
         assert model.yaw[9] == 0.0 and model.yaw[11] == 0.0
         assert model.reports["v"].rank_deficient
 
     def test_static_model_has_no_alpha(self, ds_static):
-        model = identify_static(ds_static)
+        model = identify(ds_static, "static")
         assert model.alpha is None
         assert model.kind == "static"
 
@@ -217,7 +220,7 @@ class TestIdentify:
         assert np.all(x["r"][17:] == 0.0)
 
     def test_determinism(self, ds_static):
-        m1 = identify_static(ds_static)
-        m2 = identify_static(ds_static)
+        m1 = identify(ds_static, "static")
+        m2 = identify(ds_static, "static")
         for axis in ("u", "v", "r"):
             assert np.array_equal(m1.vector(axis), m2.vector(axis))

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from asvid.dataprep import PreparedDataset, Segment
+from asvid.dataprep import PreparedDataset
 from asvid.estimator import IdentifiedModel, resolve_alpha
 from asvid.model import (
     REGION_SIGN,
@@ -68,16 +68,12 @@ def input_gain(kind: str, axis: str, f, x: np.ndarray) -> float:
 
 def one_step_dataset(*frames) -> PreparedDataset:
     """A three-step segment at rest per frame, then an all-FF one so every system has rows."""
-    segments = []
-    for sid, (mean, diff, region) in enumerate((*frames, frame(0.5, 0.5))):
-        segments.append(
-            Segment(
-                segment_id=sid, t=0.2 * np.arange(3), u=np.zeros(3), v=np.zeros(3),
-                r=np.zeros(3), delta_mean=np.full(3, mean), delta_diff=np.full(3, diff),
-                region=np.full(3, region, np.int8), h=0.2,
-            )
-        )
-    return PreparedDataset(segments=segments, h=0.2)
+    mean, diff, region = np.repeat([*frames, frame(0.5, 0.5)], 3, axis=0).T
+    n = mean.size
+    return PreparedDataset(
+        0.2, np.arange(n) // 3, t=0.2 * (np.arange(n) % 3), u=np.zeros(n), v=np.zeros(n),
+        r=np.zeros(n), delta_mean=mean, delta_diff=diff, region=region.astype(np.int8),
+    )
 
 
 class TestClassifyRegion:
@@ -177,19 +173,19 @@ class TestPwmFrame:
 
     def test_from_mean_diff(self, gt_static):
         cfg = DiscreteGenConfig(steps=3, kind="static", schedule=np.tile([0.5, 0.2], (3, 1)))
-        seg = generate_discrete(gt_static, cfg).segments[0]
-        assert seg.delta_mean.tolist() == [0.5] * 3 and seg.delta_diff.tolist() == [0.2] * 3
-        assert seg.region.tolist() == [OperatingRegion.FF] * 3
+        ds = generate_discrete(gt_static, cfg)
+        assert ds.delta_mean.tolist() == [0.5] * 3 and ds.delta_diff.tolist() == [0.2] * 3
+        assert ds.region.tolist() == [OperatingRegion.FF] * 3
 
     def test_region_consistency(self, gt_static, rng):
         # the generator labels each step by the signs of mean +- diff/2
         dl, dr = rng.uniform(-1, 1, size=(2, 200))
         schedule = np.column_stack([(dl + dr) / 2.0, dl - dr])
-        seg = generate_discrete(
+        ds = generate_discrete(
             gt_static, DiscreteGenConfig(steps=200, kind="static", schedule=schedule)
-        ).segments[0]
-        assert seg.region.tolist() == [by_sign(a, b) for a, b in zip(dl, dr)]
-        assert set(seg.region.tolist()) == {0, 1, 2, 3}
+        )
+        assert ds.region.tolist() == [by_sign(a, b) for a, b in zip(dl, dr)]
+        assert set(ds.region.tolist()) == {0, 1, 2, 3}
 
     def test_range_enforced(self, gt_static):
         # one command at 1.2 (the other at 0), then a NaN mean: both commands NaN
@@ -287,8 +283,8 @@ def zero_disturbance_run(alpha: float, schedule: np.ndarray, g0) -> np.ndarray:
         sigma_override=(SigmaSurge(0, 0, 0, 0, 0), SigmaSwayYaw(*[0] * 9), SigmaSwayYaw(*[0] * 9)),
     )
     cfg = DiscreteGenConfig(steps=len(schedule), kind="dynamic", schedule=schedule, g0=g0)
-    seg = generate_discrete(gt, cfg).segments[0]
-    return np.diff(np.column_stack([seg.u, seg.v, seg.r]), axis=0)
+    ds = generate_discrete(gt, cfg)
+    return np.diff(np.column_stack([ds.u, ds.v, ds.r]), axis=0)
 
 
 class TestDynamicInputGain:

@@ -193,11 +193,10 @@ class TestGenerateDiscrete:
         )
         cfg = DiscreteGenConfig(steps=50, kind="static", schedule=np.zeros((50, 2)))
         ds = generate_discrete(gt, cfg)
-        seg = ds.segments[0]
-        assert np.all(seg.u == 0.0) and np.all(seg.v == 0.0) and np.all(seg.r == 0.0)
+        assert np.all(ds.u == 0.0) and np.all(ds.v == 0.0) and np.all(ds.r == 0.0)
 
     def test_noise_scaling_of_parameter_error(self, gt_static):
-        from asvid.estimator import identify_static
+        from asvid.estimator import identify_from_systems
 
         x = known_params_to_X(gt_static, "static")
 
@@ -205,7 +204,8 @@ class TestGenerateDiscrete:
             cfg = DiscreteGenConfig(
                 steps=4000, kind="static", seed=11, noise_std=(noise,) * 3, n_segments=2
             )
-            model = identify_static(generate_discrete(gt_static, cfg))
+            ds = generate_discrete(gt_static, cfg)
+            model = identify_from_systems("static", build_systems(ds, "static"), ds.h)
             return max(
                 float(np.max(np.abs(model.vector(a) - x[a]))) for a in ("u", "v", "r")
             )
@@ -214,9 +214,10 @@ class TestGenerateDiscrete:
         assert 3.0 < e_large / e_small < 30.0  # error scales about linearly with noise
 
     def test_segment_count_and_grid(self, ds_static):
-        assert len(ds_static.segments) == 4
-        for seg in ds_static.segments:
-            assert np.allclose(np.diff(seg.t), ds_static.h, atol=1e-12)
+        assert ds_static.summary()["segments"] == 4
+        for sid in range(4):
+            seg_t = ds_static.t[ds_static.segment == sid]
+            assert np.allclose(np.diff(seg_t), ds_static.h, atol=1e-12)
 
     def test_divergence_guard(self, gt_static):
         unstable = replace(gt_static, x_u=60.0, x_uu=8.0, sigma_override=None)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from asvid import cli, storage
+from asvid.dataprep import GeoReference
 from asvid.oracle import default_ground_truth, smooth_excitation
 from asvid.regressors import build_systems
 
@@ -56,6 +57,20 @@ def test_raw_log_attrs_read_real_storage_calls(tmp_path, small_bundle):
         ("storage.write_raw_logs", {"bytes": written}),
         ("storage.read_raw_logs", {"rows": rows}),
     ]
+
+
+def test_dataprep_attrs_read_a_real_build(small_bundle):
+    spans = load_perfbench("spans")
+    sites = [site for site in spans.SITES if site[2].startswith("dataprep.")]
+    with spans.Tracer(sites) as tracer:
+        ds = cli.build_prepared_dataset(small_bundle, GeoReference(lat0=37.4, lon0=-6.0))
+    (build,) = [s for s in tracer.spans if s.name == "dataprep.build_prepared_dataset"]
+    assert build.attrs == {"points": ds.n_samples}
+    resamples = [s for s in tracer.spans if s.name == "dataprep.resample_causal"]
+    assert resamples and all(s.parent == build.span_id for s in resamples)
+    # The grid spans the GNSS log at the default step of 0.2 s.
+    n_grid = round((small_bundle.gnss_t[-1] - small_bundle.gnss_t[0]) / 0.2) + 1
+    assert {s.attrs["grid_points"] for s in resamples} == {n_grid}
 
 
 def test_simulate_site_counts_substeps():

@@ -11,7 +11,6 @@ from asvid.dataprep import (
     PreparedDataset,
     RawLogBundle,
     SavGolConfig,
-    Segment,
     _ulps,
     resample_causal,
     savitzky_golay,
@@ -31,19 +30,23 @@ def same_bits(a, b) -> bool:
 
 @st.composite
 def prepared_datasets(draw):
+    """Tables whose segments come grouped, in a shuffled id order."""
     h = draw(st.sampled_from([0.2, 0.1, 0.05, 0.013, 1.0]))
     lengths = draw(st.lists(st.integers(2, 50), min_size=1, max_size=6))
     ids = sorted(draw(st.lists(st.integers(0, 10_000), min_size=len(lengths),
                                max_size=len(lengths), unique=True)))
     t0 = draw(epoch)
-    segments = []
-    for i, (sid, n) in enumerate(zip(ids, lengths)):
-        values = dict(zip(("u", "v", "r", "delta_mean", "delta_diff"),
-                          draw(arrays(np.float64, (5, n), elements=finite))))
-        region = draw(arrays(np.int8, n, elements=st.integers(0, 3)))
-        t = (t0 + 100.0 * i) + h * np.arange(n)
-        segments.append(Segment(segment_id=sid, t=t, region=region, h=h, **values))
-    return PreparedDataset(segments=segments, h=h)
+    # Segment i keeps its time span whatever its place in the file.
+    order = draw(st.permutations(range(len(lengths))))
+    n = sum(lengths)
+    return PreparedDataset(
+        h,
+        np.repeat([ids[i] for i in order], [lengths[i] for i in order]),
+        t=np.concatenate([(t0 + 100.0 * i) + h * np.arange(lengths[i]) for i in order]),
+        region=draw(arrays(np.int8, n, elements=st.integers(0, 3))),
+        **dict(zip(("u", "v", "r", "delta_mean", "delta_diff"),
+                   draw(arrays(np.float64, (5, n), elements=finite)))),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,10 +56,19 @@ def test_prepared_csv_round_trip_is_bitwise(tmp_path_factory, ds):
     storage.write_prepared_csv(path, ds)
     back = storage.read_prepared_csv(path)
     assert back.h == ds.h
-    assert [s.segment_id for s in back.segments] == [s.segment_id for s in ds.segments]
-    for want, got in zip(ds.segments, back.segments):
-        for name in ("t", "u", "v", "r", "delta_mean", "delta_diff", "region"):
-            assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name, want in ds.columns().items():
+        assert same_bits(getattr(back, name), want), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=prepared_datasets())
+def test_constructor_groups_rows_by_ascending_id(ds):
+    # Each segment's span comes after those of all smaller ids, so the time
+    # column ascends only if the groups were sorted and kept their row order.
+    assert np.all(np.diff(ds.segment) >= 0)
+    assert np.all(np.diff(ds.t) > 0)
+    _, counts = np.unique(ds.segment, return_counts=True)
+    assert ds.k.tolist() == [k for n in counts for k in range(n)]
 
 
 @st.composite

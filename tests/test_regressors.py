@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asvid.dataprep import PreparedDataset, Segment
+from asvid.dataprep import PreparedDataset
 from asvid.errors import DataError
 from asvid.model import OperatingRegion, classify_regions
 from asvid.oracle import (
@@ -19,25 +19,30 @@ H = 0.2
 
 
 def make_segment(u, v, r, mean, diff, segment_id=0):
+    """The columns of one segment, one row per entry of ``u``."""
     u = np.asarray(u, dtype=float)
     mean = np.asarray(mean, dtype=float)
     diff = np.asarray(diff, dtype=float)
-    region = classify_regions(mean + diff / 2.0, mean - diff / 2.0)
-    return Segment(
-        segment_id=segment_id,
+    return dict(
+        segment=np.full(u.size, segment_id),
         t=H * np.arange(u.size),
         u=u,
         v=np.asarray(v, dtype=float),
         r=np.asarray(r, dtype=float),
         delta_mean=mean,
         delta_diff=diff,
-        region=region,
-        h=H,
+        region=classify_regions(mean + diff / 2.0, mean - diff / 2.0),
     )
 
 
 def dataset(*segments):
-    return PreparedDataset(segments=list(segments), h=H)
+    return PreparedDataset(H, **{name: np.concatenate([s[name] for s in segments])
+                                 for name in segments[0]})
+
+
+def row_of(ds):
+    """(segment id, k) -> the dataset row, built from the columns one row at a time."""
+    return {(sid, k): i for i, (sid, k) in enumerate(zip(ds.segment.tolist(), ds.k.tolist()))}
 
 
 def with_ff(seg):
@@ -208,12 +213,14 @@ class TestDynamicSwayYawRows:
         assert np.array_equal(sys_v.a[:, 15], sys_r.a[:, 0])
 
     def test_mixed_region_rows_excluded(self, ds_dynamic):
-        seg_by_id = {seg.segment_id: seg for seg in ds_dynamic.segments}
+        row = row_of(ds_dynamic)
+        region = ds_dynamic.region
         sys = build_systems(ds_dynamic, "dynamic")["v"]
-        for sid, k in zip(sys.segment, sys.k):
-            seg = seg_by_id[sid]
-            assert seg.region[k] == seg.region[k - 1]
-            assert seg.region[k] != OperatingRegion.RR
+        for sid, k in zip(sys.segment.tolist(), sys.k.tolist()):
+            i = row[sid, k]
+            assert row[sid, k - 1] == i - 1
+            assert region[i] == region[i - 1]
+            assert region[i] != OperatingRegion.RR
 
 
 class TestAgainstGenerator:
@@ -238,15 +245,16 @@ class TestAgainstGenerator:
             assert tuple(len(TERMS[(kind, axis)]) for axis in "uvr") == paper[kind]
 
     def test_row_provenance_valid(self, ds_static):
-        seg_by_id = {seg.segment_id: seg for seg in ds_static.segments}
+        row = row_of(ds_static)
+        region = ds_static.region
         for axis, sys in build_systems(ds_static, "static").items():
-            for sid, k in zip(sys.segment, sys.k):
-                seg = seg_by_id[sid]
-                assert 0 <= k < len(seg) - 1  # successor exists
+            for sid, k in zip(sys.segment.tolist(), sys.k.tolist()):
+                i = row[sid, k]
+                assert row[sid, k + 1] == i + 1  # successor exists
                 if axis == "u":
-                    assert seg.region[k] == OperatingRegion.FF
+                    assert region[i] == OperatingRegion.FF
                 else:
-                    assert seg.region[k] != OperatingRegion.RR
+                    assert region[i] != OperatingRegion.RR
 
     def test_no_rr_rows(self, rng):
         # force a schedule with reverse-reverse steps in the middle

@@ -7,9 +7,14 @@ import pytest
 from asvid import storage
 from asvid.cli import main
 from asvid.errors import SchemaError
-from asvid.estimator import identify_dynamic, identify_static
+from asvid.estimator import identify_from_systems
 from asvid.model import ThrustStaticParams
 from asvid.oracle import SigmaSurge, SigmaSwayYaw, default_ground_truth, known_params_to_X
+from asvid.regressors import build_systems
+
+
+def identify(ds, kind):
+    return identify_from_systems(kind, build_systems(ds, kind), ds.h)
 
 
 class TestRawLogs:
@@ -57,15 +62,8 @@ class TestPreparedCsv:
         storage.write_prepared_csv(path, ds_static)
         back = storage.read_prepared_csv(path)
         assert back.h == ds_static.h
-        assert len(back.segments) == len(ds_static.segments)
-        for s1, s2 in zip(ds_static.segments, back.segments):
-            assert np.array_equal(s1.t, s2.t)
-            assert np.array_equal(s1.u, s2.u)
-            assert np.array_equal(s1.v, s2.v)
-            assert np.array_equal(s1.r, s2.r)
-            assert np.array_equal(s1.delta_mean, s2.delta_mean)
-            assert np.array_equal(s1.delta_diff, s2.delta_diff)
-            assert np.array_equal(s1.region, s2.region)
+        for name, want in ds_static.columns().items():
+            assert np.array_equal(getattr(back, name), want), name
 
     def test_header_contract(self, tmp_path, ds_static):
         path = tmp_path / "prepared.csv"
@@ -91,8 +89,8 @@ class TestPreparedCsv:
         path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
         back = storage.read_prepared_csv(path)
         assert back.h == pytest.approx(ds_static.h, rel=1e-12)
-        assert np.array_equal(back.segments[0].u, ds_static.segments[0].u)
-        assert back.segments[0].x is None
+        assert np.array_equal(back.u, ds_static.u)
+        assert back.x is None
 
     @pytest.mark.parametrize("column, cell", [
         (2, "abc"), (2, "nan"), (0, "inf"), (1, "1.5"), (7, "XX"), (7, None),
@@ -116,7 +114,7 @@ class TestPreparedCsv:
         path.write_text("\n".join(["# note", *lines[:5], "", "# another", *lines[5:]]) + "\n")
         back = storage.read_prepared_csv(path)
         assert back.h == ds_static.h
-        assert np.array_equal(back.segments[0].u, ds_static.segments[0].u)
+        assert np.array_equal(back.u, ds_static.u)
 
     @pytest.mark.parametrize("value", ["abc", "inf", "-0.2"])
     def test_malformed_h_record_rejected(self, tmp_path, ds_static, value):
@@ -131,7 +129,7 @@ class TestPreparedCsv:
 
 class TestModelFile:
     def test_round_trip_bitwise(self, tmp_path, ds_static):
-        model = identify_static(ds_static)
+        model = identify(ds_static, "static")
         path = tmp_path / "model.json"
         storage.write_model_file(path, model, {"note": 1})
         back = storage.read_model_file(path)
@@ -142,7 +140,7 @@ class TestModelFile:
         assert back.alpha is None
 
     def test_version_gate(self, tmp_path, ds_static):
-        model = identify_static(ds_static)
+        model = identify(ds_static, "static")
         path = tmp_path / "model.json"
         storage.write_model_file(path, model)
         doc = json.loads(path.read_text())
@@ -170,7 +168,7 @@ class TestModelFile:
         assert dyn_v == dynamic["r"]
 
     def test_write_read_write_identical(self, tmp_path, ds_static, ds_dynamic):
-        for model in (identify_static(ds_static), identify_dynamic(ds_dynamic)):
+        for model in (identify(ds_static, "static"), identify(ds_dynamic, "dynamic")):
             first, second = tmp_path / "first.json", tmp_path / "second.json"
             storage.write_model_file(first, model, {"dataset_sha256": "ab", "created_unix": 0})
             storage.write_model_file(second, storage.read_model_file(first))
@@ -184,7 +182,7 @@ class TestGroundTruthFile:
     def test_round_trip(self, tmp_path, gt_dynamic):
         path = tmp_path / "gt.json"
         storage.write_ground_truth(path, gt_dynamic)
-        back = storage.read_ground_truth(path)
+        back = storage.parse_ground_truth(storage.read_json(path), path.name)
         assert back == gt_dynamic
 
     def test_round_trip_with_overrides(self, tmp_path, gt_static):
@@ -200,7 +198,7 @@ class TestGroundTruthFile:
         )
         path = tmp_path / "gt.json"
         storage.write_ground_truth(path, gt)
-        assert storage.read_ground_truth(path) == gt
+        assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt
 
     def test_missing_field_reported(self, tmp_path, gt_static):
         path = tmp_path / "gt.json"
@@ -209,7 +207,7 @@ class TestGroundTruthFile:
         del doc["y_v"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="y_v"):
-            storage.read_ground_truth(path)
+            storage.parse_ground_truth(storage.read_json(path), path.name)
 
 
 class TestCli:
@@ -438,7 +436,7 @@ ERROR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_bad_input_exits_2_naming_the_file(case, tmp_path, ds_static, small_bundle, capsys):
-    model = identify_static(ds_static)
+    model = identify(ds_static, "static")
     argv, where = ERROR_CASES[case](tmp_path, ds_static, model, small_bundle)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from asvid.dataprep import PreparedDataset, Segment
+from asvid.dataprep import PreparedDataset
 from asvid.errors import DataError
 from asvid.estimator import IdentifiedModel, identify_from_systems
 from asvid.oracle import DiscreteGenConfig, generate_discrete, known_params_to_X
@@ -46,25 +46,14 @@ def fake_systems(n_u: int, n_vr: int, n_segments: int = 1):
 
 
 def fake_dataset(segment_lengths):
-    segments = []
-    t0 = 0.0
-    for sid, n in enumerate(segment_lengths):
-        t = t0 + H * np.arange(n)
-        t0 = t[-1] + 5 * H
-        segments.append(
-            Segment(
-                segment_id=sid,
-                t=t,
-                u=np.zeros(n),
-                v=np.zeros(n),
-                r=np.zeros(n),
-                delta_mean=np.full(n, 0.3),
-                delta_diff=np.zeros(n),
-                region=np.zeros(n, dtype=np.int8),
-                h=H,
-            )
-        )
-    return PreparedDataset(segments=segments, h=H)
+    """At-rest segments of the given lengths, each starting 5 steps after the last one ends."""
+    segment = np.repeat(np.arange(len(segment_lengths)), segment_lengths)
+    n = segment.size
+    return PreparedDataset(
+        H, segment, t=H * (np.arange(n) + 4 * segment), u=np.zeros(n), v=np.zeros(n),
+        r=np.zeros(n), delta_mean=np.full(n, 0.3), delta_diff=np.zeros(n),
+        region=np.zeros(n, dtype=np.int8),
+    )
 
 
 class TestPartitionSpec:
@@ -225,6 +214,27 @@ class TestPredictors:
         )
         traces = prediction_traces(model, systems, ds_dynamic)
         assert max(abs(truth - pred) for _, _, truth, pred in traces) < 1e-12
+
+    def test_trace_times_stamp_the_predicted_step(self, gt_static):
+        # Segment ids out of order and not 0..n-1: each trace time is the
+        # time of the row's (segment, k) plus one step.
+        cfg = DiscreteGenConfig(steps=300, kind="static", seed=2, n_segments=3)
+        gen = generate_discrete(gt_static, cfg)
+        cols = gen.columns()
+        del cols["k"]
+        cols["segment"] = np.array([9, 4, 6])[cols["segment"]]
+        ds = PreparedDataset(gen.h, **cols)
+        systems = build_systems(ds, "static")
+        t_of = {(sid, k): t for sid, k, t in zip(ds.segment.tolist(), ds.k.tolist(), ds.t.tolist())}
+        model = IdentifiedModel(kind="static", surge=np.zeros(7), sway=np.zeros(13),
+                                yaw=np.zeros(13))
+        got = [(axis, t) for t, axis, _, _ in prediction_traces(model, systems, ds)]
+        want = sorted(
+            (axis, t_of[sid, k] + ds.h)
+            for axis, sys in systems.items()
+            for sid, k in zip(sys.segment.tolist(), sys.k.tolist())
+        )
+        assert got == want
 
     def test_kind_mismatch_rejected(self, ds_static):
         systems = build_systems(ds_static, "static")
