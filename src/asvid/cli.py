@@ -40,6 +40,7 @@ from .estimator import identify_from_systems
 from .validate import (
     PartitionSpec,
     evaluate,
+    fit_split,
     partition,
     prediction_traces,
     sensitivity_study,
@@ -241,7 +242,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         spec = PartitionSpec(args.method, args.train_fraction, seed)
         split = partition(ds, spec, kind, systems=systems)
-        model = identify_from_systems(kind, systems, ds.h, rows=split.train)
+        model = fit_split(kind, systems, ds.h, split)
         info = split.describe()
         train_metrics = evaluate(model, systems, split.train, {**info, "side": "train"})
         val_metrics = evaluate(model, systems, split.val, {**info, "side": "validation"})
@@ -255,11 +256,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.sensitivity:
         spec = PartitionSpec(args.method, args.train_fraction, seed)
-        report = sensitivity_study(ds, kind, spec, repetitions=args.sensitivity)
+        report = sensitivity_study(ds, kind, spec, args.sensitivity, systems=systems)
         doc["sensitivity"] = asdict(report)
     if args.sweep:
         fractions = tuple(float(f) for f in args.sweep.split(","))
-        sweep = training_fraction_sweep(ds, kind, fractions, seed=seed)
+        sweep = training_fraction_sweep(ds, kind, fractions, seed=seed, systems=systems)
         doc["sweep"] = [
             {
                 "train_fraction": entry["train_fraction"],

@@ -3,6 +3,8 @@
 The per-axis parameter vectors come from SVD-based least squares (orthogonal
 factorization; minimum-norm solution when a system is rank deficient, which
 happens by construction when a dataset contains no asymmetric-thrust rows).
+A fit on whole segments solves the same problem from the merged R factors of
+the segments' ``[A | b]`` rows, whose top block has the singular values of A.
 For the first-order propeller model the three solved vectors overdetermine
 the shared pole; :func:`resolve_alpha` extracts it from the six pole-coupled
 entries by damped Gauss-Newton.
@@ -10,7 +12,9 @@ entries by damped Gauss-Newton.
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +95,50 @@ class IdentifiedModel:
         return {"u": self.surge, "v": self.sway, "r": self.yaw}[axis]
 
 
+def _solve(
+    a: np.ndarray, b: np.ndarray, label: str, rows_used: int, tail: float | None = None
+) -> LeastSquaresReport:
+    """Minimum-norm ``lstsq`` of ``a x = b`` and its health indicators.
+
+    ``tail`` is the part of the residual norm that ``b`` cannot show: the
+    last diagonal entry of the R factor of ``[A | b]`` when ``a, b`` are the
+    top rows of that factor.
+    """
+    n = a.shape[1]
+    solution, _, rank, sv = np.linalg.lstsq(a, b, rcond=np.finfo(float).eps)
+    # A column of exact zeros (structural cancellation) has minimum-norm
+    # coefficient exactly zero; clear the rounding dust the SVD leaves there.
+    dead = ~np.any(a != 0.0, axis=0)
+    if np.any(dead):
+        solution[dead] = 0.0
+    residual_norm = float(np.linalg.norm(a @ solution - b))
+    if tail is not None:
+        residual_norm = math.hypot(residual_norm, tail)
+    smallest = sv[min(rank, len(sv)) - 1] if rank > 0 else 0.0
+    condition = float(sv[0] / smallest) if smallest > 0 else np.inf
+    if condition > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"{label} system condition estimate {condition:.2e} "
+            f"exceeds {CONDITION_WARN_THRESHOLD:.0e}",
+            stacklevel=3,
+        )
+    return LeastSquaresReport(
+        solution=solution,
+        residual_norm=residual_norm,
+        condition_estimate=condition,
+        rank=int(rank),
+        rows_used=rows_used,
+        rank_deficient=rank < n,
+    )
+
+
+def _check_rows(sys: RegressionSystem, m: int) -> None:
+    if m < sys.n_cols:
+        raise DataError(
+            f"{sys.model_kind}/{sys.axis}: {m} rows cannot determine {sys.n_cols} columns"
+        )
+
+
 def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
     """Minimize ||A x - b|| by SVD (minimum-norm solution if rank deficient).
 
@@ -101,32 +149,28 @@ def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
     tall, nearly rank-deficient systems, so the threshold is passed
     explicitly.
     """
-    m, n = sys.a.shape
-    if m < n:
-        raise DataError(f"{sys.model_kind}/{sys.axis}: {m} rows cannot determine {n} columns")
-    solution, _, rank, sv = np.linalg.lstsq(sys.a, sys.b, rcond=np.finfo(float).eps)
-    # A column of exact zeros (structural cancellation) has minimum-norm
-    # coefficient exactly zero; clear the rounding dust the SVD leaves there.
-    dead = ~np.any(sys.a != 0.0, axis=0)
-    if np.any(dead):
-        solution[dead] = 0.0
-    residual_norm = float(np.linalg.norm(sys.a @ solution - sys.b))
-    smallest = sv[min(rank, len(sv)) - 1] if rank > 0 else 0.0
-    condition = float(sv[0] / smallest) if smallest > 0 else np.inf
-    if condition > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"{sys.model_kind}/{sys.axis} system condition estimate {condition:.2e} "
-            f"exceeds {CONDITION_WARN_THRESHOLD:.0e}",
-            stacklevel=2,
-        )
-    return LeastSquaresReport(
-        solution=solution,
-        residual_norm=residual_norm,
-        condition_estimate=condition,
-        rank=int(rank),
-        rows_used=m,
-        rank_deficient=rank < n,
-    )
+    _check_rows(sys, sys.n_rows)
+    return _solve(sys.a, sys.b, f"{sys.model_kind}/{sys.axis}", sys.n_rows)
+
+
+def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSquaresReport:
+    """:func:`solve_least_squares` on the rows of whole segments, from their R factors.
+
+    The R factors of the chosen segments' ``[A | b]`` blocks are stacked and
+    reduced by one more QR (TSQR).  Its top p x p block has the singular
+    values of the gathered A and its column p holds Q^T b, so the same
+    ``lstsq`` runs on p rows; the last diagonal entry is the part of the
+    residual outside the column space.  Segment ids without rows in this
+    system contribute nothing.
+    """
+    factors = sys.segment_factors
+    chosen = [factors[s] for s in sorted(segments) if s in factors]
+    m = sum(count for _, count in chosen)
+    _check_rows(sys, m)
+    p = sys.n_cols
+    r = np.linalg.qr(np.vstack([rf for rf, _ in chosen]), mode="r")
+    tail = abs(float(r[p, p])) if r.shape[0] > p else None
+    return _solve(r[:p, :p], r[:p, p], f"{sys.model_kind}/{sys.axis}", m, tail)
 
 
 def _alpha_residuals(params: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -246,16 +290,24 @@ def identify_from_systems(
     systems: dict[str, RegressionSystem],
     h: float,
     rows: dict[str, np.ndarray] | None = None,
+    segments: Collection[int] | None = None,
 ) -> IdentifiedModel:
     """Fit all three axes on (a row subset of) pre-built systems.
 
     Building systems once and fitting many subsets is what the repeated
-    partition studies lean on.
+    partition studies lean on.  ``rows`` selects rows per axis; ``segments``
+    selects whole segments by id and merges their cached R factors instead of
+    gathering rows.
     """
-    selected = {
-        axis: (sys if rows is None else sys.select(rows[axis])) for axis, sys in systems.items()
-    }
-    reports = {axis: solve_least_squares(sys) for axis, sys in selected.items()}
+    if segments is None:
+        reports = {
+            axis: solve_least_squares(sys if rows is None else sys.select(rows[axis]))
+            for axis, sys in systems.items()
+        }
+    elif rows is None:
+        reports = {axis: _solve_segments(sys, segments) for axis, sys in systems.items()}
+    else:
+        raise ValueError("select rows or segments, not both")
     metadata = {
         "h": h,
         "rows_used": {axis: rep.rows_used for axis, rep in reports.items()},

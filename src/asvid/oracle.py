@@ -565,7 +565,11 @@ def smooth_excitation(
 
 
 def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
-    """Hold a (steps, 2) (mean, diff) schedule constant over each h interval."""
+    """Hold a (steps, 2) (mean, diff) schedule constant over each h interval.
+
+    The schedule's ``hold`` attribute is ``h``; :func:`simulate_continuous`
+    reads it to keep each RK4 substep inside one interval.
+    """
     rows = np.asarray(frames, dtype=float).tolist()
     last = len(rows) - 1
 
@@ -573,6 +577,7 @@ def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
         mean, diff = rows[min(int(t / h + 1e-9), last)]
         return mean + diff / 2.0, mean - diff / 2.0
 
+    schedule.hold = h
     return schedule
 
 
@@ -590,7 +595,10 @@ def simulate_continuous(
     Kinetics: M nu_dot = -(C(nu) + D(nu)) nu + tau_w + tau with the thrust
     force/torque from the excitation schedule (no lateral force), kinematics
     eta_dot = R(psi) nu.  A dynamic thrust model updates its first-order
-    state at each sampling instant h and holds it in between.
+    state at each sampling instant h and holds it in between.  A held
+    schedule (one with a ``hold`` attribute, see :func:`zoh_excitation`)
+    gives static thrust evaluated once per substep, at its start, so no
+    stage of the last substep of an interval sees the next interval.
 
     Each substep works on six Python floats in a fixed arithmetic order:
     stage states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
@@ -605,6 +613,12 @@ def simulate_continuous(
     if n_sub < 1 or abs(n_sub * dt - gt.h) > 1e-9:
         raise ValueError("dt must divide the sampling period h")
     n_steps = int(round(duration / dt))
+    dynamic = isinstance(gt.thrust, ThrustDynamicParams)
+    held = not dynamic and hasattr(excitation, "hold")
+    if held:
+        n_hold = round(excitation.hold / dt)
+        if n_hold < 1 or abs(n_hold * dt - excitation.hold) > 1e-9:
+            raise ValueError("dt must divide the hold interval of the excitation")
 
     m = gt.m
     a1 = m - gt.y_vdot
@@ -614,7 +628,6 @@ def simulate_continuous(
     tau_w = gt.mass_matrix() @ np.asarray(gt.bias)
     tw1, tw2, tw3 = (float(w) for w in tau_w)
     ts = gt.static_thrust
-    dynamic = isinstance(gt.thrust, ThrustDynamicParams)
     half_d = 0.5 * gt.d
 
     def nu_dot(u: float, v: float, r: float, fu: float, tr: float):
@@ -674,8 +687,12 @@ def simulate_continuous(
                 prev_dl, prev_dr = dl, dr
         else:
             fu_a, tr_a, dl, dr = forces_at(tk)
-            fu_b, tr_b, _, _ = forces_at(tk + half)
-            fu_c, tr_c, _, _ = forces_at(tk + dt)
+            if held:
+                fu_b = fu_c = fu_a
+                tr_b = tr_c = tr_a
+            else:
+                fu_b, tr_b, _, _ = forces_at(tk + half)
+                fu_c, tr_c, _, _ = forces_at(tk + dt)
         delta_buf.extend((dl, dr))
 
         k1x, k1y, k1p, k1u, k1v, k1r = rates(psi, u, v, r, fu_a, tr_a)

@@ -21,6 +21,7 @@ coefficients the data cannot show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable
@@ -159,6 +160,25 @@ class RegressionSystem:
     @property
     def n_cols(self) -> int:
         return int(self.a.shape[1])
+
+    @cached_property
+    def segment_factors(self) -> dict[int, tuple[np.ndarray, int]]:
+        """Segment id -> (R of that segment's ``[A | b]`` rows, row count).
+
+        Computed on first use and kept, so fits on many unions of whole
+        segments factor each segment once.  Rows come grouped by segment id,
+        so each block is a contiguous slice.
+        """
+        starts = np.flatnonzero(np.diff(self.segment)) + 1
+        ids = np.r_[self.segment[:1], self.segment[starts]]
+        if np.unique(ids).size != ids.size:
+            raise DataError(f"{self.model_kind}/{self.axis} rows are not grouped by segment")
+        bounds = np.r_[0, starts, self.n_rows]
+        return {
+            int(sid): (np.linalg.qr(np.column_stack((self.a[lo:hi], self.b[lo:hi])), mode="r"),
+                       int(hi - lo))
+            for sid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
+        }
 
     def select(self, indices: np.ndarray) -> "RegressionSystem":
         """Row subset (used by train/validation partitions)."""

@@ -24,6 +24,7 @@ __all__ = [
     "MetricsReport",
     "SensitivityReport",
     "partition",
+    "fit_split",
     "r_squared",
     "mae",
     "evaluate",
@@ -163,6 +164,19 @@ def partition(
     )
 
 
+def fit_split(
+    kind: str, systems: dict[str, RegressionSystem], h: float, split: RowSplit
+) -> IdentifiedModel:
+    """Identify on the training side of a split.
+
+    A segment split is fitted from its segments' merged R factors, a point
+    split from its gathered rows.
+    """
+    if split.train_segments is not None:
+        return identify_from_systems(kind, systems, h, segments=split.train_segments)
+    return identify_from_systems(kind, systems, h, rows=split.train)
+
+
 def _predict(model: IdentifiedModel, system: RegressionSystem, rows) -> tuple[np.ndarray, np.ndarray]:
     """One-step prediction base + A @ X and its truth base + b on (a subset of) the rows."""
     if system.model_kind != model.kind:
@@ -259,7 +273,7 @@ def run_validation(
     """Partition, identify on the training side, evaluate both sides."""
     systems = systems if systems is not None else build_systems(ds, kind)
     split = partition(ds, spec, kind, systems=systems)
-    model = identify_from_systems(kind, systems, ds.h, rows=split.train)
+    model = fit_split(kind, systems, ds.h, split)
     info = split.describe()
     train_metrics = evaluate(model, systems, split.train, {**info, "side": "train"})
     val_metrics = evaluate(model, systems, split.val, {**info, "side": "validation"})
@@ -307,6 +321,7 @@ def sensitivity_study(
     kind: str,
     spec_base: PartitionSpec,
     repetitions: int = 20,
+    systems: dict[str, RegressionSystem] | None = None,
 ) -> SensitivityReport:
     """Repeat partition -> identify -> evaluate with counter-derived seeds.
 
@@ -315,14 +330,14 @@ def sensitivity_study(
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions")
-    systems = build_systems(ds, kind)
+    systems = systems if systems is not None else build_systems(ds, kind)
     r2s = {axis: [] for axis in AXES}
     maes = {axis: [] for axis in AXES}
     for rep in range(repetitions):
         spec = PartitionSpec(spec_base.method, spec_base.train_fraction, spec_base.seed + rep)
         try:
             split = partition(ds, spec, kind, systems=systems)
-            model = identify_from_systems(kind, systems, ds.h, rows=split.train)
+            model = fit_split(kind, systems, ds.h, split)
             metrics = evaluate(model, systems, split.val)
         except Exception as exc:
             raise RuntimeError(f"sensitivity repetition {rep} failed: {exc}") from exc
@@ -346,6 +361,7 @@ def training_fraction_sweep(
     fractions: tuple[float, ...] = (0.7, 0.6, 0.5),
     validation_fraction: float = 0.3,
     seed: int = 0,
+    systems: dict[str, RegressionSystem] | None = None,
 ) -> list[dict]:
     """Vary the training share against one fixed validation share.
 
@@ -359,7 +375,7 @@ def training_fraction_sweep(
         raise ValueError("train fraction plus validation fraction exceeds 1")
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError("validation_fraction must lie inside (0, 1)")
-    systems = build_systems(ds, kind)
+    systems = systems if systems is not None else build_systems(ds, kind)
     _vr_rows_consistent(systems)
     rng = np.random.default_rng(seed)
     perms = {"u": rng.permutation(systems["u"].n_rows), "vr": rng.permutation(systems["v"].n_rows)}

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asvid.errors import DataError
 from asvid.estimator import (
     CONDITION_WARN_THRESHOLD,
+    _solve_segments,
     identify_from_systems,
     resolve_alpha,
     solve_least_squares,
@@ -135,6 +138,102 @@ class TestSolveLeastSquares:
         assert ref_rank == 7
         assert np.max(np.abs(rep.solution - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert rep.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+@st.composite
+def segmented_systems(draw):
+    """A 7-column system of 2-6 segments (some shorter than 7 rows), with an
+    exact zero column and a duplicated column, and a subset of its segment ids."""
+    p = 7
+    lengths = draw(st.lists(st.integers(1, 3 * p), min_size=2, max_size=6))
+    ids = sorted(draw(st.lists(st.integers(0, 1000), min_size=len(lengths),
+                               max_size=len(lengths), unique=True)))
+    zero, dup, src = draw(st.permutations(range(p)))[:3]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, p)
+    # A duplicate's computed singular value is rounding of the pair's size;
+    # three decades below the largest column it stays far under the rank
+    # threshold eps*sigma_max, where either algorithm's rank is determined.
+    scales[src] = 1e-3 * scales.max()
+    a = rng.normal(size=(n, p)) * scales
+    a[:, zero] = 0.0
+    a[:, dup] = a[:, src]
+    b = a @ rng.normal(size=p) + rng.normal(0.0, draw(st.sampled_from([0.0, 1e-3, 1.0])), n)
+    sys = RegressionSystem(
+        a=a, b=b, segment=np.repeat(ids, lengths),
+        k=np.concatenate([np.arange(m) for m in lengths]),
+        model_kind="static", axis="u", base=np.zeros(n),
+    )
+    chosen = draw(st.sets(st.sampled_from(ids), min_size=1))
+    return sys, chosen, zero
+
+
+class TestSegmentMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(case=segmented_systems())
+    def test_merged_fit_matches_gathered_rows(self, case):
+        sys, chosen, zero = case
+        gathered_sys = sys.select(np.flatnonzero(np.isin(sys.segment, sorted(chosen))))
+        try:
+            gathered = solve_least_squares(gathered_sys)
+        except DataError as exc:
+            with pytest.raises(DataError) as merged_exc:
+                _solve_segments(sys, chosen)
+            assert str(merged_exc.value) == str(exc)
+            return
+        merged = _solve_segments(sys, chosen)
+        assert merged.rank == gathered.rank
+        assert merged.rows_used == gathered.rows_used == gathered_sys.n_rows
+        assert merged.solution[zero] == 0.0 and gathered.solution[zero] == 0.0
+        if gathered.condition_estimate <= 1e6:
+            x = gathered.solution
+            assert np.linalg.norm(merged.solution - x) <= 1e-10 * np.linalg.norm(x)
+            scale = max(gathered.residual_norm, np.linalg.norm(gathered_sys.b))
+            assert abs(merged.residual_norm - gathered.residual_norm) <= 1e-10 * scale
+
+    def test_factors_are_cached_per_segment(self, rng):
+        a, b = rng.normal(size=(30, 7)), rng.normal(size=30)
+        sys = RegressionSystem(
+            a=a, b=b, segment=np.repeat([4, 9, 11], [5, 15, 10]), k=np.arange(30),
+            model_kind="static", axis="u", base=np.zeros(30),
+        )
+        factors = sys.segment_factors
+        assert sys.segment_factors is factors
+        assert {sid: (r.shape, m) for sid, (r, m) in factors.items()} == {
+            4: ((5, 8), 5), 9: ((8, 8), 15), 11: ((8, 8), 10),
+        }
+        r, _ = factors[9]
+        # R^T R is the Gram matrix of the segment's [A | b] rows.
+        block = np.column_stack((a[5:20], b[5:20]))
+        assert np.allclose(r.T @ r, block.T @ block, rtol=1e-12, atol=1e-12)
+
+    def test_ungrouped_rows_rejected(self, rng):
+        sys = RegressionSystem(
+            a=rng.normal(size=(20, 7)), b=rng.normal(size=20),
+            segment=np.repeat([1, 2, 1], [7, 6, 7]), k=np.arange(20),
+            model_kind="static", axis="u", base=np.zeros(20),
+        )
+        with pytest.raises(DataError, match="not grouped by segment"):
+            _solve_segments(sys, {1})
+
+    def test_identify_takes_rows_or_segments(self, ds_static):
+        systems = build_systems(ds_static, "static")
+        rows = {axis: np.arange(sys.n_rows) for axis, sys in systems.items()}
+        with pytest.raises(ValueError, match="rows or segments"):
+            identify_from_systems("static", systems, ds_static.h, rows=rows, segments={0})
+
+    def test_all_segments_match_the_full_fit(self, ds_dynamic):
+        systems = build_systems(ds_dynamic, "dynamic")
+        full = identify_from_systems("dynamic", systems, ds_dynamic.h)
+        merged = identify_from_systems(
+            "dynamic", systems, ds_dynamic.h, segments=set(ds_dynamic.segment.tolist())
+        )
+        assert merged.metadata["rows_used"] == full.metadata["rows_used"]
+        for axis in ("u", "v", "r"):
+            x = full.vector(axis)
+            assert np.max(np.abs(merged.vector(axis) - x)) <= 1e-12 * np.max(np.abs(x))
+        assert merged.alpha == pytest.approx(full.alpha, abs=1e-9)
 
 
 class TestResolveAlpha:

@@ -272,6 +272,20 @@ class TestContinuousSimulator:
         with pytest.raises(ValueError):
             simulate_continuous(gt_static, lambda t: (0.0, 0.0), duration=1.0, dt=0.03)
 
+    def test_dt_must_divide_the_hold(self, gt_static):
+        exc = zoh_excitation(np.array([[0.2, 0.0]] * 20), h=0.105)
+        with pytest.raises(ValueError, match="hold interval"):
+            simulate_continuous(gt_static, exc, duration=1.0, dt=0.01)
+
+    def test_held_interval_never_sees_the_next_frame(self, gt_static):
+        # The first frame commands (0.2, 0.2) for the whole 0.2 s run; the
+        # second frame starts exactly where the run ends.
+        held = zoh_excitation(np.array([[0.2, 0.0], [0.4, 0.2]]), h=0.2)
+        a = simulate_continuous(gt_static, held, duration=0.2, dt=0.01)
+        b = simulate_continuous(gt_static, lambda t: (0.2, 0.2), duration=0.2, dt=0.01)
+        assert a.eta.tobytes() == b.eta.tobytes()
+        assert a.nu.tobytes() == b.nu.tobytes()
+
     def test_dynamic_thrust_reaches_static_steady_state(self, gt_dynamic, gt_static):
         # beta = 1 - alpha gives unit DC gain: same terminal speed as static
         exc = lambda t: (0.5, 0.5)
@@ -311,6 +325,8 @@ def _dead_zone_run(gt):
 
 # SHA-256 of the t, eta, nu and delta bytes of 20 s runs, as the vectorized
 # RK4 of asvid 0.1 computed them; the scalar integrator must keep every bit.
+# "static-zoh-prbs" is pinned after the hold-interval fix (a held schedule
+# gives its forces at the start of each substep); the others never changed.
 # math.sin/cos come from the platform's libm, so the digests hold for glibc
 # on x86-64; FINAL_STATES tells a different libm (states agree to 1e-12,
 # digests differ) from a change in arithmetic (both fail).
@@ -321,7 +337,7 @@ PINNED_RUNS = {
     ),
     "static-zoh-prbs": (
         lambda gt, frames: simulate_continuous(gt, zoh_excitation(frames, gt.h), 20.0),
-        "1b612e0461e2abf8de88d85e963eb81146879ace4fa18cfb48ccaf436296efe6",
+        "107a1ebb87d494d7d04f7f2ea8603153eb7f7fa42bca12a3a10b0195a451a94a",
     ),
     "static-dead-zone": (
         lambda gt, frames: _dead_zone_run(gt),
@@ -341,8 +357,8 @@ PINNED_RUNS = {
 FINAL_STATES = {
     "static-smooth": (12.95220129045772, 13.598081474624642, 2.2251261594256246,
                       1.2666084047145008, -0.20082752812565885, 0.17671320487530728),
-    "static-zoh-prbs": (6.631664749568166, 6.662388454951551, 3.437516967134523,
-                        0.5002090928064375, -0.16503143699117284, 0.03327047426362255),
+    "static-zoh-prbs": (6.636211917618241, 6.66199893122355, 3.4374032827648158,
+                        0.5002123692244802, -0.1653236060239253, 0.03388220485033817),
     "static-dead-zone": (4.313914162764682, 3.7432797476537183, 0.5849477321376284,
                          0.015905464130655817, 0.015429499592935268, 0.021980841729161087),
     "dynamic-prbs": (7.416713962813785, 6.763937818890232, 3.2446636654377943,
@@ -506,3 +522,4 @@ class TestZohExcitation:
         exc = zoh_excitation(frames, h=0.2)
         assert exc(0.0) == exc(0.19)
         assert exc(0.2) == pytest.approx((0.5, 0.3))
+        assert exc.hold == 0.2

@@ -7,7 +7,12 @@ from pathlib import Path
 
 from asvid import cli, storage
 from asvid.dataprep import GeoReference
-from asvid.oracle import default_ground_truth, smooth_excitation
+from asvid.oracle import (
+    DiscreteGenConfig,
+    default_ground_truth,
+    generate_discrete,
+    smooth_excitation,
+)
 from asvid.regressors import build_systems
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -95,3 +100,23 @@ def test_benchmark_configs_load(tmp_path, capsys):
         if "simulate" in cli._load_config(cfg):
             assert cli.main(["--config", cfg, "simulate", "--out", str(tmp_path / "sim")]) == 0
     capsys.readouterr()
+
+
+def test_validate_builds_once_and_merges_segment_fits(tmp_path, gt_dynamic, capsys):
+    # Segment fits (the main one and each repetition) merge per-segment
+    # factors; only the by_points sweep still solves gathered rows.
+    cfg = DiscreteGenConfig(steps=2000, kind="dynamic", n_segments=8, g0_scale=0.05, seed=1)
+    storage.write_prepared_csv(tmp_path / "prepared.csv", generate_discrete(gt_dynamic, cfg))
+    spans = load_perfbench("spans")
+    with spans.Tracer() as tracer:
+        rc = cli.main([
+            "validate", "--prepared", str(tmp_path / "prepared.csv"), "--kind", "dynamic",
+            "--method", "by_segments", "--sensitivity", "3", "--sweep", "0.7,0.6",
+            "--out", str(tmp_path / "validate"),
+        ])
+    capsys.readouterr()
+    assert rc == 0
+    calls = spans.LayerTotals.of(tracer.spans).calls
+    assert calls["regressors.build_systems"] == 1
+    assert calls["estimator.resolve_alpha"] == 1 + 3 + 2
+    assert calls["estimator.solve_least_squares"] == 3 * 2

@@ -1,7 +1,7 @@
 """Property tests: exact file round trips and causality of the preparation filters."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,10 @@ from asvid.dataprep import (
     resample_causal,
     savitzky_golay,
 )
+from asvid.estimator import IdentifiedModel
+from asvid.model import ThrustDynamicParams, ThrustStaticParams
+from asvid.oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
+from asvid.regressors import TERMS
 
 SPECIALS = [-0.0, 1e-300, -1e-300, 1e300, -1e300]
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIALS))
@@ -141,3 +145,80 @@ def test_causal_savitzky_golay_never_looks_ahead(n, half, order, seed, data):
     out = savitzky_golay(signal, cfg, causal=True)
     out_p = savitzky_golay(perturbed, cfg, causal=True)
     assert same_bits(out[: k + 1], out_p[: k + 1])
+
+
+SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.5e-320]
+vector_value = st.one_of(finite, st.sampled_from([0.0, *SUBNORMALS]))
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from(["static", "dynamic"]))
+    vectors = [draw(arrays(np.float64, len(TERMS[(kind, axis)]), elements=vector_value))
+               for axis in "uvr"]
+    alpha = draw(vector_value) if kind == "dynamic" else None
+    metadata = {
+        "h": draw(st.floats(1e-3, 10.0)),
+        "alpha_stable": None if alpha is None else alpha < 1.0,
+        "residual_norms": {axis: draw(st.floats(0.0, 1e300)) for axis in "uvr"},
+        "rows_used": {axis: draw(st.integers(0, 10**9)) for axis in "uvr"},
+        "provenance": {"created_unix": draw(st.integers(0, 2**40))},
+    }
+    return IdentifiedModel(kind, *vectors, alpha=alpha, metadata=metadata)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_model_file_round_trip_is_bitwise(tmp_path_factory, model):
+    d = tmp_path_factory.mktemp("model")
+    storage.write_model_file(d / "a.json", model)
+    back = storage.read_model_file(d / "a.json")
+    storage.write_model_file(d / "b.json", back)
+    assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+    for axis in "uvr":
+        assert same_bits(back.vector(axis), model.vector(axis)), axis
+    if model.alpha is not None:
+        assert same_bits(np.float64(back.alpha), np.float64(model.alpha))
+
+
+coefficient = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def ground_truths(draw):
+    static = ThrustStaticParams(*(draw(coefficient) for _ in range(4)))
+    if draw(st.booleans()):
+        static = ThrustStaticParams(
+            static.a_f, static.b_f, static.a_r, static.b_r,
+            dead_zone_forward=draw(st.floats(1e-6, 0.5)),
+            dead_zone_reverse=draw(st.floats(-0.5, -1e-6)),
+        )
+    thrust = static
+    if draw(st.booleans()):
+        thrust = ThrustDynamicParams(draw(st.floats(0.0, 1.5)), draw(coefficient), static)
+    override = None
+    if draw(st.booleans()):
+        override = (
+            SigmaSurge(*(draw(coefficient) for _ in range(5))),
+            SigmaSwayYaw(*(draw(coefficient) for _ in range(9))),
+            SigmaSwayYaw(*(draw(coefficient) for _ in range(9))),
+        )
+    names = [name for name in GroundTruth.__dataclass_fields__
+             if name not in ("thrust", "d", "bias", "h", "sigma_override")]
+    try:
+        return GroundTruth(
+            **{name: draw(coefficient) for name in names},
+            thrust=thrust, d=draw(st.floats(1e-3, 10.0)),
+            bias=tuple(draw(coefficient) for _ in range(3)),
+            h=draw(st.floats(1e-3, 10.0)), sigma_override=override,
+        )
+    except ValueError:  # a singular inertia matrix
+        reject()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gt=ground_truths())
+def test_ground_truth_round_trip(tmp_path_factory, gt):
+    path = tmp_path_factory.mktemp("gt") / "ground_truth.json"
+    storage.write_ground_truth(path, gt)
+    assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt

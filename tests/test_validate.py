@@ -11,6 +11,7 @@ from asvid.regressors import RegressionSystem, build_systems
 from asvid.validate import (
     PartitionSpec,
     evaluate,
+    fit_split,
     mae,
     partition,
     prediction_traces,
@@ -274,6 +275,22 @@ class TestRunValidation:
         )
         assert val_m.r2["u"] > 1 - 1e-9
 
+    def test_fit_split_merges_segment_splits_only(self, ds_static):
+        systems = build_systems(ds_static, "static")
+        points = partition(ds_static, PartitionSpec("by_points", 0.7, 1), "static", systems)
+        segments = partition(ds_static, PartitionSpec("by_segments", 0.5, 1), "static", systems)
+        pairs = [
+            (fit_split("static", systems, H, points),
+             identify_from_systems("static", systems, H, rows=points.train)),
+            (fit_split("static", systems, H, segments),
+             identify_from_systems("static", systems, H, segments=segments.train_segments)),
+        ]
+        for got, want in pairs:
+            for axis in ("u", "v", "r"):
+                assert got.vector(axis).tobytes() == want.vector(axis).tobytes()
+        rows_used = pairs[1][0].metadata["rows_used"]
+        assert rows_used == {axis: rows.size for axis, rows in segments.train.items()}
+
     def test_traces_row_count(self, ds_static):
         systems = build_systems(ds_static, "static")
         model = identify_from_systems("static", systems, ds_static.h)
@@ -309,6 +326,34 @@ class TestSensitivity:
     def test_repetition_count_validated(self, ds_static):
         with pytest.raises(ValueError):
             sensitivity_study(ds_static, "static", PartitionSpec("by_points", 0.7, 0), 1)
+
+    def test_by_segments_matches_gathered_fits(self, gt_dynamic):
+        # Noisy 8-segment data, so the fits and metrics are not trivially exact.
+        cfg = DiscreteGenConfig(steps=3000, kind="dynamic", seed=11, n_segments=8,
+                                g0_scale=0.05, noise_std=(0.01, 0.005, 0.005))
+        ds = generate_discrete(gt_dynamic, cfg)
+        systems = build_systems(ds, "dynamic")
+        report = sensitivity_study(ds, "dynamic", PartitionSpec("by_segments", 0.6, 3), 6,
+                                   systems=systems)
+        r2s, maes = {a: [] for a in "uvr"}, {a: [] for a in "uvr"}
+        for rep in range(6):
+            split = partition(ds, PartitionSpec("by_segments", 0.6, 3 + rep), "dynamic", systems)
+            model = identify_from_systems("dynamic", systems, ds.h, rows=split.train)
+            metrics = evaluate(model, systems, split.val)
+            for axis in "uvr":
+                r2s[axis].append(metrics.r2[axis])
+                maes[axis].append(metrics.mae[axis])
+        expected = {
+            "mean_r2": {a: np.mean(v) for a, v in r2s.items()},
+            "sd_r2": {a: np.std(v, ddof=1) for a, v in r2s.items()},
+            "mean_mae": {a: np.mean(v) for a, v in maes.items()},
+            "sd_mae": {a: np.std(v, ddof=1) for a, v in maes.items()},
+        }
+        got = asdict(report)
+        for stat, per_axis in expected.items():
+            for axis, want in per_axis.items():
+                assert abs(got[stat][axis] - want) <= 1e-12 * max(1.0, abs(want)), (stat, axis)
+        assert all(report.sd_r2[a] > 0 for a in "uvr")
 
     def test_failure_carries_repetition_context(self, gt_static):
         cfg = DiscreteGenConfig(steps=40, kind="static", seed=1)
