@@ -271,10 +271,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ]
 
     storage.write_json(out / "metrics.json", doc)
-    storage.write_csv(
-        out / "metrics.csv", ("section", "side", "axis", "metric", "value"), _metrics_csv_rows(doc)
-    )
-    storage.write_csv(out / "traces.csv", ("t", "axis", "truth", "prediction"), traces)
+    metrics_header = ("section", "side", "axis", "metric", "value")
+    storage.write_csv(out / "metrics.csv", metrics_header, list(zip(*_metrics_csv_rows(doc))))
+    storage.write_csv(out / "traces.csv", ("t", "axis", "truth", "prediction"), list(zip(*traces)))
 
     val = doc["validation"]
     print("validation R^2:", {a: round(val["r2"][a], 6) for a in ("u", "v", "r")})

@@ -46,6 +46,9 @@ EARTH_RADIUS_M = 6371000.0
 # Raw samples stamped within this of a grid time still count as "past".
 _TIME_TOL = 1e-9
 
+# Grid points that resample_causal fits in one batch.
+_RESAMPLE_BATCH = 1024
+
 
 def _ulps(*stamps: np.ndarray) -> float:
     """Four float spacings at the largest |stamp|: the rounding that grid times
@@ -326,22 +329,26 @@ def resample_causal(
     valid = n_avail >= degree + 1
     out = np.full(t_grid.shape, np.nan)
 
-    # One batched QR solve per window width: the full window, and each
-    # shorter width of the warm-up points that have less history.
+    # Batched QR solves per window width: the full window, and each shorter
+    # width of the warm-up points that have less history.  Each grid point's
+    # fit is the same whatever batch it falls in, and the batches bound the
+    # working memory by _RESAMPLE_BATCH rather than by the grid length.
     width = np.minimum(n_avail, window)
     for w in np.unique(width[valid]):
-        sel = valid & (width == w)
-        idx = n_avail[sel][:, None] - w + np.arange(w)[None, :]
-        t_win = t_raw[idx]
-        y_win = y_raw[idx]
-        tq = t_grid[sel][:, None]
-        span = np.maximum(tq - t_win[:, :1], 1e-12)
-        basis = 2.0 * (t_win - tq) / span + 1.0  # [-1, 1], grid time at +1
-        vand = basis[..., None] ** np.arange(degree + 1)
-        q, rmat = np.linalg.qr(vand)
-        rhs = np.einsum("nwk,nw->nk", q, y_win)
-        coef = np.linalg.solve(rmat, rhs[..., None])[..., 0]
-        out[sel] = coef.sum(axis=1)
+        points = np.flatnonzero(valid & (width == w))
+        for start in range(0, points.size, _RESAMPLE_BATCH):
+            sel = points[start : start + _RESAMPLE_BATCH]
+            idx = n_avail[sel][:, None] - w + np.arange(w)[None, :]
+            t_win = t_raw[idx]
+            y_win = y_raw[idx]
+            tq = t_grid[sel][:, None]
+            span = np.maximum(tq - t_win[:, :1], 1e-12)
+            basis = 2.0 * (t_win - tq) / span + 1.0  # [-1, 1], grid time at +1
+            vand = basis[..., None] ** np.arange(degree + 1)
+            q, rmat = np.linalg.qr(vand)
+            rhs = np.einsum("nwk,nw->nk", q, y_win)
+            coef = np.linalg.solve(rmat, rhs[..., None])[..., 0]
+            out[sel] = coef.sum(axis=1)
     return out, valid
 
 

@@ -629,32 +629,33 @@ def simulate_continuous(
     tw1, tw2, tw3 = (float(w) for w in tau_w)
     ts = gt.static_thrust
     half_d = 0.5 * gt.d
+    x_u, x_uu = gt.x_u, gt.x_uu
+    y_v, y_vv, y_rv, y_r, y_vr, y_rr = gt.y_v, gt.y_vv, gt.y_rv, gt.y_r, gt.y_vr, gt.y_rr
+    n_v, n_vv, n_rv, n_r, n_vr, n_rr = gt.n_v, gt.n_vv, gt.n_rv, gt.n_r, gt.n_vr, gt.n_rr
+    cos, sin = math.cos, math.sin
 
-    def nu_dot(u: float, v: float, r: float, fu: float, tr: float):
+    def rates(psi: float, u: float, v: float, r: float, fu: float, tr: float):
+        """(x, y, psi, u, v, r) derivatives; x and y never enter them."""
+        av, ar = abs(v), abs(r)
         c13 = -a1 * v - a2 * r
         c23 = a3 * u
-        f1 = -c13 * r + (gt.x_u + gt.x_uu * abs(u)) * u + tw1 + fu
+        f1 = -c13 * r + (x_u + x_uu * abs(u)) * u + tw1 + fu
         f2 = (
             -c23 * r
-            + (gt.y_v + gt.y_vv * abs(v) + gt.y_rv * abs(r)) * v
-            + (gt.y_r + gt.y_vr * abs(v) + gt.y_rr * abs(r)) * r
+            + (y_v + y_vv * av + y_rv * ar) * v
+            + (y_r + y_vr * av + y_rr * ar) * r
             + tw2
         )
         f3 = (
             c13 * u
             + c23 * v
-            + (gt.n_v + gt.n_vv * abs(v) + gt.n_rv * abs(r)) * v
-            + (gt.n_r + gt.n_vr * abs(v) + gt.n_rr * abs(r)) * r
+            + (n_v + n_vv * av + n_rv * ar) * v
+            + (n_r + n_vr * av + n_rr * ar) * r
             + tw3
             + tr
         )
-        return i11 * f1, i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
-
-    def rates(psi: float, u: float, v: float, r: float, fu: float, tr: float):
-        """(x, y, psi, u, v, r) derivatives; x and y never enter them."""
-        du, dv, dr = nu_dot(u, v, r, fu, tr)
-        c, s = math.cos(psi), math.sin(psi)
-        return c * u - s * v, s * u + c * v, r, du, dv, dr
+        c, s = cos(psi), sin(psi)
+        return c * u - s * v, s * u + c * v, r, i11 * f1, i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
 
     def forces_at(time: float) -> tuple[float, float, float, float]:
         """Static-thrust surge force and yaw torque, and the commands, at ``time``."""

@@ -7,11 +7,22 @@ directory, then rename).
   datasets; ``metrics.csv``, ``traces.csv``): one header line of column
   names, then one line per row.  Lines that start with ``#`` are records,
   not rows: a prepared dataset has ``# h=<repr(h)>`` right after its header.
-  Floats are written with ``repr``, so they read back bit for bit.  The
-  prepared ``region`` column holds operating-region names (``FF``, ``FR``,
-  ``RF``, ``RR``); the pose columns ``x``, ``y``, ``psi`` are not stored.
+  A ``#`` anywhere else in a row is an error.  Floats are written with
+  ``repr``, so they read back bit for bit.  The prepared ``region`` column
+  holds operating-region names (``FF``, ``FR``, ``RF``, ``RR``); the pose
+  columns ``x``, ``y``, ``psi`` are not stored.
 * JSON (config, model, expected-x, ground truth, summary, metrics):
   indented by two spaces.
+
+Reading a CSV takes one pass over its text for the header and the ``#``
+records, then numpy's C reader (``np.loadtxt``) for the needed columns; a
+cell is a number as that reader takes it (``float`` syntax, ASCII, no ``_``
+separators, surrounding whitespace allowed, optionally quoted).  Lines may
+end in LF, CRLF or CR.  Writing formats rows with one ``%`` format per file
+and streams them to the temp file in blocks, so neither side holds a log as
+per-cell Python objects.  Raw logs drop rows with a non-finite cell and
+exact repeats of the row before, with one warning for each that names the
+file, the count and the first line.
 
 A missing file raises ``FileNotFoundError``.  A malformed one raises
 :class:`SchemaError` naming the file, and the line of a bad CSV cell
@@ -20,6 +31,7 @@ A missing file raises ``FileNotFoundError``.  A malformed one raises
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -28,6 +40,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,18 +73,29 @@ __all__ = [
 MODEL_FILE_VERSION = 1
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
+# Rows that write_csv formats and writes at a time.
+_WRITE_BLOCK = 4096
+
+
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text handle on a temp file in ``path``'s directory, renamed to ``path``
+    when the block ends; the temp file is removed if the block raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(Path(path)) as fh:
+        fh.write(text)
 
 
 def read_json(path: str | Path):
@@ -88,101 +112,211 @@ def write_json(path: str | Path, doc) -> None:
     atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
 
 
-def _lines(fh, records: list[str]):
-    """``(line number, row)`` for the header and data rows of a CSV file;
-    blank lines are skipped and ``#`` lines appended to ``records``."""
-    reader = csv.reader(fh)
-    for row in reader:
-        if not row:
-            continue
-        if row[0].startswith("#"):
-            records.append(",".join(row))
-        else:
-            yield reader.line_num, row
+def _line_at(text: str, pos: int) -> tuple[str, int]:
+    """The line of ``text`` that starts at ``pos``, without its end, and the
+    position of the next line."""
+    end = text.find("\n", pos)
+    end = len(text) if end < 0 else end + 1
+    return text[pos:end].rstrip("\n"), end
 
 
-def _read_csv(path: Path, columns, adapter: dict | None = None, parsers: dict | None = None):
+def _scan(path: Path) -> tuple[list[str], int, list[str], bool]:
+    """The header cells of a CSV file, its line number, the ``#`` records and
+    whether any data row follows, from one pass over the file's text.
+
+    The header is the first line that is neither blank nor a record.  A ``#``
+    after it that does not start a line is a :class:`SchemaError` naming the
+    line and the column it sits in.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")  # universal newlines, as np.loadtxt reads
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path.name}: not UTF-8 text: {exc}") from None
+    records: list[str] = []
+    header, line_num, pos = None, 0, 0
+    while header is None:
+        if pos >= len(text):
+            raise SchemaError(f"{path.name}: no header line")
+        line, pos = _line_at(text, pos)
+        line_num += 1
+        if line.startswith("#"):
+            records.append(line)
+        elif line:
+            header = next(csv.reader([line]))
+    body = pos
+    while (at := text.find("#", pos)) >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        if start != at:
+            cell = len(next(csv.reader([text[start:at]]))) - 1
+            column = header[cell] if cell < len(header) else f"#{cell + 1}"
+            line_num = text.count("\n", 0, at) + 1
+            raise SchemaError(
+                f"{path.name}:{line_num}: column {column!r}: '#' may only start a record line"
+            )
+        line, pos = _line_at(text, at)
+        records.append(line)
+    has_rows, pos = False, body
+    while not has_rows and pos < len(text):
+        line, pos = _line_at(text, pos)
+        has_rows = bool(line) and not line.startswith("#")
+    return header, line_num, records, has_rows
+
+
+def _data_rows(path: Path):
+    """``(line number, cells)`` of each data row of a CSV file, in file order:
+    the rows after the header, without blank lines and ``#`` records.
+
+    The one locator behind the lines that errors and warnings name; only
+    fault paths scan a file this way.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = ((reader.line_num, row) for row in reader if row and not row[0].startswith("#"))
+        next(rows, None)  # the header
+        yield from rows
+
+
+def _line(path: Path, row: int) -> int:
+    """The file line of data row ``row`` (0-based) of a CSV file."""
+    return next(itertools.islice(_data_rows(path), row, None))[0]
+
+
+def _number(cell: str) -> float:
+    """``float(cell)`` restricted to what ``np.loadtxt`` parses: ASCII, no ``_``."""
+    value = float(cell)
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return value
+
+
+def _bad_cell(path: Path, index: dict[str, int], converters: dict,
+              finite: bool) -> SchemaError | None:
+    """The error for the first cell, in row order and then column order, that
+    does not parse, or that is not finite when ``finite`` is set."""
+    for line_num, row in _data_rows(path):
+        for name, i in index.items():
+            try:
+                if i >= len(row):
+                    raise IndexError
+                value = converters[name][1](row[i]) if name in converters else _number(row[i])
+                if finite and not math.isfinite(value):
+                    raise ValueError(f"not a finite number: {row[i]!r}")
+            except (IndexError, ValueError) as exc:
+                why = "missing from a short row" if isinstance(exc, IndexError) else exc
+                return SchemaError(f"{path.name}:{line_num}: column {name!r}: {why}")
+    return None
+
+
+def _read_csv(path: Path, columns, adapter: dict | None = None,
+              converters: dict | None = None, finite: bool = False):
     """The named columns of a CSV file as arrays, and its ``#`` records.
 
-    ``adapter`` maps a column name to the one in the header; ``parsers`` maps
-    a column name to the function that parses its cells (default ``float``).
+    ``adapter`` maps a column name to the one in the header.  Cells are
+    float64 unless ``converters`` maps the column name to ``(dtype, function
+    of the cell text)``.  With ``finite`` set, a non-finite float is an error.
     """
-    rename, parsers = adapter or {}, parsers or {}
-    out: dict[str, list] = {name: [] for name in columns}
-    records: list[str] = []
-    cells = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line_num, row in _lines(fh, records):
-            if cells is None:
-                names = {name: rename.get(name, name) for name in columns}
-                missing = [col for col in names.values() if col not in row]
-                if missing:
-                    raise SchemaError(f"{path.name}: missing column {missing[0]!r} (have {row})")
-                cells = [(name, row.index(col), parsers.get(name, float), out[name].append)
-                         for name, col in names.items()]
-            else:
-                try:
-                    for name, i, parse, append in cells:
-                        append(parse(row[i]))
-                except (IndexError, ValueError) as exc:
-                    why = "missing from a short row" if isinstance(exc, IndexError) else exc
-                    raise SchemaError(
-                        f"{path.name}:{line_num}: column {name!r}: {why}"
-                    ) from None
-    if cells is None:
-        raise SchemaError(f"{path.name}: no header line")
-    return {name: np.asarray(values) for name, values in out.items()}, records
+    rename, converters = adapter or {}, converters or {}
+    header, skip, records, has_rows = _scan(path)
+    names = {name: rename.get(name, name) for name in columns}
+    missing = [col for col in names.values() if col not in header]
+    if missing:
+        raise SchemaError(f"{path.name}: missing column {missing[0]!r} (have {header})")
+    index = {name: header.index(col) for name, col in names.items()}
+    dtype = np.dtype([(name, converters.get(name, (np.float64,))[0]) for name in columns])
+    try:
+        table = np.empty(0, dtype) if not has_rows else np.loadtxt(
+            path, dtype=dtype, delimiter=",", quotechar='"', skiprows=skip,
+            usecols=list(index.values()), ndmin=1, encoding="utf-8",
+            converters={index[name]: conv[1] for name, conv in converters.items()},
+        )
+        cols = {name: table[name].copy() for name in columns}  # contiguous, not record fields
+        if finite and not all(np.isfinite(cols[name]).all() for name in columns
+                              if name not in converters):
+            raise ValueError("a non-finite cell")
+    except ValueError as exc:
+        raise _bad_cell(path, index, converters, finite) or SchemaError(
+            f"{path.name}: malformed CSV: {exc}"
+        ) from None
+    return cols, records
 
 
-def _row_line(path: Path, index: int) -> int:
-    """The file line of row ``index`` (0-based, after the header) of a CSV
-    that :func:`_read_csv` read."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        line_num, _ = next(itertools.islice(_lines(fh, []), index + 1, None))
-        return line_num
+def write_csv(path: str | Path, header, columns, records=()) -> None:
+    """Header line, ``#`` records, then one line per row of the equal-length
+    ``columns``.
+
+    The rows go out in blocks of ``_WRITE_BLOCK``.  A block's cells become
+    Python scalars (``tolist`` of an array column; other columns keep their
+    objects) and each row is formatted with the file's one ``"%s,...,%s"``
+    format, so a float cell reads ``repr(float(x))`` and any other ``str(x)``.
+    """
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    row_format = ",".join(["%s"] * len(columns)) + "\n"
+    with _atomic_open(Path(path)) as fh:
+        fh.write("".join(f"{line}\n" for line in (",".join(header), *records)))
+        for start in range(0, n_rows, _WRITE_BLOCK):
+            block = zip(*(col[start:start + _WRITE_BLOCK].tolist() for col in columns))
+            fh.write("".join([row_format % row for row in block]))
 
 
-def write_csv(path: str | Path, header, rows, records=()) -> None:
-    """Header line, ``#`` records, then one line per row; floats as ``repr``."""
-    lines = [",".join(header), *records]
-    for row in rows:
-        lines.append(",".join(
-            repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row
-        ))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+def _clean_stream(path: Path, cols: list[np.ndarray]) -> list[np.ndarray]:
+    """One raw stream without its rows that have a non-finite cell, nor its
+    exact repeats of the row before; one warning for each kind of drop names
+    the count and the first line.  A timestamp that still does not increase
+    is a :class:`SchemaError` naming its line."""
+    table = np.stack(cols)  # (columns, rows); row 0 is t
+    rows = np.arange(table.shape[1])  # each kept row's place in the file
+
+    def drop(mask: np.ndarray, what: str) -> None:
+        nonlocal table, rows
+        if mask.any():
+            first = _line(path, int(rows[np.argmax(mask)]))
+            warnings.warn(
+                f"{path.name}: dropped {int(mask.sum())} row(s) {what}, the first at line {first}",
+                stacklevel=4,
+            )
+            table, rows = table[:, ~mask], rows[~mask]
+
+    drop(~np.isfinite(table).all(axis=0), "with a non-finite cell")
+    repeats = np.zeros(table.shape[1], dtype=bool)
+    repeats[1:] = (table[:, 1:] == table[:, :-1]).all(axis=0)
+    drop(repeats, "that repeat the row before")
+    back = np.flatnonzero(np.diff(table[0]) <= 0)
+    if back.size:
+        raise SchemaError(
+            f"{path.name}:{_line(path, int(rows[back[0] + 1]))}: column 't': "
+            "timestamps must be strictly increasing"
+        )
+    return list(table)
 
 
 def read_raw_logs(log_dir: str | Path, adapter: dict | None = None) -> RawLogBundle:
     """Load gnss.csv / heading.csv / pwm.csv from a directory.
 
     ``adapter`` optionally maps canonical column names to the names actually
-    present, per stream: ``{"gnss": {"lat": "latitude"}, ...}``.
+    present, per stream: ``{"gnss": {"lat": "latitude"}, ...}``.  Rows with a
+    non-finite cell and exact repeats of the row before are dropped with a
+    warning; any other timestamp that does not increase names its line.
     """
     log_dir = Path(log_dir)
     adapter = adapter or {}
     fields = {}
     for stream, columns, names in RAW_STREAMS:
-        cols, _ = _read_csv(log_dir / f"{stream}.csv", columns, adapter.get(stream))
-        fields.update(zip(names, (cols[c] for c in columns)))
+        path = log_dir / f"{stream}.csv"
+        cols, _ = _read_csv(path, columns, adapter.get(stream))
+        fields.update(zip(names, _clean_stream(path, [cols[c] for c in columns])))
     return RawLogBundle(**fields)
 
 
 def write_raw_logs(log_dir: str | Path, bundle: RawLogBundle) -> None:
     log_dir = Path(log_dir)
     for stream, columns, names in RAW_STREAMS:
-        write_csv(log_dir / f"{stream}.csv", columns, zip(*(getattr(bundle, n) for n in names)))
+        write_csv(log_dir / f"{stream}.csv", columns, [getattr(bundle, n) for n in names])
 
 
 PREPARED_HEADER = ("t", "segment", "u", "v", "r", "delta_mean", "delta_diff", "region")
 H_RECORD = "# h="
-_REGION_NAMES = {region.value: region.name for region in OperatingRegion}
-
-
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {cell!r}")
-    return value
+_REGION_NAMES = np.array([region.name for region in sorted(OperatingRegion)])  # by code
 
 
 def _region(cell: str) -> int:
@@ -192,19 +326,16 @@ def _region(cell: str) -> int:
         raise ValueError(f"unknown operating region {cell!r}") from None
 
 
-_PREPARED_PARSERS = {
-    **{name: _finite for name in PREPARED_HEADER},
-    "segment": int,
-    "region": _region,
-}
+# The prepared columns that are not float64: (dtype, cell parser).
+_PREPARED_CONVERTERS = {"segment": (np.int64, int), "region": (np.int8, _region)}
 
 
 def write_prepared_csv(path: str | Path, ds: PreparedDataset) -> None:
     """One CSV row per row of ``ds``, in its order."""
     cols = ds.columns()
-    cols["region"] = [_REGION_NAMES[code] for code in cols["region"].tolist()]
-    rows = zip(*(cols[name] for name in PREPARED_HEADER))
-    write_csv(path, PREPARED_HEADER, rows, (f"{H_RECORD}{float(ds.h)!r}",))
+    cols["region"] = _REGION_NAMES[cols["region"]]
+    write_csv(path, PREPARED_HEADER, [cols[name] for name in PREPARED_HEADER],
+              (f"{H_RECORD}{float(ds.h)!r}",))
 
 
 def _parse_h_record(path: Path, text: str) -> float:
@@ -230,7 +361,7 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
     file order.  The pose columns ``x``, ``y`` and ``psi`` read back as ``None``.
     """
     path = Path(path)
-    cols, records = _read_csv(path, PREPARED_HEADER, parsers=_PREPARED_PARSERS)
+    cols, records = _read_csv(path, PREPARED_HEADER, converters=_PREPARED_CONVERTERS, finite=True)
     h = None
     for line in records:
         if line.startswith(H_RECORD):
@@ -243,13 +374,12 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
                 break
     if h is None:
         raise SchemaError(f"{path.name}: cannot infer sampling period from single-point segments")
-    cols["region"] = cols["region"].astype(np.int8)
     try:
         return PreparedDataset(h, **cols)
     except DataError as exc:
         bad = off_grid_row(cols["t"], cols["segment"], h)
         if bad is not None:
-            raise SchemaError(f"{path.name}:{_row_line(path, bad)}: column 't': {exc}") from None
+            raise SchemaError(f"{path.name}:{_line(path, bad)}: column 't': {exc}") from None
         raise
 
 

@@ -1,13 +1,18 @@
 """Property tests: exact file round trips and causality of the preparation filters."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from asvid import storage
+from asvid import dataprep, storage
 from asvid.dataprep import (
     _TIME_TOL,
+    RAW_STREAMS,
     PreparedDataset,
     RawLogBundle,
     SavGolConfig,
@@ -15,6 +20,7 @@ from asvid.dataprep import (
     resample_causal,
     savitzky_golay,
 )
+from asvid.errors import DataError
 from asvid.estimator import IdentifiedModel
 from asvid.model import ThrustDynamicParams, ThrustStaticParams
 from asvid.oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
@@ -92,11 +98,94 @@ def raw_bundles(draw):
 @settings(max_examples=60, deadline=None)
 @given(bundle=raw_bundles())
 def test_raw_log_round_trip_is_bitwise(tmp_path_factory, bundle):
+    """Raw logs are written with every cell; reading drops the rows with a
+    non-finite cell, one warning per stream, and the rest read back bit for bit."""
     log_dir = tmp_path_factory.mktemp("logs")
     storage.write_raw_logs(log_dir, bundle)
-    back = storage.read_raw_logs(log_dir)
-    for name in ("gnss_t", "lat", "lon", "heading_t", "psi", "pwm_t", "pwm_l", "pwm_r"):
-        assert same_bits(getattr(back, name), getattr(bundle, name)), name
+    kept, dropped = {}, set()
+    for stream, _, names in RAW_STREAMS:
+        finite = np.isfinite(np.stack([getattr(bundle, n) for n in names])).all(axis=0)
+        kept.update({n: getattr(bundle, n)[finite] for n in names})
+        if not finite.all():
+            dropped.add(f"{stream}.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if any(kept[names[0]].size == 0 for _, _, names in RAW_STREAMS):
+            with pytest.raises(DataError, match="stream is empty"):
+                storage.read_raw_logs(log_dir)
+            return
+        back = storage.read_raw_logs(log_dir)
+    assert sorted(str(w.message).split(":")[0] for w in caught) == sorted(dropped)
+    for name, want in kept.items():
+        assert same_bits(getattr(back, name), want), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_raw=st.integers(0, 120),
+    degree=st.integers(1, 4),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_resample_causal_batches_are_bitwise_equal(n_raw, degree, extra, seed, data):
+    """Batch size changes no bit: grids of several sizes around 7-point batch
+    edges, warm-up widths included, against single points and one batch."""
+    rng = np.random.default_rng(seed)
+    window = degree + 1 + extra
+    t_raw = data.draw(epoch) + np.cumsum(rng.uniform(0.01, 0.3, 3 * window + n_raw))
+    y_raw = rng.normal(0.0, 10.0, t_raw.size)
+    n_grid = data.draw(st.sampled_from([1, 6, 7, 8, 13, 14, 15, t_raw.size]))
+    grid = np.sort(rng.uniform(t_raw[0], t_raw[-1], n_grid))
+    results = []
+    for batch in (1, 7, 10**6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataprep, "_RESAMPLE_BATCH", batch)
+            results.append(resample_causal(t_raw, y_raw, grid, degree, window))
+    for out, valid in results[1:]:
+        assert same_bits(out, results[0][0])
+        assert same_bits(valid, results[0][1])
+
+
+def test_resample_memory_does_not_grow_with_the_grid():
+    """The heading fit (degree 8 over 15 samples) works in fixed-size batches,
+    so a 4x longer grid raises the traced peak by less than 1.5x."""
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n_grid in (9_000, 36_000):
+        t_raw = np.cumsum(rng.uniform(0.015, 0.025, 10 * n_grid))
+        y_raw = rng.normal(size=t_raw.size)
+        grid = t_raw[0] + 0.2 * np.arange(n_grid)
+        tracemalloc.start()
+        try:
+            resample_causal(t_raw, y_raw, grid, 8, 15)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+write_value = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, float("inf"), float("-inf"), float("nan"),
+                     1e16, -1e16, 1e-5, 9.999999999999999e15]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[write_value] * k), max_size=30)), data=st.data())
+def test_write_csv_cells_are_float_repr(tmp_path_factory, table, data):
+    """Each float64 cell is written as repr(float(x)), however many blocks the rows take."""
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    k = len(table[0]) if table else 1
+    columns = [np.array([row[j] for row in table], dtype=np.float64) for j in range(k)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "_WRITE_BLOCK", data.draw(st.integers(1, 8)))
+        storage.write_csv(path, [f"c{j}" for j in range(k)], columns, ["# note"])
+    want = [",".join(f"c{j}" for j in range(k)), "# note"]
+    want += [",".join(repr(float(x)) for x in row) for row in table]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,14 @@
 import json
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from asvid import storage
+from asvid import oracle, storage
 from asvid.cli import main
+from asvid.dataprep import GeoReference
 from asvid.errors import SchemaError
 from asvid.estimator import identify_from_systems
 from asvid.model import ThrustStaticParams
@@ -54,6 +57,132 @@ class TestRawLogs:
         (tmp_path / "heading.csv").write_text("\n".join(lines))
         with pytest.raises(SchemaError, match="heading.csv:4"):
             storage.read_raw_logs(tmp_path)
+
+
+# text of a two-column file, and the columns and records it reads as
+READER_CASES = {
+    "plain": ("t,a\n0.0,1.5\n0.2,2.5\n", [[0.0, 0.2], [1.5, 2.5]], []),
+    "crlf": ("t,a\r\n# h=0.2\r\n0.0,1.5\r\n0.2,2.5\r\n", [[0.0, 0.2], [1.5, 2.5]], ["# h=0.2"]),
+    "cr-only": ("t,a\r0.0,1.5\r0.2,2.5\r", [[0.0, 0.2], [1.5, 2.5]], []),
+    "quoted": ('"t","a"\n"0.0","1.5"\n0.2,"2.5"\n', [[0.0, 0.2], [1.5, 2.5]], []),
+    "spaces": ("t,a\n 0.0 ,\t1.5\n0.2 , 2.5 \n", [[0.0, 0.2], [1.5, 2.5]], []),
+    "comments-and-blanks": (
+        "\n# before\n\nt,a\n# h=0.2\n0.0,1.5\n\n# inside\n0.2,2.5\n\n",
+        [[0.0, 0.2], [1.5, 2.5]], ["# before", "# h=0.2", "# inside"],
+    ),
+    "wider-row": ("t,a\n0.0,1.5,9,x\n0.2,2.5\n", [[0.0, 0.2], [1.5, 2.5]], []),
+    "trailing-comma": ("t,a,\n0.0,1.5,\n0.2,2.5,\n", [[0.0, 0.2], [1.5, 2.5]], []),
+    "columns-reordered": ("a,x,t\n1.5,7,0.0\n2.5,8,0.2\n", [[0.0, 0.2], [1.5, 2.5]], []),
+    "header-only": ("t,a\n", [[], []], []),
+    "header-and-records-only": ("t,a\n# h=0.2\n\n", [[], []], ["# h=0.2"]),
+    "no-final-newline": ("t,a\n0.0,1.5\n0.2,2.5", [[0.0, 0.2], [1.5, 2.5]], []),
+}
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_reads_columns_and_records(self, tmp_path, case):
+        text, want, records = READER_CASES[case]
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols, got_records = storage._read_csv(path, ("t", "a"))
+        assert [cols["t"].tolist(), cols["a"].tolist()] == want
+        assert all(cols[n].dtype == np.float64 and cols[n].flags.c_contiguous for n in cols)
+        assert got_records == records
+
+    @pytest.mark.parametrize("line, where", [
+        ("0.0,1.0#x", "f.csv:3: column 'a'"),
+        ("0.0#x,1.0", "f.csv:3: column 't'"),
+        ("0.0,1_0", "f.csv:3: column 'a'"),
+        ("0.0,abc", "f.csv:3: column 'a'"),
+        ("0.0", "f.csv:3: column 'a': missing from a short row"),
+        ("0.0,", "f.csv:3: column 'a'"),
+        ("   ", "f.csv:3: column 't'"),
+    ])
+    def test_bad_line_names_file_line_and_column(self, tmp_path, line, where):
+        path = tmp_path / "f.csv"
+        path.write_text(f"t,a\n0.0,1.5\n{line}\n0.4,2.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=re.escape(where)):
+                storage._read_csv(path, ("t", "a"))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"t,a\n0.0,\xff\n")
+        with pytest.raises(SchemaError, match="f.csv: not UTF-8 text"):
+            storage._read_csv(path, ("t", "a"))
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("# only a record\n\n")
+        with pytest.raises(SchemaError, match="f.csv: no header line"):
+            storage._read_csv(path, ("t", "a"))
+
+
+class TestRawLogFaults:
+    @pytest.fixture(scope="class")
+    def static_600s(self, gt_static):
+        traj = oracle.simulate_continuous(gt_static, oracle.smooth_excitation(), duration=600.0)
+        return oracle.emit_sensor_logs(traj, GeoReference(lat0=37.4, lon0=-6.0))
+
+    def edit(self, path, index, change):
+        lines = path.read_text().splitlines()
+        lines[index:index + 1] = change(lines[index])
+        path.write_text("\n".join(lines) + "\n")
+
+    def prepare(self, logs, out):
+        return main(["prepare", "--logs", str(logs), "--out", str(out)])
+
+    def test_nan_latitude_is_dropped_and_prepares(self, tmp_path, static_600s, capsys):
+        storage.write_raw_logs(tmp_path / "logs", static_600s)
+        self.edit(tmp_path / "logs" / "gnss.csv", 500,
+                  lambda line: [",".join([line.split(",")[0], "nan", line.split(",")[2]])])
+        with pytest.warns(UserWarning, match=r"gnss.csv: dropped 1 row\(s\) with a non-finite "
+                                             r"cell, the first at line 501"):
+            assert self.prepare(tmp_path / "logs", tmp_path / "prep") == 0
+        assert storage.read_prepared_csv(tmp_path / "prep" / "prepared.csv").n_samples > 2900
+
+    def test_duplicated_pwm_row_is_dropped_and_prepares(self, tmp_path, static_600s, capsys):
+        storage.write_raw_logs(tmp_path / "logs", static_600s)
+        self.edit(tmp_path / "logs" / "pwm.csv", 40, lambda line: [line, line])
+        with pytest.warns(UserWarning, match=r"pwm.csv: dropped 1 row\(s\) that repeat the row "
+                                             r"before, the first at line 42"):
+            back = storage.read_raw_logs(tmp_path / "logs")
+        assert np.array_equal(back.pwm_t, static_600s.pwm_t)
+        with pytest.warns(UserWarning, match="pwm.csv: dropped 1"):
+            assert self.prepare(tmp_path / "logs", tmp_path / "prep") == 0
+
+    def test_backwards_pwm_timestamp_names_file_and_line(self, tmp_path, small_bundle, capsys):
+        storage.write_raw_logs(tmp_path / "logs", small_bundle)
+        path = tmp_path / "logs" / "pwm.csv"
+        lines = path.read_text().splitlines()
+        lines[20], lines[21] = lines[21], lines[20]
+        path.write_text("\n".join(lines) + "\n")
+        where = "pwm.csv:22: column 't': timestamps must be strictly increasing"
+        with pytest.raises(SchemaError, match=re.escape(where)):
+            storage.read_raw_logs(tmp_path / "logs")
+        assert self.prepare(tmp_path / "logs", tmp_path / "prep") == 2
+        assert where in capsys.readouterr().err
+
+    def test_drop_warning_counts_rows_and_names_the_first(self, tmp_path):
+        (tmp_path / "gnss.csv").write_text(
+            "t,lat,lon\n0.0,1.0,2.0\n1.0,nan,2.0\n2.0,1.0,inf\n3.0,1,2\n"
+        )
+        (tmp_path / "heading.csv").write_text("t,psi\n0.0,0.1\n")
+        (tmp_path / "pwm.csv").write_text("t,pwm_l,pwm_r\n0.0,1500,1500\n")
+        with pytest.warns(UserWarning, match=r"gnss.csv: dropped 2 row\(s\) .*first at line 3"):
+            back = storage.read_raw_logs(tmp_path)
+        assert back.gnss_t.tolist() == [0.0, 3.0]
+
+    def test_repeated_time_with_other_values_is_an_error(self, tmp_path, small_bundle):
+        storage.write_raw_logs(tmp_path / "logs", small_bundle)
+        self.edit(tmp_path / "logs" / "heading.csv", 9,
+                  lambda line: [line, line.split(",")[0] + ",0.5"])
+        with pytest.raises(SchemaError, match=re.escape("heading.csv:11: column 't'")):
+            storage.read_raw_logs(tmp_path / "logs")
 
 
 class TestPreparedCsv:
