@@ -190,7 +190,6 @@ class PrepareConfig:
 
 
 _ROW_COLUMNS = ("t", "u", "v", "r", "delta_mean", "delta_diff", "region")
-_POSE_COLUMNS = ("x", "y", "psi")
 
 
 @dataclass
@@ -200,7 +199,7 @@ class PreparedDataset:
     Each segment is a contiguous run of the grid.  Rows are grouped by
     ``segment`` in ascending id order; the constructor sorts them stably, so
     a segment keeps its rows in the order given.  ``k`` is the row's index
-    within its segment.  The pose columns ``x``, ``y``, ``psi`` are optional.
+    within its segment.
     """
 
     h: float
@@ -212,21 +211,17 @@ class PreparedDataset:
     delta_mean: np.ndarray
     delta_diff: np.ndarray
     region: np.ndarray  # OperatingRegion codes, int8
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    psi: np.ndarray | None = None
     k: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.segment = np.asarray(self.segment, dtype=np.int64)
-        names = [n for n in (*_ROW_COLUMNS, *_POSE_COLUMNS) if getattr(self, n) is not None]
-        for name in names:
+        for name in _ROW_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name)))
             if getattr(self, name).shape != self.segment.shape:
                 raise DataError(f"prepared column {name} length mismatch")
         if np.any(np.diff(self.segment) < 0):
             order = np.argsort(self.segment, kind="stable")
-            for name in ("segment", *names):
+            for name in ("segment", *_ROW_COLUMNS):
                 setattr(self, name, getattr(self, name)[order])
         _, starts, counts = np.unique(self.segment, return_index=True, return_counts=True)
         self.k = np.arange(self.segment.size) - np.repeat(starts, counts)
@@ -237,7 +232,7 @@ class PreparedDataset:
             raise DataError("segment timestamps must step by exactly h")
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The row columns, then ``segment`` and ``k``, by name (no pose columns)."""
+        """The row columns, then ``segment`` and ``k``, by name."""
         return {name: getattr(self, name) for name in (*_ROW_COLUMNS, "segment", "k")}
 
     @property
@@ -542,5 +537,5 @@ def build_prepared_dataset(
     return PreparedDataset(
         h, np.repeat(np.arange(len(rows)), [run.size for run in rows]),
         t=grid[keep], u=u, v=v, r=r, delta_mean=delta_mean[keep], delta_diff=delta_diff[keep],
-        region=region[keep], x=x[keep], y=y[keep], psi=psi[keep],
+        region=region[keep],
     )

@@ -6,8 +6,11 @@ happens by construction when a dataset contains no asymmetric-thrust rows).
 A fit on whole segments solves the same problem from the merged R factors of
 the segments' ``[A | b]`` rows, whose top block has the singular values of A.
 For the first-order propeller model the three solved vectors overdetermine
-the shared pole; :func:`resolve_alpha` extracts it from the six pole-coupled
-entries by damped Gauss-Newton.
+the shared pole.  :func:`resolve_alpha` fits it to the six pole-coupled
+entries by variable projection: each axis' damping-like term is eliminated
+in closed form, which leaves a rational cost in the pole alone whose
+stationary points are the roots of one quintic.  The root of lowest cost
+wins; near-equal costs go to the largest pole.
 """
 
 from __future__ import annotations
@@ -173,71 +176,21 @@ def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSq
     return _solve(r[:p, :p], r[:p, p], f"{sys.model_kind}/{sys.axis}", m, tail)
 
 
-def _alpha_residuals(params: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Six residuals of the pole-coupling relations for (alpha, r_u, r_v, r_r).
-
-    For each axis j the solved vector pins two entries:
-    ``first_j = alpha + r_j`` and ``paired_j = -alpha * (1 + r_j)``.
-    """
-    alpha = params[0]
-    res = np.empty(6)
-    for j in range(3):
-        first, paired = pairs[j]
-        r = params[1 + j]
-        res[2 * j] = first - (alpha + r)
-        res[2 * j + 1] = paired + alpha * (1.0 + r)
-    return res
-
-
-def _alpha_jacobian(params: np.ndarray) -> np.ndarray:
-    alpha = params[0]
-    jac = np.zeros((6, 4))
-    for j in range(3):
-        r = params[1 + j]
-        jac[2 * j, 0] = -1.0
-        jac[2 * j, 1 + j] = -1.0
-        jac[2 * j + 1, 0] = 1.0 + r
-        jac[2 * j + 1, 1 + j] = alpha
-    return jac
-
-
-def _gauss_newton_alpha(
-    pairs: np.ndarray, alpha0: float, max_iter: int
-) -> tuple[np.ndarray, float, bool]:
-    params = np.array([alpha0, *(pairs[:, 0] - alpha0)])
-    cost = float(np.sum(_alpha_residuals(params, pairs) ** 2))
-    for _ in range(max_iter):
-        res = _alpha_residuals(params, pairs)
-        jac = _alpha_jacobian(params)
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        for _ in range(30):  # halve until the step decreases the cost
-            trial = params + scale * step
-            trial_cost = float(np.sum(_alpha_residuals(trial, pairs) ** 2))
-            if trial_cost <= cost:
-                break
-            scale *= 0.5
-        else:
-            return params, cost, True
-        moved = float(np.max(np.abs(scale * step)))
-        params, cost = trial, trial_cost
-        if moved < 1e-15 or cost < 1e-30:
-            return params, cost, True
-    return params, cost, False
-
-
 def resolve_alpha(xu: np.ndarray, xv: np.ndarray, xr: np.ndarray) -> AlphaResolution:
     """Recover the shared pole from the three dynamic parameter vectors.
 
-    The six pole-coupled entries (each axis' own velocity at k and at k-1)
-    overdetermine (alpha, r_u, r_v, r_r).  Eliminating r per axis
-    gives the seed quadratic ``alpha^2 - alpha*(1 + first) - paired = 0``;
-    Gauss-Newton then minimizes the six squared residuals, started from the
-    mean of the in-range roots and, to cope with the mirrored solution each
-    axis admits (alpha and 1 + r_j swap roles), from each root itself.
-    Among equally good minima the largest pole wins, deterministically.
+    Each axis j pins two entries of its vector, its own velocity at k and at
+    k-1: ``first_j = alpha + r_j`` and ``paired_j = -alpha * (1 + r_j)``.  The
+    pole minimizes the six squared residuals.  At fixed alpha each r_j enters
+    linearly; projecting it out, ``r_j = (first_j - alpha - alpha * (paired_j
+    + alpha)) / (1 + alpha^2)``, leaves the cost ``Q / (1 + alpha^2)`` with
+    ``Q = sum_j q_j^2`` and ``q_j = paired_j + (1 + first_j) * alpha - alpha^2``.
+    Its stationary points are the roots of the quintic ``Q' * (1 + alpha^2) -
+    2 * alpha * Q``.  Each root's real part takes two Newton steps on that
+    quintic, evaluated from the q_j rather than its expanded coefficients;
+    the candidate of lowest cost wins and takes two more.  Each axis admits a
+    mirrored solution (alpha and 1 + r_j swap roles), so among costs within
+    1e-18 of each other the largest pole wins, deterministically.
     """
     pairs = np.empty((3, 2))
     for j, (axis, x) in enumerate((("u", xu), ("v", xv), ("r", xr))):
@@ -245,44 +198,36 @@ def resolve_alpha(xu: np.ndarray, xv: np.ndarray, xr: np.ndarray) -> AlphaResolu
         if x.size != len(TERMS[("dynamic", axis)]):
             raise ValueError(f"resolve_alpha expects dynamic vectors, got {x.size} {axis} entries")
         pairs[j] = x[[term_index("dynamic", axis, name) for name in (axis, f"{axis}[k-1]")]]
+        if not np.all(np.isfinite(pairs[j])):
+            raise ValueError(f"resolve_alpha: the {axis} axis has a non-finite pole entry")
+    first, paired = pairs[:, :1], pairs[:, 1:]  # one row per axis, one column per pole
 
-    roots: list[float] = []
-    for first, paired in pairs:
-        disc = (1.0 + first) ** 2 + 4.0 * paired
-        if disc < 0:
-            continue
-        sq = np.sqrt(disc)
-        for root in ((1.0 + first + sq) / 2.0, (1.0 + first - sq) / 2.0):
-            if -1e-12 <= root < 1.5:  # closed at 0: a memoryless pole is valid
-                roots.append(float(max(root, 0.0)))
-    if roots:
-        starts = [float(np.mean(roots))] + sorted(set(roots))
-    else:
-        warnings.warn("no in-range seed root for the pole; falling back to 0.9", stacklevel=2)
-        starts = [0.9]
+    def cost(alpha: np.ndarray) -> np.ndarray:
+        q = paired + (1.0 + first - alpha) * alpha
+        return np.sum(q * q, axis=0) / (1.0 + alpha * alpha)
 
-    best: tuple[np.ndarray, float] | None = None
-    converged_any = False
-    for alpha0 in starts:
-        params, cost, converged = _gauss_newton_alpha(pairs, alpha0, max_iter=200)
-        converged_any = converged_any or converged
-        if (
-            best is None
-            or cost < best[1] - 1e-18
-            or (abs(cost - best[1]) <= 1e-18 and params[0] > best[0][0])
-        ):
-            best = (params, cost)
-    if not converged_any:
-        raise RuntimeError("pole resolution did not converge within 200 iterations")
+    def newton(alpha: np.ndarray) -> np.ndarray:
+        # Steps on half the quintic, g = (q . q') s - alpha Q with s = 1 + alpha^2,
+        # whose slope is (q' . q' + q . q'') s - Q, where q'' = -2.
+        for _ in range(2):
+            q, dq = paired + (1.0 + first - alpha) * alpha, 1.0 + first - 2.0 * alpha
+            s, big = 1.0 + alpha * alpha, np.sum(q * q, axis=0)
+            g = np.sum(q * dq, axis=0) * s - alpha * big
+            slope = np.sum(dq * dq - 2.0 * q, axis=0) * s - big
+            alpha = alpha - g / np.where(slope, slope, np.inf)  # a flat point stays put
+        return alpha
 
-    params, cost = best
-    return AlphaResolution(
-        alpha=float(params[0]),
-        r_u1=float(params[1]),
-        r_v2=float(params[2]),
-        r_r3=float(params[3]),
-        residual=float(np.sqrt(cost)),
-    )
+    big_q = sum(np.convolve(c, c) for c in np.column_stack((-np.ones(3), 1.0 + first, paired)))
+    quintic = np.convolve(np.polyder(big_q), [1.0, 0.0, 1.0]) - np.append(2.0 * big_q, 0.0)
+    candidates = newton(np.roots(quintic).real)
+    best, best_cost = -math.inf, math.inf
+    for alpha, c in zip(candidates.tolist(), cost(candidates).tolist()):
+        if c < best_cost - 1e-18 or (abs(c - best_cost) <= 1e-18 and alpha > best):
+            best, best_cost = alpha, c
+    # A candidate still short of its root can tie with the root and win on size.
+    alpha = newton(np.array([best]))
+    r = (first - alpha - alpha * (paired + alpha)) / (1.0 + alpha * alpha)
+    return AlphaResolution(float(alpha[0]), *r.ravel().tolist(), residual=math.sqrt(cost(alpha)[0]))
 
 
 def identify_from_systems(

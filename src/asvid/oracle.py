@@ -588,7 +588,6 @@ def simulate_continuous(
     dt: float | None = None,
     nu0: tuple[float, float, float] = (0.0, 0.0, 0.0),
     eta0: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    divergence_bound: float = _DIVERGENCE_BOUND,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the full vessel model.
 
@@ -714,7 +713,7 @@ def simulate_continuous(
         r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         eta_buf.extend((x, y, psi))
         nu_buf.extend((u, v, r))
-        if math.hypot(u, v, r) > divergence_bound:
+        if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
             raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
     delta_buf.extend(excitation(n_steps * dt))
 
@@ -739,7 +738,6 @@ def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedData
         traj.h, np.repeat(np.arange(n_segments), np.diff(bounds)),
         t=traj.t[idx], u=traj.nu[idx, 0], v=traj.nu[idx, 1], r=traj.nu[idx, 2],
         delta_mean=mean, delta_diff=diff, region=region,
-        x=traj.eta[idx, 0], y=traj.eta[idx, 1], psi=traj.eta[idx, 2],
     )
 
 
@@ -753,30 +751,28 @@ class SensorNoise:
     seed: int = 0
 
 
+_GNSS_PERIOD, _HEADING_PERIOD, _PWM_PERIOD = 0.2, 0.02, 0.1  # s: 5 Hz, 50 Hz, 10 Hz
+
+
 def emit_sensor_logs(
-    traj: Trajectory,
-    ref: GeoReference,
-    noise: SensorNoise | None = None,
-    pwm_map: PwmMapConfig | None = None,
-    gnss_period: float = 0.2,
-    heading_period: float = 0.02,
-    pwm_period: float = 0.1,
+    traj: Trajectory, ref: GeoReference, noise: SensorNoise | None = None
 ) -> RawLogBundle:
     """Turn a simulated trajectory into raw multi-rate sensor logs.
 
     Inverts the preparation pipeline: body-origin positions move to the
-    antenna, NED positions become geodetic fixes, headings are wrapped to
-    (-pi, pi], and normalized PWM commands become pulse widths in us.
+    antenna, NED positions become geodetic fixes (5 Hz), headings are
+    wrapped to (-pi, pi] (50 Hz), and normalized PWM commands become pulse
+    widths in us under the default :class:`PwmMapConfig` (10 Hz).
     """
     noise = noise or SensorNoise()
-    pwm_map = pwm_map or PwmMapConfig()
+    pwm_map = PwmMapConfig()
     rng = np.random.default_rng(noise.seed)
 
     def sample_times(period: float) -> np.ndarray:
         idx = np.arange(0, traj.t.size, max(round(period / traj.dt), 1))
         return idx
 
-    gi = sample_times(gnss_period)
+    gi = sample_times(_GNSS_PERIOD)
     x = traj.eta[gi, 0]
     y = traj.eta[gi, 1]
     psi_g = traj.eta[gi, 2]
@@ -788,13 +784,13 @@ def emit_sensor_logs(
         ay = ay + rng.normal(0.0, noise.pos_m, ay.shape)
     lat, lon = ned_to_geodetic(ax, ay, ref)
 
-    hi = sample_times(heading_period)
+    hi = sample_times(_HEADING_PERIOD)
     psi = traj.eta[hi, 2]
     if noise.psi_rad > 0:
         psi = psi + rng.normal(0.0, noise.psi_rad, psi.shape)
     psi_wrapped = np.mod(psi + math.pi, 2.0 * math.pi) - math.pi
 
-    pi_ = sample_times(pwm_period)
+    pi_ = sample_times(_PWM_PERIOD)
     pwm_l = denormalize_pwm(traj.delta[pi_, 0], pwm_map)
     pwm_r = denormalize_pwm(traj.delta[pi_, 1], pwm_map)
     if noise.pwm_us > 0:

@@ -9,8 +9,7 @@ directory, then rename).
   not rows: a prepared dataset has ``# h=<repr(h)>`` right after its header.
   A ``#`` anywhere else in a row is an error.  Floats are written with
   ``repr``, so they read back bit for bit.  The prepared ``region`` column
-  holds operating-region names (``FF``, ``FR``, ``RF``, ``RR``); the pose
-  columns ``x``, ``y``, ``psi`` are not stored.
+  holds operating-region names (``FF``, ``FR``, ``RF``, ``RR``).
 * JSON (config, model, expected-x, ground truth, summary, metrics):
   indented by two spaces.
 
@@ -358,7 +357,7 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
     two or more points; that value is only approximate, since the steps of
     ``repr``-written timestamps differ from ``h`` by a few ulps.  Rows may
     come in any order; the dataset groups them by segment, each segment in
-    file order.  The pose columns ``x``, ``y`` and ``psi`` read back as ``None``.
+    file order.
     """
     path = Path(path)
     cols, records = _read_csv(path, PREPARED_HEADER, converters=_PREPARED_CONVERTERS, finite=True)

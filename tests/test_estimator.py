@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,15 @@ class TestResolveAlpha:
         assert res.residual <= 1e-12
         assert res.stable
 
+    def test_candidate_short_of_the_pole_does_not_win_the_tie(self):
+        # A complex pair of quintic roots has its real part 5e-3 below the pole;
+        # two Newton steps leave it 5.6e-10 above, at a cost within 1e-18 of the
+        # pole's, so the tie rule picks it unless the winner is polished.
+        alpha = 0.8482191993598431
+        res = resolve_alpha(*fabricate_pole_vectors(alpha, [-0.00139581, -0.03793774, -0.4474269]))
+        assert res.alpha == pytest.approx(alpha, abs=1e-12)
+        assert res.residual <= 1e-12
+
     def test_distinct_damping_terms(self):
         res = resolve_alpha(*fabricate_pole_vectors(0.998, [-0.01, -0.05, -0.02]))
         assert res.alpha == pytest.approx(0.998, abs=1e-10)
@@ -260,11 +271,12 @@ class TestResolveAlpha:
         assert res.alpha == pytest.approx(1.02, abs=1e-8)
         assert not res.stable
 
-    def test_no_real_seed_falls_back(self):
+    def test_no_real_seed_root_still_resolves(self):
         xu, xv, xr = fabricate_pole_vectors(0.9, [-0.05, -0.05, -0.05])
-        # destroy consistency so the seed quadratics have no real roots
+        # destroy consistency so no axis' quadratic q_j has a real root
         xu[4] = xv[7] = xr[8] = -5.0
-        with pytest.warns(UserWarning, match="falling back"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = resolve_alpha(xu, xv, xr)
         assert np.isfinite(res.alpha)
         assert res.residual > 0
@@ -272,6 +284,25 @@ class TestResolveAlpha:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             resolve_alpha(np.zeros(11), np.zeros(21), np.zeros(20))
+
+    def test_non_finite_entry_names_the_axis(self):
+        xu, xv, xr = fabricate_pole_vectors(0.9, [-0.05, -0.05, -0.05])
+        xv[7] = np.nan
+        with pytest.raises(ValueError, match="v axis has a non-finite pole entry"):
+            resolve_alpha(xu, xv, xr)
+
+    def test_rounding_level_input_changes_stay_at_rounding_level(self, gt_dynamic):
+        cfg = DiscreteGenConfig(
+            steps=2000, kind="dynamic", seed=1, n_segments=8, g0_scale=0.05,
+            noise_std=(0.01, 0.005, 0.005),
+        )
+        ds = generate_discrete(gt_dynamic, cfg)
+        model = identify_from_systems("dynamic", build_systems(ds, "dynamic"), ds.h)
+        vectors = [model.vector(axis) for axis in ("u", "v", "r")]
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            scaled = [x * (1.0 + 1e-15 * rng.normal(size=x.size)) for x in vectors]
+            assert abs(resolve_alpha(*scaled).alpha - model.alpha) <= 1e-12
 
 
 def identify(ds, kind):

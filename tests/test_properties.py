@@ -1,4 +1,4 @@
-"""Property tests: exact file round trips and causality of the preparation filters."""
+"""Property tests: exact file round trips, causality of the preparation filters and the pole fit."""
 
 import tracemalloc
 import warnings
@@ -21,10 +21,10 @@ from asvid.dataprep import (
     savitzky_golay,
 )
 from asvid.errors import DataError
-from asvid.estimator import IdentifiedModel
+from asvid.estimator import IdentifiedModel, resolve_alpha
 from asvid.model import ThrustDynamicParams, ThrustStaticParams
 from asvid.oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
-from asvid.regressors import TERMS
+from asvid.regressors import TERMS, term_index
 
 SPECIALS = [-0.0, 1e-300, -1e-300, 1e300, -1e300]
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIALS))
@@ -311,3 +311,35 @@ def test_ground_truth_round_trip(tmp_path_factory, gt):
     path = tmp_path_factory.mktemp("gt") / "ground_truth.json"
     storage.write_ground_truth(path, gt)
     assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt
+
+
+POLE_GRID = np.linspace(-3.0, 3.0, 2001)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.floats(0.0, 1.2),
+    rs=st.lists(st.floats(-0.5, 0.2), min_size=3, max_size=3),
+    noise=st.lists(st.floats(-0.1, 0.1), min_size=6, max_size=6),
+)
+def test_resolve_alpha_finds_the_global_minimum(alpha, rs, noise):
+    vectors = []
+    pairs = np.empty((3, 2))
+    for j, (axis, r) in enumerate(zip("uvr", rs)):
+        x = np.zeros(len(TERMS[("dynamic", axis)]))
+        idx = [term_index("dynamic", axis, name) for name in (axis, f"{axis}[k-1]")]
+        x[idx] = (alpha + r + noise[2 * j], -alpha * (1.0 + r) + noise[2 * j + 1])
+        pairs[j] = x[idx]
+        vectors.append(x)
+    first, paired = pairs[:, None, 0], pairs[:, None, 1]
+    # The six-residual cost with each r_j at its optimum, on a grid of poles.
+    q = paired + (1.0 + first) * POLE_GRID - POLE_GRID**2
+    projected = np.sum(q**2, axis=0) / (1.0 + POLE_GRID**2)
+
+    res = resolve_alpha(*vectors)
+    r_hat = np.array([res.r_u1, res.r_v2, res.r_r3])
+    direct = np.concatenate(
+        [pairs[:, 0] - (res.alpha + r_hat), pairs[:, 1] + res.alpha * (1.0 + r_hat)]
+    )
+    assert res.residual**2 <= projected.min() + 1e-12
+    assert res.residual == pytest.approx(np.linalg.norm(direct), rel=1e-9, abs=1e-15)

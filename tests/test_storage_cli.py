@@ -219,7 +219,6 @@ class TestPreparedCsv:
         back = storage.read_prepared_csv(path)
         assert back.h == pytest.approx(ds_static.h, rel=1e-12)
         assert np.array_equal(back.u, ds_static.u)
-        assert back.x is None
 
     @pytest.mark.parametrize("column, cell", [
         (2, "abc"), (2, "nan"), (0, "inf"), (1, "1.5"), (7, "XX"), (7, None),
