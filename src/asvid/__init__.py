@@ -43,7 +43,6 @@ from .validate import (
     mae,
     partition,
     r_squared,
-    run_validation,
     sensitivity_study,
     training_fraction_sweep,
 )

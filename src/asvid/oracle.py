@@ -3,9 +3,10 @@
 Two generators serve different purposes:
 
 * :func:`generate_discrete` iterates the exact discrete-time model the
-  estimator assumes (Euler-discretized kinetics, quasi-quadratic lumped
-  disturbance, region-switched thrust columns).  Data from it admits an
-  exact parameter vector, so identification must recover
+  estimator assumes: it steps the regressor term table ``TERMS`` itself
+  (Euler-discretized kinetics, the quasi-quadratic lumped disturbance of
+  :func:`sigma_coeffs`, region-switched thrust columns).  Data from it
+  admits an exact parameter vector, so identification must recover
   :func:`known_params_to_X` to numerical precision.
 * :func:`simulate_continuous` integrates the full continuous-time vessel
   model (RK4), which is *not* in the identified model class; it measures
@@ -36,18 +37,15 @@ from .dataprep import (
 from .dataprep import ned_to_geodetic
 from .model import (
     REGION_SIGN,
-    OperatingRegion,
     ThrustDynamicParams,
     ThrustStaticParams,
     classify_regions,
     thrust_static,
 )
-from .regressors import TERMS, term_index
+from .regressors import TERMS, Term, region_allowed
 
 __all__ = [
     "GroundTruth",
-    "SigmaSurge",
-    "SigmaSwayYaw",
     "sigma_coeffs",
     "DiscreteGenConfig",
     "Trajectory",
@@ -74,6 +72,11 @@ class GroundTruth:
     ``y_vr`` multiplies ``|v| r``).  ``bias`` holds the constant lumped
     disturbance accelerations (m/s^2, m/s^2, rad/s^2), i.e. the values the
     bias entries of the parameter vectors lump with h.
+
+    ``sigma_override`` replaces the lumped disturbance's coefficients with
+    freely chosen ones, in the layout of :func:`sigma_coeffs`.  Only the
+    discrete oracle (:func:`known_params_to_X`, :func:`generate_discrete`)
+    reads it; the continuous simulator and the ground-truth file refuse it.
     """
 
     m: float
@@ -101,7 +104,7 @@ class GroundTruth:
     d: float
     bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     h: float = 0.2
-    sigma_override: tuple["SigmaSurge", "SigmaSwayYaw", "SigmaSwayYaw"] | None = None
+    sigma_override: dict[str, dict[str, float]] | None = None
 
     def __post_init__(self) -> None:
         if not self.d > 0:
@@ -182,149 +185,79 @@ def default_ground_truth(dynamic: bool = False, alpha: float = 0.9) -> GroundTru
     )
 
 
-@dataclass(frozen=True)
-class SigmaSurge:
-    """Lumped quasi-quadratic surge disturbance: total monomial coefficients.
-
-    The acceleration contribution is
-    ``uu*u|u| + vr*v*r + rr*r^2 + u*u + c`` (m/s^2).
-    """
-
-    uu: float  # u|u|
-    vr: float  # v r
-    rr: float  # r^2
-    u: float  # u
-    c: float
-
-
-@dataclass(frozen=True)
-class SigmaSwayYaw:
-    """Lumped quasi-quadratic sway/yaw disturbance coefficients.
-
-    Contribution: ``vv*v|v| + v_ar*v|r| + r_av*r|v| + rr*r|r| + uv*u*v
-    + ur*u*r + v*v + r*r + c``.
-    """
-
-    vv: float  # v|v|
-    v_ar: float  # v|r|
-    r_av: float  # r|v|
-    rr: float  # r|r|
-    uv: float  # u v
-    ur: float  # u r
-    v: float  # v
-    r: float  # r
-    c: float
-
-
-def sigma_coeffs(gt: GroundTruth) -> tuple[SigmaSurge, SigmaSwayYaw, SigmaSwayYaw]:
+def sigma_coeffs(gt: GroundTruth) -> dict[str, dict[str, float]]:
     """Lumped quasi-quadratic disturbance coefficients per axis.
 
-    For this 3-DOF structure with a constant environmental force the lumped
-    disturbance M^-1(-C nu - D nu + tau_w) is exactly quasi-quadratic in the
-    body velocity, so the default derives the coefficients from the Fossen
-    parameters; a ``sigma_override`` on the ground truth replaces them with
-    freely chosen values.
+    Each axis' coefficients are keyed by the names of the static layout's
+    non-thrust terms (``"u|u|"``, ``"v*r"``, ..., ``"1"``), so the
+    disturbance at nu is the sum of those columns at nu times their
+    coefficients.  For this 3-DOF structure with a constant environmental
+    force the lumped disturbance M^-1(-C nu - D nu + tau_w) is exactly
+    quasi-quadratic in the body velocity, so the coefficients derive from
+    the Fossen parameters; a ``sigma_override`` on the ground truth replaces
+    them with freely chosen values.
     """
     if gt.sigma_override is not None:
         return gt.sigma_override
     i11, i22, i23, i33 = gt.inv_inertia()
-    su = SigmaSurge(
-        uu=gt.x_uu * i11,
-        vr=(gt.m - gt.y_vdot) * i11,
-        rr=(gt.m * gt.x_g - gt.y_rdot) * i11,
-        u=gt.x_u * i11,
-        c=gt.bias[0],
-    )
+    surge = {
+        "u|u|": gt.x_uu * i11, "v*r": (gt.m - gt.y_vdot) * i11,
+        "r^2": (gt.m * gt.x_g - gt.y_rdot) * i11, "u": gt.x_u * i11, "1": gt.bias[0],
+    }
 
-    def swayyaw(w2: float, w3: float, c: float) -> SigmaSwayYaw:
-        return SigmaSwayYaw(
-            vv=w2 * gt.y_vv + w3 * gt.n_vv,
-            v_ar=w2 * gt.y_rv + w3 * gt.n_rv,
-            r_av=w2 * gt.y_vr + w3 * gt.n_vr,
-            rr=w2 * gt.y_rr + w3 * gt.n_rr,
-            uv=w3 * (gt.y_vdot - gt.x_udot),
-            ur=-w2 * (gt.m - gt.x_udot) - w3 * (gt.m * gt.x_g - gt.y_rdot),
-            v=w2 * gt.y_v + w3 * gt.n_v,
-            r=w2 * gt.y_r + w3 * gt.n_r,
-            c=c,
-        )
+    def swayyaw(w2: float, w3: float, c: float) -> dict[str, float]:
+        return {
+            "v|v|": w2 * gt.y_vv + w3 * gt.n_vv, "v|r|": w2 * gt.y_rv + w3 * gt.n_rv,
+            "r|v|": w2 * gt.y_vr + w3 * gt.n_vr, "r|r|": w2 * gt.y_rr + w3 * gt.n_rr,
+            "u*v": w3 * (gt.y_vdot - gt.x_udot),
+            "u*r": -w2 * (gt.m - gt.x_udot) - w3 * (gt.m * gt.x_g - gt.y_rdot),
+            "v": w2 * gt.y_v + w3 * gt.n_v, "r": w2 * gt.y_r + w3 * gt.n_r, "1": c,
+        }
 
-    return su, swayyaw(i22, i23, gt.bias[1]), swayyaw(i23, i33, gt.bias[2])
+    return {"u": surge, "v": swayyaw(i22, i23, gt.bias[1]), "r": swayyaw(i23, i33, gt.bias[2])}
 
 
 def known_params_to_X(gt: GroundTruth, kind: str) -> dict[str, np.ndarray]:
     """Ground truth -> the exact lumped parameter vectors the estimator targets.
 
-    The entries are keyed by the term names of ``TERMS[(kind, axis)]`` and
-    returned in the table's column order.
+    One entry per term of ``TERMS[(kind, axis)]``, in the table's order,
+    with c the term's :func:`sigma_coeffs` coefficient.  A static entry is
+    h*c.  In the dynamic kind a lagged entry is -alpha*h*c, the axis' own
+    velocity is alpha + h*c at k and -alpha*(1 + h*c) at k-1, and the bias
+    is h*(1 - alpha)*c.  A thrust entry is h*g times the thrust-curve
+    combination of its column, times beta in the dynamic kind, with g the
+    axis' gain from the propeller forces (2*i11, or i23*d/2 and i33*d/2).
     """
     if kind not in ("static", "dynamic"):
         raise ValueError(f"unknown model kind {kind!r}")
     h = gt.h
-    i11, i22, i23, i33 = gt.inv_inertia()
-    su, sv, sr = sigma_coeffs(gt)
+    i11, _, i23, i33 = gt.inv_inertia()
+    sigma = sigma_coeffs(gt)
     ts = gt.static_thrust
-    a_diff, a_sum = ts.a_f - ts.a_r, ts.a_f + ts.a_r
-    b_diff, b_sum = ts.b_f - ts.b_r, ts.b_f + ts.b_r
-    w_v = i23 * gt.d / 2.0
-    w_r = i33 * gt.d / 2.0
-
-    # Entry values by term name; the term table fixes the order.
-    if kind == "static":
-        surge = {"u|u|": h * su.uu, "v*r": h * su.vr, "r^2": h * su.rr, "u": h * su.u,
-                 "1": h * su.c, "mean^2+diff^2/4": h * (2.0 * i11 * ts.a_f),
-                 "mean": h * (2.0 * i11 * ts.b_f)}
-
-        def swayyaw(s: SigmaSwayYaw, w: float) -> dict[str, float]:
-            return {
-                "v|v|": h * s.vv, "v|r|": h * s.v_ar, "r|v|": h * s.r_av, "r|r|": h * s.rr,
-                "u*v": h * s.uv, "u*r": h * s.ur, "v": h * s.v, "r": h * s.r, "1": h * s.c,
-                "s*(mean^2+diff^2/4)": h * (w * a_diff), "mean*diff": h * (w * a_sum),
-                "s*mean": h * (w * b_diff), "diff/2": h * (w * b_sum),
-            }
-
-        return _in_table_order(kind, surge, swayyaw(sv, w_v), swayyaw(sr, w_r))
-
-    dyn = gt.dynamic_thrust
-    alpha, beta = dyn.alpha, dyn.beta
-    # Velocity terms at k-1 carry -alpha times their k entry; the axis' own
-    # velocity at k and at k-1 also carries the pole.
-    surge = {
-        "u": alpha + h * su.u, "u|u|[k-1]": -alpha * h * su.uu,
-        "v*r[k-1]": -alpha * h * su.vr, "r^2[k-1]": -alpha * h * su.rr,
-        "u[k-1]": -alpha * (1.0 + h * su.u), "u|u|": h * su.uu, "v*r": h * su.vr,
-        "r^2": h * su.rr, "1": h * (1.0 - alpha) * su.c,
-        "mean^2+diff^2/4[k-1]": 2.0 * h * beta * i11 * ts.a_f,
-        "mean[k-1]": 2.0 * h * beta * i11 * ts.b_f,
+    gain = {"u": 2.0 * i11, "v": i23 * gt.d / 2.0, "r": i33 * gt.d / 2.0}
+    curve = {
+        "mean^2+diff^2/4": ts.a_f, "mean": ts.b_f,
+        "s*(mean^2+diff^2/4)": ts.a_f - ts.a_r, "mean*diff": ts.a_f + ts.a_r,
+        "s*mean": ts.b_f - ts.b_r, "diff/2": ts.b_f + ts.b_r,
     }
+    if kind == "dynamic":
+        alpha, beta = gt.dynamic_thrust.alpha, gt.dynamic_thrust.beta
 
-    def swayyaw_dyn(s: SigmaSwayYaw, w: float, own: str) -> dict[str, float]:
-        out = {
-            "v|v|[k-1]": -alpha * h * s.vv, "v|r|[k-1]": -alpha * h * s.v_ar,
-            "r|v|[k-1]": -alpha * h * s.r_av, "r|r|[k-1]": -alpha * h * s.rr,
-            "u*v[k-1]": -alpha * h * s.uv, "u*r[k-1]": -alpha * h * s.ur,
-            "v[k-1]": -alpha * h * s.v, "r[k-1]": -alpha * h * s.r,
-            "v|v|": h * s.vv, "v|r|": h * s.v_ar, "r|v|": h * s.r_av, "r|r|": h * s.rr,
-            "u*v": h * s.uv, "u*r": h * s.ur, "v": h * s.v, "r": h * s.r,
-            "1": h * (1.0 - alpha) * s.c,
-            "s*(mean^2+diff^2/4)[k-1]": h * beta * w * a_diff,
-            "mean*diff[k-1]": h * beta * w * a_sum,
-            "s*mean[k-1]": h * beta * w * b_diff, "diff/2[k-1]": h * beta * w * b_sum,
-        }
-        c = getattr(s, own)
-        out[own] = alpha + h * c
-        out[f"{own}[k-1]"] = -alpha * (1.0 + h * c)
-        return out
+    def entry(axis: str, t: Term) -> float:
+        name = t.name.removesuffix("[k-1]")
+        if t.thrust:
+            x = curve[name]
+            return h * (gain[axis] * x) if kind == "static" else h * beta * gain[axis] * x
+        c = sigma[axis][name]
+        if kind == "static":
+            return h * c
+        if name == axis:
+            return -alpha * (1.0 + h * c) if t.lag else alpha + h * c
+        if name == "1":
+            return h * (1.0 - alpha) * c
+        return -alpha * h * c if t.lag else h * c
 
-    return _in_table_order(kind, surge, swayyaw_dyn(sv, w_v, "v"), swayyaw_dyn(sr, w_r, "r"))
-
-
-def _in_table_order(kind: str, *values: dict[str, float]) -> dict[str, np.ndarray]:
-    """Per-axis entry values keyed by term name -> vectors in the table's order."""
-    return {
-        axis: np.array([vals[t.name] for t in TERMS[(kind, axis)]])
-        for axis, vals in zip(("u", "v", "r"), values)
-    }
+    return {axis: np.array([entry(axis, t) for t in TERMS[(kind, axis)]]) for axis in "uvr"}
 
 
 def prbs_frames(
@@ -401,20 +334,24 @@ _DIVERGENCE_BOUND = 50.0
 
 
 def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDataset:
-    """Iterate the exact identification-class dynamics step by step.
+    """Iterate the identification-class dynamics step by step.
 
-    Velocities follow ``nu(k+1) = nu(k) + G(k) + h * sigma(nu(k))``.  The
-    in-class part of the input gains ``G`` is the thrust terms of ``TERMS``
-    times their :func:`known_params_to_X` entries, so every regression row
-    the builders emit is exactly consistent with those vectors.  The rest
-    propagates with the physical thrust map: reverse-reverse steps (which
-    the builders exclude), static surge (equal to the class form in
-    forward-forward) and dynamic surge after a non-forward-forward step.
+    Velocities follow ``nu(k+1) = nu(k) + G(k) + h*sigma(nu(k))``.  The term
+    h*sigma is the static layout's non-thrust columns of ``TERMS`` at nu(k)
+    times their :func:`known_params_to_X` entries.  Each step's input is the
+    thrust columns times their entries where the axis admits the step's
+    region (:func:`region_allowed`), and the physical thrust map elsewhere:
+    reverse-reverse steps, and surge outside forward-forward.  The static
+    kind takes the input of step k as G(k); the dynamic kind passes it
+    through the pole, G(k) = alpha*G(k-1) + input(k-1), with the physical
+    map scaled by beta.  Every regression row the builders emit is thus
+    exactly consistent with the vectors of :func:`known_params_to_X`, dead
+    zones included.
     """
     if cfg.kind == "dynamic" and not isinstance(gt.thrust, ThrustDynamicParams):
         raise ValueError("dynamic generation needs a dynamic thrust model in the ground truth")
     h = gt.h
-    i11, i22, i23, i33 = gt.inv_inertia()
+    i11, _, i23, i33 = gt.inv_inertia()
     schedule = cfg.schedule if cfg.schedule is not None else prbs_frames(cfg.steps, cfg.seed)
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (cfg.steps, 2):
@@ -429,85 +366,56 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
             "or out of [-1, 1]"
         )
     region = classify_regions(left, right)
-    is_ff = (region == OperatingRegion.FF).tolist()
-    is_rr = (region == OperatingRegion.RR).tolist()
 
-    # The table's thrust columns over all steps, on the mean and difference of
-    # the commands, and their entries of the exact parameter vectors.
+    # Every step's input, per axis: in class where the axis admits the region.
     step = SimpleNamespace(mean=(left + right) / 2.0, diff=left - right, sign=REGION_SIGN[region])
-    x_vecs = known_params_to_X(gt, cfg.kind)
-    lag = "[k-1]" if cfg.kind == "dynamic" else ""
-
-    def thrust_terms(axis: str, *names: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = [term_index(cfg.kind, axis, name + lag) for name in names]
-        terms = TERMS[(cfg.kind, axis)]
-        return np.column_stack([terms[i].column(step) for i in idx]), x_vecs[axis][idx]
-
-    swayyaw = ("s*(mean^2+diff^2/4)", "mean*diff", "s*mean", "diff/2")
-    cols, thrust_v = thrust_terms("v", *swayyaw)
-    thrust_r = thrust_terms("r", *swayyaw)[1]
-    surge, (surge_quad, surge_lin) = thrust_terms("u", "mean^2+diff^2/4", "mean")
-    m1, mean = surge[:, 0].tolist(), surge[:, 1].tolist()
-
+    x = known_params_to_X(gt, cfg.kind)
     ts = gt.static_thrust
-    left_l, right_l = left.tolist(), right.tolist()
+    t_l = np.array([thrust_static(d, ts) for d in left.tolist()])
+    t_r = np.array([thrust_static(d, ts) for d in right.tolist()])
+    force, tau = t_l + t_r, 0.5 * gt.d * (t_l - t_r)
+    scale = h * gt.dynamic_thrust.beta if cfg.kind == "dynamic" else h
+    physical = {"u": scale * i11 * force, "v": scale * i23 * tau, "r": scale * i33 * tau}
+    # Memoryviews index to Python floats without a per-step list of them.
+    in_u, in_v, in_r = (
+        memoryview(np.where(
+            region_allowed(axis, region),
+            sum(t.column(step) * e for t, e in zip(TERMS[(cfg.kind, axis)], x[axis]) if t.thrust),
+            physical[axis],
+        ))
+        for axis in "uvr"
+    )
 
-    def forces(k: int) -> tuple[float, float]:
-        """Physical surge force and yaw torque of the commands at step k."""
-        t_l, t_r = thrust_static(left_l[k], ts), thrust_static(right_l[k], ts)
-        return t_l + t_r, 0.5 * gt.d * (t_l - t_r)
-
-    su, sv, sr = sigma_coeffs(gt)
-
-    def swayyaw_sigma(s: SigmaSwayYaw, u: float, v: float, r: float) -> float:
-        return (
-            s.vv * v * abs(v) + s.v_ar * v * abs(r) + s.r_av * r * abs(v) + s.rr * r * abs(r)
-            + s.uv * u * v + s.ur * u * r + s.v * v + s.r * r + s.c
-        )
-
-    def sigma(nu: np.ndarray) -> np.ndarray:
-        """The lumped quasi-quadratic disturbance at nu."""
-        u, v, r = float(nu[0]), float(nu[1]), float(nu[2])
-        sigma_u = su.uu * u * abs(u) + su.vr * v * r + su.rr * r * r + su.u * u + su.c
-        return np.array([sigma_u, swayyaw_sigma(sv, u, v, r), swayyaw_sigma(sr, u, v, r)])
-
-    def static_gains(k: int) -> np.ndarray:
-        force, tau = forces(k)
-        if is_rr[k]:
-            return np.array([h * i11 * force, h * i23 * tau, h * i33 * tau])
-        return np.array([h * i11 * force, float(cols[k] @ thrust_v), float(cols[k] @ thrust_r)])
-
-    if cfg.kind == "dynamic":
-        alpha, beta = gt.dynamic_thrust.alpha, gt.dynamic_thrust.beta
-
-    def dynamic_gains(p: int, g: np.ndarray) -> np.ndarray:
-        """The gain state after the commands of step p, from the state g before."""
-        force, tau = forces(p)
-        if is_ff[p]:
-            g_u = alpha * g[0] + surge_quad * m1[p] + surge_lin * mean[p]
-        else:
-            g_u = alpha * g[0] + h * beta * i11 * force
-        if is_rr[p]:
-            g_v = alpha * g[1] + h * beta * i23 * tau
-            g_r = alpha * g[2] + h * beta * i33 * tau
-        else:
-            g_v = alpha * g[1] + float(cols[p] @ thrust_v)
-            g_r = alpha * g[2] + float(cols[p] @ thrust_r)
-        return np.array([g_u, g_v, g_r])
+    # h*sigma: the static non-thrust columns and their entries, per axis.
+    x_static = known_params_to_X(gt, "static")
+    sigma_u, sigma_v, sigma_r = (
+        [(t.column, e) for t, e in zip(TERMS[("static", axis)], x_static[axis]) if not t.thrust]
+        for axis in "uvr"
+    )
+    nu = SimpleNamespace()
+    dynamic = cfg.kind == "dynamic"
+    if dynamic:
+        alpha = gt.dynamic_thrust.alpha
 
     def run(a: int, b: int, g0) -> np.ndarray:
         """Steps a..b-1 from velocity nu0; the dynamic kind starts at gain state g0."""
-        nu = np.array(cfg.nu0, dtype=float)
-        g = np.array(g0, dtype=float)
+        u, v, r = (float(c) for c in cfg.nu0)
+        g_u, g_v, g_r = (float(c) for c in g0)
         out = np.empty((b - a, 3))
         for k in range(a, b):
-            out[k - a] = nu
-            if cfg.kind == "static":
-                g = static_gains(k)
+            out[k - a] = u, v, r
+            if not dynamic:
+                g_u, g_v, g_r = in_u[k], in_v[k], in_r[k]
             elif k > a:
-                g = dynamic_gains(k - 1, g)
-            nu = nu + g + h * sigma(nu)
-            if np.linalg.norm(nu) > _DIVERGENCE_BOUND:
+                p = k - 1
+                g_u, g_v, g_r = alpha * g_u + in_u[p], alpha * g_v + in_v[p], alpha * g_r + in_r[p]
+            nu.u, nu.v, nu.r = u, v, r
+            u, v, r = (
+                u + g_u + sum(e * column(nu) for column, e in sigma_u),
+                v + g_v + sum(e * column(nu) for column, e in sigma_v),
+                r + g_r + sum(e * column(nu) for column, e in sigma_r),
+            )
+            if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
                 raise RuntimeError(f"discrete generation diverged at step {k - a}")
         return out
 
@@ -607,6 +515,9 @@ def simulate_continuous(
     ``array("d")`` buffers, 8 bytes per value, which the returned float64
     C-contiguous arrays view without a copy.
     """
+    if gt.sigma_override is not None:
+        raise ValueError("the continuous simulator integrates the Fossen model; "
+                         "it cannot follow a sigma_override")
     dt = dt if dt is not None else gt.h / 20.0
     n_sub = round(gt.h / dt)
     if n_sub < 1 or abs(n_sub * dt - gt.h) > 1e-9:

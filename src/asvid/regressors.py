@@ -3,17 +3,18 @@
 Each usable row of the prepared table contributes one row per axis; ``k``
 is the row's index within its segment.  The columns of a (model kind, axis)
 system are the terms of ``TERMS[(kind, axis)]``, in order; each term carries
-its name, the unit of its parameter entry and a vectorized column function
-of one step's velocities and PWM.  Every other reader of the layout (unit
-labels, the pole pairs, the exact parameter vectors, the generator's thrust
-columns) looks terms up in that table by name.
+its name, the unit of its parameter entry, whether it is a thrust column,
+and a vectorized column function of one step's velocities and PWM.  Every
+other reader of the layout (unit labels, the pole pairs, the lumped
+disturbance's coefficients, the exact parameter vectors, the discrete
+generator) looks terms up in that table by name.
 
 The right-hand side is always the next-minus-current velocity of the axis.
 A row at k needs the next table row to be k+1 of the same segment, and an
-allowed operating region at k: forward-forward for surge, anything but
-reverse-reverse for sway and yaw.  The dynamic kind also needs the row
-before to be k-1 of the segment, with the same region as k, so a row never
-mixes thrust-model branches.  The region-signed thrust columns vanish in
+allowed operating region at k (:func:`region_allowed`): forward-forward for
+surge, anything but reverse-reverse for sway and yaw.  The dynamic kind
+also needs the row before to be k-1 of the segment, with the same region
+as k, so a row never mixes thrust-model branches.  The region-signed thrust columns vanish in
 forward-forward rows, which keeps forward-forward-only systems from chasing
 coefficients the data cannot show.
 """
@@ -32,7 +33,7 @@ from .dataprep import PreparedDataset
 from .errors import DataError
 from .model import REGION_SIGN, OperatingRegion
 
-__all__ = ["Term", "TERMS", "term_index", "RegressionSystem", "build_systems"]
+__all__ = ["Term", "TERMS", "term_index", "region_allowed", "RegressionSystem", "build_systems"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,17 @@ class Term:
     """One regressor column: ``column`` maps one step's arrays to its values.
 
     ``lag`` 1 evaluates the column at k-1 instead of k; the name then ends
-    in ``[k-1]``.
+    in ``[k-1]``.  ``thrust`` marks the columns of the PWM commands; every
+    other column is a monomial of the lumped disturbance or a velocity.
+    Columns use the builtin ``abs``, so they evaluate on floats as well as
+    on arrays.
     """
 
     name: str
     unit: str
     column: Callable[[SimpleNamespace], np.ndarray]
     lag: int = 0
+    thrust: bool = False
 
 
 def _lagged(terms: tuple[Term, ...]) -> tuple[Term, ...]:
@@ -56,31 +61,32 @@ def _lagged(terms: tuple[Term, ...]) -> tuple[Term, ...]:
 _PER_VEL, _NONE, _VEL = "(m/s)^-1", "-", "m/s"
 
 _VELOCITY = {axis: Term(axis, _NONE, attrgetter(axis)) for axis in "uvr"}
-_BIAS = Term("1", _VEL, lambda s: np.ones_like(s.u))
+_BIAS = Term("1", _VEL, lambda s: 0.0 * s.u + 1.0)  # exactly 1 for finite u
 _SURGE_DAMPING = (
-    Term("u|u|", _PER_VEL, lambda s: s.u * np.abs(s.u)),
+    Term("u|u|", _PER_VEL, lambda s: s.u * abs(s.u)),
     Term("v*r", _PER_VEL, lambda s: s.v * s.r),
     Term("r^2", _PER_VEL, lambda s: s.r * s.r),
 )
 _SWAYYAW_DAMPING = (
-    Term("v|v|", _PER_VEL, lambda s: s.v * np.abs(s.v)),
-    Term("v|r|", _PER_VEL, lambda s: s.v * np.abs(s.r)),
-    Term("r|v|", _PER_VEL, lambda s: s.r * np.abs(s.v)),
-    Term("r|r|", _PER_VEL, lambda s: s.r * np.abs(s.r)),
+    Term("v|v|", _PER_VEL, lambda s: s.v * abs(s.v)),
+    Term("v|r|", _PER_VEL, lambda s: s.v * abs(s.r)),
+    Term("r|v|", _PER_VEL, lambda s: s.r * abs(s.v)),
+    Term("r|r|", _PER_VEL, lambda s: s.r * abs(s.r)),
     Term("u*v", _PER_VEL, lambda s: s.u * s.v),
     Term("u*r", _PER_VEL, lambda s: s.u * s.r),
 )
 _SURGE_THRUST = (
-    Term("mean^2+diff^2/4", _VEL, lambda s: s.mean * s.mean + 0.25 * s.diff * s.diff),
-    Term("mean", _VEL, lambda s: s.mean),
+    Term("mean^2+diff^2/4", _VEL, lambda s: s.mean * s.mean + 0.25 * s.diff * s.diff,
+         thrust=True),
+    Term("mean", _VEL, lambda s: s.mean, thrust=True),
 )
 # s is the region sign: +1 in FR, -1 in RF, 0 in FF.
 _SWAYYAW_THRUST = (
     Term("s*(mean^2+diff^2/4)", _VEL,
-         lambda s: s.sign * (s.mean * s.mean + 0.25 * s.diff * s.diff)),
-    Term("mean*diff", _VEL, lambda s: s.mean * s.diff),
-    Term("s*mean", _VEL, lambda s: s.sign * s.mean),
-    Term("diff/2", _VEL, lambda s: 0.5 * s.diff),
+         lambda s: s.sign * (s.mean * s.mean + 0.25 * s.diff * s.diff), thrust=True),
+    Term("mean*diff", _VEL, lambda s: s.mean * s.diff, thrust=True),
+    Term("s*mean", _VEL, lambda s: s.sign * s.mean, thrust=True),
+    Term("diff/2", _VEL, lambda s: 0.5 * s.diff, thrust=True),
 )
 
 
@@ -119,6 +125,12 @@ TERMS: dict[tuple[str, str], tuple[Term, ...]] = {
 def term_index(kind: str, axis: str, name: str) -> int:
     """Position of the named term in the parameter vector of (kind, axis)."""
     return [t.name for t in TERMS[(kind, axis)]].index(name)
+
+
+def region_allowed(axis: str, region: np.ndarray) -> np.ndarray:
+    """Where the axis' thrust columns hold: forward-forward for surge, anything
+    but reverse-reverse for sway and yaw."""
+    return region == OperatingRegion.FF if axis == "u" else region != OperatingRegion.RR
 
 
 @dataclass
@@ -202,7 +214,7 @@ def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSyste
     k = data["k"]
     # k+1 is in the same segment unless the next row starts one (k == 0).
     rows = np.flatnonzero((k >= lag) & np.append(k[1:] != 0, False))
-    ok = region[rows] == OperatingRegion.FF if axis == "u" else region[rows] != OperatingRegion.RR
+    ok = region_allowed(axis, region[rows])
     if lag:
         ok &= region[rows - 1] == region[rows]
     n_skipped = int(np.sum(~ok))

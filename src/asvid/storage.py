@@ -40,7 +40,6 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,7 @@ from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle, off_grid_row
 from .errors import DataError, SchemaError
 from .estimator import IdentifiedModel
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
-from .oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
+from .oracle import GroundTruth
 from .regressors import TERMS
 
 __all__ = [
@@ -470,13 +469,16 @@ _GT_UNITS = {
     "n_vr": "kg*m", "n_rr": "kg*m^2/rad",
     "d": "m", "bias": "(m/s^2, m/s^2, rad/s^2)", "h": "s",
 }
+_GT_THRUST_KEYS = ("a_f", "b_f", "a_r", "b_r", "dead_zone_forward", "dead_zone_reverse",
+                   "alpha", "beta")
 
 
 def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
-    thrust: dict = {}
+    """The ground truth as JSON; a ``sigma_override`` has no file form."""
+    if gt.sigma_override is not None:
+        raise ValueError("a ground truth with a sigma_override cannot be written")
     static = gt.static_thrust
-    thrust["a_f"], thrust["b_f"] = static.a_f, static.b_f
-    thrust["a_r"], thrust["b_r"] = static.a_r, static.b_r
+    thrust = {"a_f": static.a_f, "b_f": static.b_f, "a_r": static.a_r, "b_r": static.b_r}
     if static.has_dead_zone:
         thrust["dead_zone_forward"] = static.dead_zone_forward
         thrust["dead_zone_reverse"] = static.dead_zone_reverse
@@ -489,9 +491,6 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
         if name not in ("d", "bias", "h")
     }
     doc.update({"thrust": thrust, "d": gt.d, "bias": list(gt.bias), "h": gt.h})
-    if gt.sigma_override is not None:
-        su, sv, sr = gt.sigma_override
-        doc["sigma_override"] = {"u": asdict(su), "v": asdict(sv), "r": asdict(sr)}
     doc["_units"] = _GT_UNITS
     write_json(path, doc)
 
@@ -499,42 +498,59 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
 def parse_ground_truth(doc: dict, source: str) -> GroundTruth:
     """Ground truth from a document in the :func:`write_ground_truth` layout.
 
-    ``source`` names where the document came from in error messages.
+    ``source`` names where the document came from in error messages.  A
+    missing or unknown key, a value that is not a finite number (``bias`` is
+    a list of three), a ``d`` or ``h`` that is not positive, and parameters
+    the model rejects raise :class:`SchemaError` naming the key as
+    ``ground_truth.<key>``.  ``_units`` is documentation and never read.
     """
+
+    def fail(key: str, problem: str) -> SchemaError:
+        return SchemaError(f"{source}: {key!r}: {problem}")
+
+    def check_keys(section: object, path: str, known: tuple, needed: tuple) -> None:
+        if not isinstance(section, dict):
+            raise fail(path, "must hold a JSON object")
+        unknown = sorted(set(section) - set(known))
+        if unknown:
+            raise fail(f"{path}.{unknown[0]}", "is not a known key")
+        missing = [key for key in needed if key not in section]
+        if missing:
+            raise fail(f"{path}.{missing[0]}", "is missing")
+
+    def number(key: str, value: object) -> float:
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise fail(key, f"must be a finite number, got {value!r}")
+        return value
+
+    check_keys(doc, "ground_truth", (*_GT_UNITS, "thrust", "_units"), (*_GT_UNITS, "thrust"))
+    check_keys(doc["thrust"], "ground_truth.thrust", _GT_THRUST_KEYS, ("a_f", "b_f", "a_r", "b_r"))
+    t = {key: number(f"ground_truth.thrust.{key}", value) for key, value in doc["thrust"].items()}
+    fields = {
+        name: number(f"ground_truth.{name}", doc[name]) for name in _GT_UNITS if name != "bias"
+    }
+    bias = doc["bias"]
+    if not (isinstance(bias, list) and len(bias) == 3):
+        raise fail("ground_truth.bias", f"must be a list of three numbers, got {bias!r}")
+    bias = tuple(number(f"ground_truth.bias[{i}]", value) for i, value in enumerate(bias))
+    for key in ("d", "h"):
+        if not fields[key] > 0:
+            raise fail(f"ground_truth.{key}", f"must be > 0, got {fields[key]!r}")
+    if ("alpha" in t) != ("beta" in t):
+        raise fail("ground_truth.thrust", "needs both alpha and beta, or neither")
     try:
-        traw = doc["thrust"]
-        static = ThrustStaticParams(
-            a_f=traw["a_f"],
-            b_f=traw["b_f"],
-            a_r=traw["a_r"],
-            b_r=traw["b_r"],
-            dead_zone_forward=traw.get("dead_zone_forward"),
-            dead_zone_reverse=traw.get("dead_zone_reverse"),
-        )
-        thrust: ThrustStaticParams | ThrustDynamicParams = static
-        if "alpha" in traw:
-            thrust = ThrustDynamicParams(
-                alpha=traw["alpha"], beta=traw["beta"], static_part=static
-            )
-        fields = {
-            name: doc[name]
-            for name in _GT_UNITS
-            if name not in ("d", "bias", "h")
-        }
-        override = None
-        if "sigma_override" in doc:
-            raw = doc["sigma_override"]
-            override = (
-                SigmaSurge(**raw["u"]),
-                SigmaSwayYaw(**raw["v"]),
-                SigmaSwayYaw(**raw["r"]),
-            )
-        return GroundTruth(
-            thrust=thrust, d=doc["d"], bias=tuple(doc["bias"]), h=doc["h"],
-            sigma_override=override, **fields
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{source}: missing ground-truth field {exc}") from exc
+        static = ThrustStaticParams(**{k: v for k, v in t.items() if k not in ("alpha", "beta")})
+    except ValueError as exc:
+        raise fail("ground_truth.thrust", str(exc)) from None
+    thrust = ThrustDynamicParams(t["alpha"], t["beta"], static) if "alpha" in t else static
+    try:
+        return GroundTruth(thrust=thrust, bias=bias, **fields)
+    except ValueError as exc:
+        raise fail("ground_truth", str(exc)) from None
 
 
 def sha256_of_file(path: str | Path) -> str:

@@ -28,12 +28,13 @@ __all__ = [
     "r_squared",
     "mae",
     "evaluate",
-    "run_validation",
     "sensitivity_study",
     "training_fraction_sweep",
 ]
 
 AXES = ("u", "v", "r")
+# The validation share of the training-fraction sweep.
+VALIDATION_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -264,22 +265,6 @@ def evaluate(
     )
 
 
-def run_validation(
-    ds: PreparedDataset,
-    kind: str,
-    spec: PartitionSpec,
-    systems: dict[str, RegressionSystem] | None = None,
-) -> tuple[IdentifiedModel, MetricsReport, MetricsReport]:
-    """Partition, identify on the training side, evaluate both sides."""
-    systems = systems if systems is not None else build_systems(ds, kind)
-    split = partition(ds, spec, kind, systems=systems)
-    model = fit_split(kind, systems, ds.h, split)
-    info = split.describe()
-    train_metrics = evaluate(model, systems, split.train, {**info, "side": "train"})
-    val_metrics = evaluate(model, systems, split.val, {**info, "side": "validation"})
-    return model, train_metrics, val_metrics
-
-
 def prediction_traces(
     model: IdentifiedModel,
     systems: dict[str, RegressionSystem],
@@ -359,11 +344,11 @@ def training_fraction_sweep(
     ds: PreparedDataset,
     kind: str,
     fractions: tuple[float, ...] = (0.7, 0.6, 0.5),
-    validation_fraction: float = 0.3,
     seed: int = 0,
     systems: dict[str, RegressionSystem] | None = None,
 ) -> list[dict]:
-    """Vary the training share against one fixed validation share.
+    """Vary the training share against one fixed validation share,
+    ``VALIDATION_FRACTION`` of the rows.
 
     A seeded permutation per group fixes the validation rows once; each
     requested fraction then trains on that share of the whole row count,
@@ -371,10 +356,8 @@ def training_fraction_sweep(
     1 never fail on rounding).  Returns one entry per fraction with
     train- and validation-side metrics.
     """
-    if any(f + validation_fraction > 1.0 + 1e-12 for f in fractions):
+    if any(f + VALIDATION_FRACTION > 1.0 + 1e-12 for f in fractions):
         raise ValueError("train fraction plus validation fraction exceeds 1")
-    if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must lie inside (0, 1)")
     systems = systems if systems is not None else build_systems(ds, kind)
     _vr_rows_consistent(systems)
     rng = np.random.default_rng(seed)
@@ -387,11 +370,11 @@ def training_fraction_sweep(
         for group, axes in (("u", ("u",)), ("vr", ("v", "r"))):
             perm = perms[group]
             n = perm.size
-            n_val = int(round(validation_fraction * n))
+            n_val = int(round(VALIDATION_FRACTION * n))
             # Rounded separately, shares that fill the rows exactly can overshoot by one.
             n_train = min(int(round(f * n)), n - n_val)
             if n_val <= 0 or n_train <= 0:
-                raise DataError(f"infeasible shares: {f} train + {validation_fraction} validation")
+                raise DataError(f"infeasible shares: {f} train + {VALIDATION_FRACTION} validation")
             val_idx = np.sort(perm[:n_val])
             train_idx = np.sort(perm[n_val : n_val + n_train])
             for axis in axes:
@@ -399,7 +382,7 @@ def training_fraction_sweep(
                 rows_val[axis] = val_idx
         model = identify_from_systems(kind, systems, ds.h, rows=rows_train)
         info = {"method": "by_points", "seed": seed, "train_fraction": f,
-                "validation_fraction": validation_fraction}
+                "validation_fraction": VALIDATION_FRACTION}
         out.append(
             {
                 "train_fraction": f,

@@ -16,10 +16,9 @@ from asvid.model import (
 )
 from asvid.oracle import (
     DiscreteGenConfig,
-    SigmaSurge,
-    SigmaSwayYaw,
     default_ground_truth,
     generate_discrete,
+    sigma_coeffs,
 )
 from asvid.regressors import TERMS, build_systems, term_index
 
@@ -278,10 +277,10 @@ def zero_disturbance_run(alpha: float, schedule: np.ndarray, g0) -> np.ndarray:
 
     Each increment is then the input gain itself: g(k) = alpha*g(k-1) + thrust(k-1).
     """
-    gt = replace(
-        default_ground_truth(dynamic=True, alpha=alpha),
-        sigma_override=(SigmaSurge(0, 0, 0, 0, 0), SigmaSwayYaw(*[0] * 9), SigmaSwayYaw(*[0] * 9)),
-    )
+    gt = default_ground_truth(dynamic=True, alpha=alpha)
+    gt = replace(gt, sigma_override={
+        axis: dict.fromkeys(coeffs, 0.0) for axis, coeffs in sigma_coeffs(gt).items()
+    })
     cfg = DiscreteGenConfig(steps=len(schedule), kind="dynamic", schedule=schedule, g0=g0)
     ds = generate_discrete(gt, cfg)
     return np.diff(np.column_stack([ds.u, ds.v, ds.r]), axis=0)

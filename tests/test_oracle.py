@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from asvid.model import ThrustStaticParams
 from asvid.oracle import (
     DiscreteGenConfig,
     GroundTruth,
-    SigmaSurge,
-    SigmaSwayYaw,
     default_ground_truth,
     emit_sensor_logs,
     generate_discrete,
@@ -24,7 +23,7 @@ from asvid.oracle import (
     trajectory_to_dataset,
     zoh_excitation,
 )
-from asvid.regressors import build_systems
+from asvid.regressors import TERMS, build_systems
 
 REF = GeoReference(lat0=37.4, lon0=-6.0, antenna_offset=(0.3, 0.1))
 
@@ -55,24 +54,22 @@ def assemble_matrices(gt: GroundTruth, nu) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def sigma_from_coeffs(gt: GroundTruth, nu) -> np.ndarray:
-    """The lumped disturbance at nu, evaluated from its quasi-quadratic coefficients."""
-    su, sv, sr = sigma_coeffs(gt)
+    """The lumped disturbance at nu, written out from its coefficients by monomial name."""
+    su, sv, sr = (sigma_coeffs(gt)[axis] for axis in "uvr")
     u, v, r = nu
 
-    def swayyaw(s: SigmaSwayYaw) -> float:
-        return (s.vv * v * abs(v) + s.v_ar * v * abs(r) + s.r_av * r * abs(v) + s.rr * r * abs(r)
-                + s.uv * u * v + s.ur * u * r + s.v * v + s.r * r + s.c)
+    def swayyaw(c: dict) -> float:
+        return (c["v|v|"] * v * abs(v) + c["v|r|"] * v * abs(r) + c["r|v|"] * r * abs(v)
+                + c["r|r|"] * r * abs(r) + c["u*v"] * u * v + c["u*r"] * u * r + c["v"] * v
+                + c["r"] * r + c["1"])
 
-    sigma_u = su.uu * u * abs(u) + su.vr * v * r + su.rr * r * r + su.u * u + su.c
+    sigma_u = (su["u|u|"] * u * abs(u) + su["v*r"] * v * r + su["r^2"] * r * r + su["u"] * u
+               + su["1"])
     return np.array([sigma_u, swayyaw(sv), swayyaw(sr)])
 
 
-def zero_sigma():
-    return (
-        SigmaSurge(0.0, 0.0, 0.0, 0.0, 0.0),
-        SigmaSwayYaw(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        SigmaSwayYaw(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    )
+def zero_sigma(gt: GroundTruth) -> dict:
+    return {axis: dict.fromkeys(coeffs, 0.0) for axis, coeffs in sigma_coeffs(gt).items()}
 
 
 class TestMatrices:
@@ -120,8 +117,30 @@ class TestSigma:
             assert np.allclose(sigma_from_coeffs(gt_static, nu), direct, atol=1e-13)
 
     def test_override_used(self, gt_static):
-        gt = replace(gt_static, sigma_override=zero_sigma())
+        gt = replace(gt_static, sigma_override=zero_sigma(gt_static))
         assert np.array_equal(sigma_from_coeffs(gt, [0.4, -0.2, 0.1]), np.zeros(3))
+
+    def test_keys_are_the_static_non_thrust_terms(self, gt_static):
+        for axis, coeffs in sigma_coeffs(gt_static).items():
+            names = [t.name for t in TERMS[("static", axis)] if not t.thrust]
+            assert list(coeffs) == names
+
+    def test_static_non_thrust_row_is_h_times_the_matrices(self, gt_static, rng):
+        # The table's columns times the exact entries give h*M^-1(-C nu - D nu + tau_w).
+        m = gt_static.mass_matrix()
+        tau_w = m @ np.asarray(gt_static.bias)
+        x = known_params_to_X(gt_static, "static")
+        for _ in range(300):
+            nu = rng.uniform(-1.5, 1.5, size=3)
+            _, c, d = assemble_matrices(gt_static, nu)
+            direct = gt_static.h * np.linalg.solve(m, -(c + d) @ nu + tau_w)
+            step = SimpleNamespace(u=nu[0], v=nu[1], r=nu[2])
+            rows = [
+                sum(e * t.column(step) for t, e in zip(TERMS[("static", axis)], x[axis])
+                    if not t.thrust)
+                for axis in "uvr"
+            ]
+            np.testing.assert_allclose(rows, direct, rtol=0.0, atol=1e-13)
 
 
 class TestKnownParams:
@@ -134,7 +153,7 @@ class TestKnownParams:
             x_udot=0.0,
             thrust=ThrustStaticParams(a_f=1.0, b_f=1.0, a_r=1.0, b_r=1.0),
             bias=(0.0, 0.0, 0.0),
-            sigma_override=zero_sigma(),
+            sigma_override=zero_sigma(gt),
         )
         x = known_params_to_X(gt, "static")
         assert np.allclose(x["u"], [0, 0, 0, 0, 0, 0.04, 0.04], atol=1e-15)
@@ -226,6 +245,18 @@ class TestGenerateDiscrete:
         with pytest.raises(RuntimeError, match="diverged at step"):
             generate_discrete(unstable, cfg)
 
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    def test_dead_zone_rows_stay_in_class(self, kind):
+        gt = default_ground_truth(dynamic=kind == "dynamic")
+        static = replace(gt.static_thrust, dead_zone_forward=0.1, dead_zone_reverse=-0.08)
+        thrust = static if kind == "static" else replace(gt.thrust, static_part=static)
+        gt = replace(gt, thrust=thrust)
+        cfg = DiscreteGenConfig(steps=2000, kind=kind, seed=1, n_segments=4,
+                                g0_scale=0.05 if kind == "dynamic" else 0.0)
+        x = known_params_to_X(gt, kind)
+        for axis, sys in build_systems(generate_discrete(gt, cfg), kind).items():
+            assert np.max(np.abs(sys.a @ x[axis] - sys.b)) <= 1e-12, axis
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DiscreteGenConfig(steps=2)
@@ -267,6 +298,11 @@ class TestContinuousSimulator:
         unstable = replace(gt_static, x_u=80.0, x_uu=10.0)
         with pytest.raises(RuntimeError, match="diverged at step"):
             simulate_continuous(unstable, lambda t: (0.9, 0.9), duration=60.0)
+
+    def test_sigma_override_rejected(self, gt_static):
+        gt = replace(gt_static, sigma_override=zero_sigma(gt_static))
+        with pytest.raises(ValueError, match="sigma_override"):
+            simulate_continuous(gt, lambda t: (0.0, 0.0), duration=1.0)
 
     def test_dt_must_divide_h(self, gt_static):
         with pytest.raises(ValueError):
@@ -420,29 +456,32 @@ def _all_regions_schedule(steps):
 
 
 # SHA-256 of the PreparedDataset.columns() bytes, in column order, and the
-# (u, v, r) of the last step; a change in the generator's arithmetic order
-# fails both.  np.dot may round differently under another BLAS build: the
-# digests then differ while the final states still agree to 1e-12.
+# (u, v, r) of the last step.  The digests were re-pinned when the generator
+# moved onto the term table (h*sigma summed from the table's columns times
+# their entries, static surge in class in forward-forward); that moved no
+# velocity by more than 7.8e-16, and the final states are unedited from the
+# generator before it.  A change in the arithmetic order fails the digest;
+# a change in the dynamics fails the final state too.
 GENERATOR_RUNS = {
     "static-prbs": (
         False, dict(steps=2000, kind="static", seed=1),
-        "39ff8e8cf6ed41b9fbb0950c24fcd2d6698805555f286df1cc1fbcd657532687",
+        "b1873699a9f27752084b452f8317cc88bc51348fa684acd473572135f491374e",
         (0.7177846512590326, 0.0410278831695125, -0.14813353476223431),
     ),
     "dynamic-prbs": (
         True, dict(steps=2000, kind="dynamic", seed=1, n_segments=8, g0_scale=0.05),
-        "68de66544ab05e887cd8b1f1e574402e2ce8ea289470f7032abeaa7b0dd04190",
+        "df4e5d40d9797b1ed01a15a2b96a60a19ae80b3a27118fcc5a46fcc147114737",
         (0.9339883665222051, 0.03711601276516343, -0.020333009160802624),
     ),
     "static-all-regions": (
         False, dict(steps=600, kind="static", schedule=_all_regions_schedule(600)),
-        "bcba39135bb764b221de9f2da939574e85ea7e7782232dd08bf53689c4a26658",
+        "ed295275c1bf70b858158c2733802043e9f7a1cd48a656efae92870eb6c78c7c",
         (0.3816145394124197, 0.14588786369302342, -0.43684780633937365),
     ),
     "dynamic-all-regions": (
         True, dict(steps=600, kind="dynamic", schedule=_all_regions_schedule(600), n_segments=3,
                    g0_scale=0.05, seed=2),
-        "09a519e9df0b6370ab552966b4bd598afae2bacba45bc50b1051aed4e994fe6f",
+        "5b85e705e6b752003e506867b6a56a8853e8188acd0715141277f684a0384b5f",
         (0.49644374030673816, 0.054126347541350255, -0.18738134617754573),
     ),
 }

@@ -1,7 +1,9 @@
-"""Property tests: exact file round trips, causality of the preparation filters and the pole fit."""
+"""Property tests: exact file round trips, causality of the preparation filters, the
+in-class generator and the pole fit."""
 
 import tracemalloc
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,8 +25,15 @@ from asvid.dataprep import (
 from asvid.errors import DataError
 from asvid.estimator import IdentifiedModel, resolve_alpha
 from asvid.model import ThrustDynamicParams, ThrustStaticParams
-from asvid.oracle import GroundTruth, SigmaSurge, SigmaSwayYaw
-from asvid.regressors import TERMS, term_index
+from asvid.oracle import (
+    DiscreteGenConfig,
+    GroundTruth,
+    default_ground_truth,
+    generate_discrete,
+    known_params_to_X,
+    sigma_coeffs,
+)
+from asvid.regressors import TERMS, build_systems, term_index
 
 SPECIALS = [-0.0, 1e-300, -1e-300, 1e300, -1e300]
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIALS))
@@ -285,13 +294,6 @@ def ground_truths(draw):
     thrust = static
     if draw(st.booleans()):
         thrust = ThrustDynamicParams(draw(st.floats(0.0, 1.5)), draw(coefficient), static)
-    override = None
-    if draw(st.booleans()):
-        override = (
-            SigmaSurge(*(draw(coefficient) for _ in range(5))),
-            SigmaSwayYaw(*(draw(coefficient) for _ in range(9))),
-            SigmaSwayYaw(*(draw(coefficient) for _ in range(9))),
-        )
     names = [name for name in GroundTruth.__dataclass_fields__
              if name not in ("thrust", "d", "bias", "h", "sigma_override")]
     try:
@@ -299,7 +301,7 @@ def ground_truths(draw):
             **{name: draw(coefficient) for name in names},
             thrust=thrust, d=draw(st.floats(1e-3, 10.0)),
             bias=tuple(draw(coefficient) for _ in range(3)),
-            h=draw(st.floats(1e-3, 10.0)), sigma_override=override,
+            h=draw(st.floats(1e-3, 10.0)),
         )
     except ValueError:  # a singular inertia matrix
         reject()
@@ -311,6 +313,55 @@ def test_ground_truth_round_trip(tmp_path_factory, gt):
     path = tmp_path_factory.mktemp("gt") / "ground_truth.json"
     storage.write_ground_truth(path, gt)
     assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt
+
+
+@st.composite
+def in_class_runs(draw):
+    """A ground truth within 30% of the defaults (the pole kept below 1), with
+    optional dead zones and an optional disturbance override, and a generator
+    config whose held commands visit all four regions."""
+    kind = draw(st.sampled_from(["static", "dynamic"]))
+    gt = default_ground_truth(dynamic=kind == "dynamic")
+    scale = st.floats(0.7, 1.3)
+    static = gt.static_thrust
+    static = replace(static, **{n: draw(scale) * getattr(static, n)
+                                for n in ("a_f", "b_f", "a_r", "b_r")})
+    if draw(st.booleans()):
+        static = replace(static, dead_zone_forward=draw(st.floats(0.02, 0.3)),
+                         dead_zone_reverse=draw(st.floats(-0.3, -0.02)))
+    thrust = static
+    if kind == "dynamic":
+        alpha = draw(st.floats(0.63, 0.99))
+        thrust = ThrustDynamicParams(alpha, draw(scale) * (1.0 - alpha), static)
+    names = [f.name for f in fields(gt) if f.name not in ("thrust", "bias", "sigma_override")]
+    gt = replace(gt, thrust=thrust, bias=tuple(draw(scale) * b for b in gt.bias),
+                 **{name: draw(scale) * getattr(gt, name) for name in names})
+    if draw(st.booleans()):
+        gt = replace(gt, sigma_override={
+            axis: {name: draw(scale) * c for name, c in coeffs.items()}
+            for axis, coeffs in sigma_coeffs(gt).items()
+        })
+    seed = draw(st.integers(0, 2**16))
+    lr = np.random.default_rng(seed).uniform(-0.7, 0.7, size=(60, 2)).repeat(5, axis=0)
+    cfg = DiscreteGenConfig(
+        steps=300, kind=kind, seed=seed, n_segments=draw(st.integers(1, 4)),
+        schedule=np.column_stack([(lr[:, 0] + lr[:, 1]) / 2.0, lr[:, 0] - lr[:, 1]]),
+        g0_scale=draw(st.floats(0.0, 0.1)) if kind == "dynamic" else 0.0,
+    )
+    return gt, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=in_class_runs())
+def test_generator_rows_are_exact_for_the_known_vectors(run):
+    gt, cfg = run
+    try:
+        ds = generate_discrete(gt, cfg)
+    except RuntimeError:  # the drawn dynamics diverged
+        reject()
+    x = known_params_to_X(gt, cfg.kind)
+    for axis, system in build_systems(ds, cfg.kind).items():
+        assert np.max(np.abs(system.a @ x[axis] - system.b)) <= 1e-12, axis
 
 
 POLE_GRID = np.linspace(-3.0, 3.0, 2001)

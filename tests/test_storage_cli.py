@@ -12,7 +12,7 @@ from asvid.dataprep import GeoReference
 from asvid.errors import SchemaError
 from asvid.estimator import identify_from_systems
 from asvid.model import ThrustStaticParams
-from asvid.oracle import SigmaSurge, SigmaSwayYaw, default_ground_truth, known_params_to_X
+from asvid.oracle import known_params_to_X, sigma_coeffs
 from asvid.regressors import build_systems
 
 
@@ -318,15 +318,22 @@ class TestGroundTruthFile:
             gt_static,
             thrust=ThrustStaticParams(1.0, 2.0, 3.0, 4.0, dead_zone_forward=0.05,
                                       dead_zone_reverse=-0.04),
-            sigma_override=(
-                SigmaSurge(0.1, 0.2, 0.3, 0.4, 0.5),
-                SigmaSwayYaw(1, 2, 3, 4, 5, 6, 7, 8, 9),
-                SigmaSwayYaw(9, 8, 7, 6, 5, 4, 3, 2, 1),
-            ),
         )
         path = tmp_path / "gt.json"
         storage.write_ground_truth(path, gt)
         assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt
+
+    def test_sigma_override_has_no_file_form(self, tmp_path, gt_static):
+        path = tmp_path / "gt.json"
+        override = {axis: dict.fromkeys(c, 0.0) for axis, c in sigma_coeffs(gt_static).items()}
+        with pytest.raises(ValueError, match="sigma_override"):
+            storage.write_ground_truth(path, replace(gt_static, sigma_override=override))
+        assert not path.exists()
+        storage.write_ground_truth(path, gt_static)
+        doc = json.loads(path.read_text())
+        doc["sigma_override"] = override
+        with pytest.raises(SchemaError, match=r"'ground_truth\.sigma_override': is not a known"):
+            storage.parse_ground_truth(doc, path.name)
 
     def test_missing_field_reported(self, tmp_path, gt_static):
         path = tmp_path / "gt.json"
@@ -600,6 +607,46 @@ BAD_CONFIGS = {
     "noise-not-object": (_sim(noise=0.02), "'simulate.noise'"),
     "noise-unknown": (_sim(noise={"pos": 0.02}), "'simulate.noise.pos'"),
 }
+
+
+def _gt_unknown(doc):
+    doc["gain"] = 1.0
+
+
+def _gt_thrust_unknown(doc):
+    doc["thrust"]["gain"] = 1.0
+
+
+def _gt_string_value(doc):
+    doc["thrust"]["a_f"] = "8"
+
+
+def _gt_negative_d(doc):
+    doc["d"] = -1
+
+
+# edit of a valid ground-truth section, the key the error must name
+BAD_GROUND_TRUTHS = {
+    "unknown": (_gt_unknown, "'ground_truth.gain'"),
+    "thrust-unknown": (_gt_thrust_unknown, "'ground_truth.thrust.gain'"),
+    "string-value": (_gt_string_value, "'ground_truth.thrust.a_f'"),
+    "negative-d": (_gt_negative_d, "'ground_truth.d'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GROUND_TRUTHS))
+def test_bad_ground_truth_exits_2_naming_the_key(case, tmp_path, gt_static, capsys):
+    edit, key = BAD_GROUND_TRUTHS[case]
+    gt_path = tmp_path / "gt.json"
+    storage.write_ground_truth(gt_path, gt_static)
+    doc = json.loads(gt_path.read_text())
+    edit(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ground_truth": doc, "simulate": {"duration_s": 2.0}}))
+    assert main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and key in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -16,7 +16,6 @@ from asvid.validate import (
     partition,
     prediction_traces,
     r_squared,
-    run_validation,
     sensitivity_study,
     training_fraction_sweep,
 )
@@ -259,20 +258,26 @@ class TestPredictors:
             assert metrics.r2[axis] == pytest.approx(1.0, abs=1e-12)
 
 
+def validate_split(ds, kind, spec):
+    """Partition, fit on the training side, evaluate the validation side."""
+    systems = build_systems(ds, kind)
+    split = partition(ds, spec, kind, systems=systems)
+    model = fit_split(kind, systems, ds.h, split)
+    return evaluate(model, systems, split.val, {**split.describe(), "side": "validation"})
+
+
 class TestRunValidation:
+    """The validate command's flow: partition, fit the training side, evaluate."""
+
     def test_in_class_data_validates_perfectly(self, ds_static):
-        model, train_m, val_m = run_validation(
-            ds_static, "static", PartitionSpec("by_points", 0.7, 2)
-        )
+        val_m = validate_split(ds_static, "static", PartitionSpec("by_points", 0.7, 2))
         for axis in ("u", "v", "r"):
             assert val_m.r2[axis] > 1 - 1e-9
             assert val_m.mae[axis] < 1e-9
         assert val_m.partition["side"] == "validation"
 
     def test_by_segments_flow(self, ds_static):
-        model, _, val_m = run_validation(
-            ds_static, "static", PartitionSpec("by_segments", 0.5, 4)
-        )
+        val_m = validate_split(ds_static, "static", PartitionSpec("by_segments", 0.5, 4))
         assert val_m.r2["u"] > 1 - 1e-9
 
     def test_fit_split_merges_segment_splits_only(self, ds_static):
@@ -390,4 +395,4 @@ class TestTrainingFractionSweep:
 
     def test_infeasible_shares_rejected(self, ds_static):
         with pytest.raises(ValueError):
-            training_fraction_sweep(ds_static, "static", fractions=(0.8,), validation_fraction=0.3)
+            training_fraction_sweep(ds_static, "static", fractions=(0.8,))
