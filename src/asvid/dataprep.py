@@ -1,11 +1,11 @@
 """Raw sensor logs -> a synchronized, filtered table of usable grid points.
 
 The pipeline resamples the multi-rate streams (GNSS position, AHRS heading,
-PWM commands) onto a uniform grid anchored to the GNSS stream, converts
-geodetic fixes to a local NED frame, derives body velocities by backward
-differencing, and smooths them.  Every stage uses only past samples, so a
-perturbation of a raw sample can never change prepared values at earlier
-grid times.
+PWM commands) onto a uniform grid anchored to the GNSS stream by holding
+each stream's newest sample, converts geodetic fixes to a local NED frame,
+derives body velocities by backward differencing, and smooths them.  Every
+stage uses only past samples, so a perturbation of a raw sample can never
+change prepared values at earlier grid times.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ EARTH_RADIUS_M = 6371000.0
 
 # Raw samples stamped within this of a grid time still count as "past".
 _TIME_TOL = 1e-9
-
-# Grid points that resample_causal fits in one batch.
-_RESAMPLE_BATCH = 1024
 
 
 def _ulps(*stamps: np.ndarray) -> float:
@@ -159,34 +156,22 @@ class PwmMapConfig:
 class PrepareConfig:
     """Settings for the raw-log pipeline.
 
-    The causal resampler fits a sliding least-squares polynomial of the
-    given degree over the last ``window`` raw samples.  Cubic fits serve the
-    slowly sampled position and PWM streams; the heading stream gets a
-    degree-8 fit over a wider window, which tolerates sample noise better
-    than an interpolating spline of the same degree.
+    Every stream is resampled onto the grid of step ``h`` by holding its
+    newest sample: the PWM stream is a piecewise-constant command, and the
+    hold suits position and heading streams sampled at or above the grid rate.
+    A grid point whose held sample in any stream is older than
+    ``gap_factor * h`` is unusable, which also drops the points before a
+    stream's first sample.
     """
 
     h: float = 0.2
     pwm_map: PwmMapConfig = field(default_factory=PwmMapConfig)
     savgol: SavGolConfig = field(default_factory=SavGolConfig)
-    gnss_degree: int = 3
-    gnss_window: int = 4
-    heading_degree: int = 8
-    heading_window: int = 15
-    pwm_degree: int = 3
-    pwm_window: int = 4
     gap_factor: float = 3.0  # stream silence > gap_factor*h splits segments
 
     def __post_init__(self) -> None:
         if not self.h > 0:
             raise ValueError("h must be > 0")
-        for deg, win, name in (
-            (self.gnss_degree, self.gnss_window, "gnss"),
-            (self.heading_degree, self.heading_window, "heading"),
-            (self.pwm_degree, self.pwm_window, "pwm"),
-        ):
-            if win < deg + 1:
-                raise ValueError(f"{name} window must hold at least degree+1 samples")
 
 
 _ROW_COLUMNS = ("t", "u", "v", "r", "delta_mean", "delta_diff", "region")
@@ -295,56 +280,25 @@ def lever_arm_correct(x, y, psi, offset: tuple[float, float]):
 
 
 def resample_causal(
-    t_raw: np.ndarray,
-    y_raw: np.ndarray,
-    t_grid: np.ndarray,
-    degree: int,
-    window: int,
+    t_raw: np.ndarray, y_raw: np.ndarray, t_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resample a stream onto a grid using only samples at or before each grid time.
+    """Hold the newest raw sample stamped at or before each grid time.
 
-    A polynomial of ``degree`` is least-squares fitted over the trailing
-    ``window`` raw samples (all prior samples, when there are fewer) and
-    evaluated at the grid time (extrapolation when the grid time falls past
-    the newest sample).  Grid points with fewer than ``degree + 1`` prior
-    samples are marked invalid.
-
-    Returns ``(values, valid)``; invalid entries hold NaN.
+    ``y_raw`` is 1-D or ``(n, k)``, one row per raw stamp.  Returns
+    ``(values, age)``: ``age`` is how old the held sample is at each grid
+    time.  Before the first sample ``age`` is ``inf`` and the values are NaN.
     """
     t_raw = np.asarray(t_raw, dtype=float)
     y_raw = np.asarray(y_raw, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    if window < degree + 1:
-        raise ValueError("window must hold at least degree+1 samples")
     if np.any(np.diff(t_raw) <= 0):
         raise ValueError("raw timestamps must be strictly increasing")
-
     tol = max(_TIME_TOL, _ulps(t_raw, t_grid))
-    n_avail = np.searchsorted(t_raw, t_grid + tol, side="right")
-    valid = n_avail >= degree + 1
-    out = np.full(t_grid.shape, np.nan)
-
-    # Batched QR solves per window width: the full window, and each shorter
-    # width of the warm-up points that have less history.  Each grid point's
-    # fit is the same whatever batch it falls in, and the batches bound the
-    # working memory by _RESAMPLE_BATCH rather than by the grid length.
-    width = np.minimum(n_avail, window)
-    for w in np.unique(width[valid]):
-        points = np.flatnonzero(valid & (width == w))
-        for start in range(0, points.size, _RESAMPLE_BATCH):
-            sel = points[start : start + _RESAMPLE_BATCH]
-            idx = n_avail[sel][:, None] - w + np.arange(w)[None, :]
-            t_win = t_raw[idx]
-            y_win = y_raw[idx]
-            tq = t_grid[sel][:, None]
-            span = np.maximum(tq - t_win[:, :1], 1e-12)
-            basis = 2.0 * (t_win - tq) / span + 1.0  # [-1, 1], grid time at +1
-            vand = basis[..., None] ** np.arange(degree + 1)
-            q, rmat = np.linalg.qr(vand)
-            rhs = np.einsum("nwk,nw->nk", q, y_win)
-            coef = np.linalg.solve(rmat, rhs[..., None])[..., 0]
-            out[sel] = coef.sum(axis=1)
-    return out, valid
+    # Index 0 is a NaN sample stamped at -inf, held before the first raw one.
+    idx = np.searchsorted(t_raw, t_grid + tol, side="right")
+    held_t = np.concatenate(([-np.inf], t_raw))[idx]
+    values = np.concatenate((np.full((1, *y_raw.shape[1:]), np.nan), y_raw))[idx]
+    return values, t_grid - held_t
 
 
 def _window_vandermonde(window: int, order: int) -> np.ndarray:
@@ -457,16 +411,6 @@ def denormalize_pwm(delta, cfg: PwmMapConfig) -> np.ndarray:
     return np.asarray(delta, dtype=float) * cfg.half_span_us + cfg.neutral_us
 
 
-def _staleness(t_raw: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Age of the newest raw sample at each grid time (inf before the first)."""
-    tol = max(_TIME_TOL, _ulps(t_raw, t_grid))
-    idx = np.searchsorted(t_raw, t_grid + tol, side="right")
-    age = np.full(t_grid.shape, np.inf)
-    has = idx > 0
-    age[has] = t_grid[has] - t_raw[idx[has] - 1]
-    return age
-
-
 def build_prepared_dataset(
     raw: RawLogBundle,
     ref: GeoReference,
@@ -475,10 +419,10 @@ def build_prepared_dataset(
     """Run the full preparation pipeline on a raw log bundle.
 
     The grid is anchored to the first GNSS timestamp with step ``cfg.h``.
-    A grid point is usable only when every stream has enough causal history
-    and none has been silent longer than ``gap_factor * h``; contiguous
-    usable runs become segments, and the first point of each run is consumed
-    by the backward difference.
+    A grid point is usable only when every stream has a sample at or before
+    it that is at most ``gap_factor * h`` old; contiguous usable runs become
+    segments, and the first point of each run is consumed by the backward
+    difference.
     """
     cfg = cfg or PrepareConfig()
     h = cfg.h
@@ -489,32 +433,22 @@ def build_prepared_dataset(
         raise DataError("GNSS stream spans less than one grid step")
     grid = t0 + h * np.arange(n_grid)
 
-    lat, ok_lat = resample_causal(raw.gnss_t, raw.lat, grid, cfg.gnss_degree, cfg.gnss_window)
-    lon, ok_lon = resample_causal(raw.gnss_t, raw.lon, grid, cfg.gnss_degree, cfg.gnss_window)
-    psi_unwrapped = np.unwrap(raw.psi)
-    psi, ok_psi = resample_causal(
-        raw.heading_t, psi_unwrapped, grid, cfg.heading_degree, cfg.heading_window
-    )
-    pwm_l, ok_pl = resample_causal(raw.pwm_t, raw.pwm_l, grid, cfg.pwm_degree, cfg.pwm_window)
-    pwm_r, ok_pr = resample_causal(raw.pwm_t, raw.pwm_r, grid, cfg.pwm_degree, cfg.pwm_window)
-
-    gap = cfg.gap_factor * h
-    fresh = (
-        (_staleness(raw.gnss_t, grid) <= gap)
-        & (_staleness(raw.heading_t, grid) <= gap)
-        & (_staleness(raw.pwm_t, grid) <= gap)
-    )
-    usable = ok_lat & ok_lon & ok_psi & ok_pl & ok_pr & fresh
+    latlon, age_gnss = resample_causal(raw.gnss_t, np.column_stack((raw.lat, raw.lon)), grid)
+    psi, age_heading = resample_causal(raw.heading_t, np.unwrap(raw.psi), grid)
+    pwm, age_pwm = resample_causal(raw.pwm_t, np.column_stack((raw.pwm_l, raw.pwm_r)), grid)
+    usable = np.maximum.reduce([age_gnss, age_heading, age_pwm]) <= cfg.gap_factor * h
     if not np.any(usable):
-        raise DataError("no usable grid points after warm-up and gap filtering")
+        raise DataError("no usable grid points: each lacks a stream sample within gap_factor*h")
 
-    x, y = geodetic_to_ned(lat, lon, ref)
+    x, y = geodetic_to_ned(*latlon.T, ref)
     x, y = lever_arm_correct(x, y, psi, ref.antenna_offset)
-    delta_l, flag_l = normalize_pwm(pwm_l, cfg.pwm_map)
-    delta_r, flag_r = normalize_pwm(pwm_r, cfg.pwm_map)
-    n_flagged = int(np.sum((flag_l | flag_r) & usable))
+    (delta_l, delta_r), flagged = normalize_pwm(pwm.T, cfg.pwm_map)
+    n_flagged = int(np.sum(flagged.any(axis=0) & usable))
     if n_flagged:
-        warnings.warn(f"{n_flagged} PWM samples out of configured bounds by >5%", stacklevel=2)
+        warnings.warn(
+            f"{n_flagged} grid points hold PWM out of configured bounds by "
+            f">{100 * cfg.pwm_map.oob_fraction:g}%", stacklevel=2,
+        )
     region = classify_regions(delta_l, delta_r)
     delta_mean = 0.5 * (delta_l + delta_r)
     delta_diff = delta_l - delta_r

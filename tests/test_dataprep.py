@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,13 @@ from asvid.dataprep import (
     savitzky_golay,
 )
 from asvid.errors import DataError
+from asvid.oracle import (
+    SensorNoise,
+    emit_sensor_logs,
+    prbs_frames,
+    simulate_continuous,
+    zoh_excitation,
+)
 
 REF = GeoReference(lat0=37.4, lon0=-6.0)
 
@@ -73,68 +81,79 @@ class TestLeverArm:
 class TestResampleCausal:
     def test_constant_stream(self):
         t = np.arange(0, 2, 0.02)
-        vals, valid = resample_causal(t, np.full_like(t, 3.5), np.arange(0.2, 1.8, 0.2), 3, 4)
-        assert np.all(valid)
-        assert np.allclose(vals, 3.5, atol=1e-10)
+        vals, age = resample_causal(t, np.full_like(t, 3.5), np.arange(0.2, 1.8, 0.2))
+        assert np.all(vals == 3.5)
+        assert np.all(age < 0.02)
+
+    def test_holds_newest_sample_at_or_before_grid_time(self):
+        t = np.array([0.0, 0.3, 0.35, 1.0])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        grid = np.array([0.0, 0.2, 0.34, 0.6, 1.5])
+        vals, age = resample_causal(t, y, grid)
+        assert vals.tolist() == [1.0, 1.0, 2.0, 3.0, 4.0]
+        assert np.allclose(age, [0.0, 0.2, 0.04, 0.25, 0.5], rtol=0.0, atol=1e-12)
 
     def test_linear_ramp_exact(self):
-        t = np.arange(0, 4, 0.02)
-        y = 2.0 * t - 1.0
+        # The held value is the ramp at the held sample's stamp, grid - age.
+        t = np.arange(0, 4, 0.03)
         grid = np.arange(0.4, 3.6, 0.2)
-        vals, valid = resample_causal(t, y, grid, 3, 4)
-        assert np.all(valid)
-        assert np.allclose(vals, 2.0 * grid - 1.0, atol=1e-9)
-
-    def test_degree8_reproduces_ramp(self):
-        t = np.arange(0, 4, 0.02)
-        y = -0.7 * t + 0.3
-        grid = np.arange(1.0, 3.6, 0.2)
-        vals, valid = resample_causal(t, y, grid, 8, 15)
-        assert np.all(valid)
-        assert np.allclose(vals, -0.7 * grid + 0.3, atol=1e-9)
+        vals, age = resample_causal(t, 2.0 * t - 1.0, grid)
+        assert np.all((age > -1e-9) & (age < 0.03))
+        assert np.allclose(vals, 2.0 * (grid - age) - 1.0, rtol=0.0, atol=1e-12)
 
     def test_slow_sine_error_bound(self):
+        # A hold lags by at most one sample period: error <= max slope * 0.02 s.
         t = np.arange(0, 30, 0.02)
         y = np.sin(2 * math.pi * 0.1 * t)
-        grid = np.arange(1.0, 29.0, 0.2)
-        vals, valid = resample_causal(t, y, grid, 3, 4)
-        assert np.all(valid)
-        assert np.max(np.abs(vals - np.sin(2 * math.pi * 0.1 * grid))) < 1e-4
+        grid = np.arange(1.0, 29.0, 0.2) + 0.013
+        vals, _ = resample_causal(t, y, grid)
+        assert np.max(np.abs(vals - np.sin(2 * math.pi * 0.1 * grid))) <= 2 * math.pi * 0.1 * 0.02
 
-    def test_warm_up_marked_invalid(self):
-        t = np.arange(0, 1, 0.1)
-        y = t.copy()
-        grid = np.array([0.05, 0.15, 0.25, 0.35, 0.95])
-        vals, valid = resample_causal(t, y, grid, 3, 4)
-        # grid points with fewer than 4 prior samples are invalid
-        assert list(valid) == [False, False, False, True, True]
-        assert np.all(np.isnan(vals[~valid]))
+    def test_before_first_sample(self):
+        vals, age = resample_causal(np.array([1.0, 2.0]), np.array([5.0, 6.0]),
+                                    np.array([0.0, 0.5, 1.0]))
+        assert np.isnan(vals[:2]).all() and vals[2] == 5.0
+        assert age.tolist() == [np.inf, np.inf, 0.0]
 
-    def test_short_history_evaluated_at_grid_time(self):
-        # Points with fewer samples than the window fit those they have and,
-        # like full-window points, evaluate the fit at the grid time.
+    def test_sample_within_stamp_tolerance_counts_as_past(self):
+        # Near 1.7e9 s a grid time t0 + h*k carries ~1e-7 s of rounding; a raw
+        # sample stamped that far after it is still the one the grid point holds.
+        t0 = 1.7e9
+        grid = t0 + 0.2 * np.arange(4)
+        t = grid + np.array([0.0, 2.4e-7, 0.0, 0.0])
+        vals, age = resample_causal(t, np.arange(4.0), grid)
+        assert vals.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert np.all(np.abs(age) < 1e-6)
+        # Beyond the tolerance the sample is in the future.
+        vals, _ = resample_causal(grid + 1e-3, np.arange(4.0), grid)
+        assert np.isnan(vals[0]) and vals[1:].tolist() == [0.0, 1.0, 2.0]
+
+    def test_columns_held_together(self):
         t = np.arange(0, 1, 0.1)
-        grid = np.array([0.05, 0.15, 0.25, 0.35])
-        vals, valid = resample_causal(t, 2 * t + 1, grid, 1, 4)
-        assert list(valid) == [False, True, True, True]
-        assert np.allclose(vals[1:], 2 * grid[1:] + 1, rtol=0.0, atol=1e-12)
+        y = np.column_stack((t, -2 * t))
+        grid = np.array([0.05, 0.15, 0.95])
+        vals, age = resample_causal(t, y, grid)
+        assert vals.shape == (3, 2)
+        assert np.array_equal(vals, y[[0, 1, 9]])
+        one, age_one = resample_causal(t, y[:, 1], grid)
+        assert np.array_equal(one, vals[:, 1]) and np.array_equal(age_one, age)
 
     def test_causality_by_perturbation(self):
         t = np.arange(0, 10, 0.1)
         y = np.sin(t)
         grid = np.arange(1.0, 9.0, 0.2)
-        base, _ = resample_causal(t, y, grid, 3, 4)
+        base, _ = resample_causal(t, y, grid)
         y2 = y.copy()
         j = np.searchsorted(t, 5.0)
         y2[j] += 100.0
-        pert, _ = resample_causal(t, y2, grid, 3, 4)
+        pert, _ = resample_causal(t, y2, grid)
         before = grid < t[j] - 1e-12
         assert np.array_equal(base[before], pert[before])
         assert not np.array_equal(base[~before], pert[~before])
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            resample_causal(np.arange(5.0), np.arange(5.0), np.arange(3.0), 3, 3)
+    def test_non_increasing_stamps_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            resample_causal(np.array([0.0, 1.0, 1.0]), np.arange(3.0), np.arange(3.0))
 
 
 class TestSavitzkyGolay:
@@ -195,6 +214,12 @@ class TestSavitzkyGolay:
         pert = savitzky_golay(y2, SavGolConfig(11, 3), causal=True)
         assert np.array_equal(base[:60], pert[:60])
         assert not np.array_equal(base[60:], pert[60:])
+
+    def test_no_grid_point_with_every_stream_rejected(self):
+        raw = synthetic_logs()
+        raw.heading_t = raw.heading_t + 100.0  # heading starts after the GNSS log ends
+        with pytest.raises(DataError, match="no usable grid points"):
+            build_prepared_dataset(raw, REF)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -339,9 +364,41 @@ class TestBuildPreparedDataset:
         )
         base = build_prepared_dataset(raw, REF)
         ds = build_prepared_dataset(shifted, REF)
-        assert base.n_samples == ds.n_samples == 296
+        # 299 of the 300 grid points: the backward difference consumes the
+        # first, and every stream holds a sample from the first grid time on.
+        assert base.n_samples == ds.n_samples == 299
         for name in ("u", "v", "r"):
             assert np.max(np.abs(getattr(ds, name) - getattr(base, name))) < 1e-7
+
+    def test_unaligned_pwm_clock_holds_logged_commands(self, gt_dynamic):
+        # A PWM logger on its own clock, 0.01 s after the grid: each sample is
+        # still the command at its own stamp, and each grid point must take a
+        # command that was logged, not one extrapolated across a switch.
+        exc = zoh_excitation(prbs_frames(600, seed=1), gt_dynamic.h)
+        raw = emit_sensor_logs(simulate_continuous(gt_dynamic, exc, 120.0), REF, SensorNoise())
+        raw = replace(raw, pwm_t=raw.pwm_t + 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = build_prepared_dataset(raw, REF)
+        (delta_l, delta_r), _ = normalize_pwm(np.stack((raw.pwm_l, raw.pwm_r)), PwmMapConfig())
+        logged = 0.5 * (delta_l + delta_r)
+        assert ds.n_samples == 599
+        assert np.all(np.isin(ds.delta_mean, logged))
+
+    @pytest.mark.parametrize("oob_fraction, n_points", [(0.05, 20), (0.2, 10)])
+    def test_out_of_bounds_pwm_warning(self, oob_fraction, n_points):
+        # 1950 us is out by 12.5% of the half span and 2000 us by 25%; each is
+        # held at 10 grid points (the PWM log runs at twice the grid rate).
+        raw = synthetic_logs()
+        raw.pwm_l[100:120] = 2000.0
+        raw.pwm_l[200:220] = 1950.0
+        cfg = PrepareConfig(pwm_map=PwmMapConfig(oob_fraction=oob_fraction))
+        with pytest.warns(UserWarning) as caught:
+            build_prepared_dataset(raw, REF, cfg)
+        assert [str(w.message) for w in caught] == [
+            f"{n_points} grid points hold PWM out of configured bounds by "
+            f">{100 * oob_fraction:g}%"
+        ]
 
     def test_empty_data_rejected(self):
         raw = synthetic_logs()
@@ -351,11 +408,15 @@ class TestBuildPreparedDataset:
         with pytest.raises(DataError):
             build_prepared_dataset(raw, REF)
 
+    def test_no_grid_point_with_every_stream_rejected(self):
+        raw = synthetic_logs()
+        raw.heading_t = raw.heading_t + 100.0  # heading starts after the GNSS log ends
+        with pytest.raises(DataError, match="no usable grid points"):
+            build_prepared_dataset(raw, REF)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PrepareConfig(h=0.0)
-        with pytest.raises(ValueError):
-            PrepareConfig(heading_window=5)  # degree 8 needs >= 9 samples
 
 
 class TestPreparedDataset:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from asvid import cli, storage
-from asvid.dataprep import GeoReference
+from asvid.dataprep import RAW_STREAMS, GeoReference
 from asvid.oracle import (
     DiscreteGenConfig,
     default_ground_truth,
@@ -72,7 +72,8 @@ def test_dataprep_attrs_read_a_real_build(small_bundle):
     (build,) = [s for s in tracer.spans if s.name == "dataprep.build_prepared_dataset"]
     assert build.attrs == {"points": ds.n_samples}
     resamples = [s for s in tracer.spans if s.name == "dataprep.resample_causal"]
-    assert resamples and all(s.parent == build.span_id for s in resamples)
+    assert len(resamples) == len(RAW_STREAMS)  # one call per raw stream
+    assert all(s.parent == build.span_id for s in resamples)
     # The grid spans the GNSS log at the default step of 0.2 s.
     n_grid = round((small_bundle.gnss_t[-1] - small_bundle.gnss_t[0]) / 0.2) + 1
     assert {s.attrs["grid_points"] for s in resamples} == {n_grid}

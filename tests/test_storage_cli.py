@@ -588,6 +588,7 @@ BAD_CONFIGS = {
     "top-unknown": ({"sede": 3}, "'sede'"),
     "prepare-not-object": ({"prepare": 5}, "'prepare'"),
     "prepare-unknown": ({"prepare": {"gnss_windw": 2}}, "'prepare.gnss_windw'"),
+    "prepare-resampler-key": ({"prepare": {"heading_degree": 8}}, "'prepare.heading_degree'"),
     "savgol-unknown": ({"prepare": {"savgol": {"window": 5}}}, "'prepare.savgol.window'"),
     "geo-not-object": ({"geo_reference": [37.4, -6.0]}, "'geo_reference'"),
     "geo-unknown": ({"geo_reference": {"lat": 37.4}}, "'geo_reference.lat'"),
