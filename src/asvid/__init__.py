@@ -4,47 +4,67 @@ Estimates how normalized PWM commands map to per-step velocity increments
 (the input gain) from position/heading/PWM logs alone, under either a
 static quadratic or a first-order dynamic propeller model, and validates
 the identified models with one-step prediction metrics.
+
+The public names below are imported from their modules on first access
+(PEP 562), so ``import asvid`` itself loads no numpy.
 """
 
-from .dataprep import (
-    GeoReference,
-    PrepareConfig,
-    PreparedDataset,
-    PwmMapConfig,
-    RawLogBundle,
-    SavGolConfig,
-    build_prepared_dataset,
-)
-from .errors import DataError, SchemaError
-from .estimator import (
-    IdentifiedModel,
-    identify_from_systems,
-    resolve_alpha,
-    solve_least_squares,
-)
-from .model import (
-    OperatingRegion,
-    ThrustDynamicParams,
-    ThrustStaticParams,
-    thrust_static,
-)
-from .oracle import (
-    DiscreteGenConfig,
-    GroundTruth,
-    default_ground_truth,
-    generate_discrete,
-    known_params_to_X,
-    simulate_continuous,
-)
-from .regressors import RegressionSystem, build_systems
-from .validate import (
-    MetricsReport,
-    PartitionSpec,
-    mae,
-    partition,
-    r_squared,
-    sensitivity_study,
-    training_fraction_sweep,
-)
+import importlib
 
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "dataprep": (
+            "GeoReference",
+            "PrepareConfig",
+            "PreparedDataset",
+            "PwmMapConfig",
+            "RawLogBundle",
+            "SavGolConfig",
+            "build_prepared_dataset",
+        ),
+        "errors": ("DataError", "SchemaError"),
+        "estimator": (
+            "IdentifiedModel",
+            "identify_from_systems",
+            "resolve_alpha",
+            "solve_least_squares",
+        ),
+        "model": ("OperatingRegion", "ThrustDynamicParams", "ThrustStaticParams", "thrust_static"),
+        "oracle": (
+            "DiscreteGenConfig",
+            "GroundTruth",
+            "default_ground_truth",
+            "generate_discrete",
+            "known_params_to_X",
+            "simulate_continuous",
+        ),
+        "regressors": ("RegressionSystem", "build_systems"),
+        "validate": (
+            "MetricsReport",
+            "PartitionSpec",
+            "mae",
+            "partition",
+            "r_squared",
+            "sensitivity_study",
+            "training_fraction_sweep",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

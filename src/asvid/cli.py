@@ -9,65 +9,99 @@ another I/O failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import storage
-from .dataprep import (
-    GeoReference,
-    PrepareConfig,
-    PwmMapConfig,
-    SavGolConfig,
-    build_prepared_dataset,
-)
 from .errors import SchemaError
-from .oracle import (
-    SensorNoise,
-    default_ground_truth,
-    emit_sensor_logs,
-    known_params_to_X,
-    prbs_frames,
-    simulate_continuous,
-    smooth_excitation,
-    zoh_excitation,
-)
-from .regressors import build_systems
-from .estimator import identify_from_systems
-from .validate import (
-    PartitionSpec,
-    evaluate,
-    fit_split,
-    partition,
-    prediction_traces,
-    sensitivity_study,
-    training_fraction_sweep,
-)
+from .files import atomic_write_text, read_json, write_json
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_IO = 2
 
 
-# The keys each config section may hold; every section is a JSON object.
-_CONFIG_KEYS = {
-    (): {"kind", "seed", "ground_truth", "column_adapter", "geo_reference", "prepare",
-         "simulate"},
-    ("geo_reference",): {f.name for f in fields(GeoReference)},
-    ("prepare",): {f.name for f in fields(PrepareConfig)},
-    ("prepare", "pwm_map"): {f.name for f in fields(PwmMapConfig)},
-    ("prepare", "savgol"): {f.name for f in fields(SavGolConfig)},
-    ("simulate",): {"duration_s", "dt", "excitation", "noise"},
-    ("simulate", "noise"): {f.name for f in fields(SensorNoise)} - {"seed"},
+# The names the numeric commands call, by the module that defines them.  They
+# are bound into this module's globals when a command other than ``report``
+# runs, so ``report`` never loads numpy.  ``storage`` is bound as a module.
+_NUMERIC = {
+    name: module
+    for module, names in {
+        "dataprep": (
+            "GeoReference",
+            "PrepareConfig",
+            "PwmMapConfig",
+            "SavGolConfig",
+            "build_prepared_dataset",
+        ),
+        "estimator": ("identify_from_systems",),
+        "oracle": (
+            "SensorNoise",
+            "default_ground_truth",
+            "emit_sensor_logs",
+            "known_params_to_X",
+            "prbs_frames",
+            "simulate_continuous",
+            "smooth_excitation",
+            "zoh_excitation",
+        ),
+        "regressors": ("build_systems",),
+        "validate": (
+            "PartitionSpec",
+            "evaluate",
+            "fit_split",
+            "partition",
+            "prediction_traces",
+            "sensitivity_study",
+            "training_fraction_sweep",
+        ),
+    }.items()
+    for name in names
 }
-# The keys of simulate.excitation besides "type", per excitation type.
-_EXCITATION_KEYS = {
-    "smooth": set(inspect.signature(smooth_excitation).parameters),
-    "prbs": {"hold"},
-}
+
+
+def _bind_numeric() -> None:
+    """Import the numeric modules and bind ``storage`` and the ``_NUMERIC`` names.
+
+    A name that is already bound keeps its value, so a tracer that replaced
+    it before the first command keeps its wrapper.
+    """
+    names = globals()
+    for name, module in _NUMERIC.items():
+        names.setdefault(name, getattr(importlib.import_module(f"{__package__}.{module}"), name))
+    names.setdefault("storage", importlib.import_module(f"{__package__}.storage"))
+
+
+def __getattr__(name: str):
+    if name != "storage" and name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numeric()
+    return globals()[name]
+
+
+def _config_keys() -> tuple[dict, dict]:
+    """The keys each config section may hold (every section is a JSON object),
+    and the keys of simulate.excitation besides "type", per excitation type.
+
+    Built when a config is checked: they read the fields of numeric modules."""
+    _bind_numeric()
+    sections = {
+        (): {"kind", "seed", "ground_truth", "column_adapter", "geo_reference", "prepare",
+             "simulate"},
+        ("geo_reference",): {f.name for f in fields(GeoReference)},
+        ("prepare",): {f.name for f in fields(PrepareConfig)},
+        ("prepare", "pwm_map"): {f.name for f in fields(PwmMapConfig)},
+        ("prepare", "savgol"): {f.name for f in fields(SavGolConfig)},
+        ("simulate",): {"duration_s", "dt", "excitation", "noise"},
+        ("simulate", "noise"): {f.name for f in fields(SensorNoise)} - {"seed"},
+    }
+    excitations = {
+        "smooth": set(inspect.signature(smooth_excitation).parameters),
+        "prbs": {"hold"},
+    }
+    return sections, excitations
 
 
 def _section(cfg: dict, path: tuple[str, ...], known: set[str], name: str) -> dict:
@@ -85,17 +119,18 @@ def _section(cfg: dict, path: tuple[str, ...], known: set[str], name: str) -> di
 
 def _check_config(cfg: dict, name: str) -> None:
     """Every section an object, every key known, the excitation well formed."""
-    for path, known in _CONFIG_KEYS.items():
+    sections, excitations = _config_keys()
+    for path, known in sections.items():
         _section(cfg, path, known, name)
     path = ("simulate", "excitation")
-    any_key = {"type"}.union(*_EXCITATION_KEYS.values())
+    any_key = {"type"}.union(*excitations.values())
     kind = _section(cfg, path, any_key, name).get("type", "smooth")
-    if kind not in _EXCITATION_KEYS:
+    if kind not in excitations:
         raise SchemaError(
             f"{name}: config key 'simulate.excitation.type' must be one of "
-            f"{sorted(_EXCITATION_KEYS)}, got {kind!r}"
+            f"{sorted(excitations)}, got {kind!r}"
         )
-    hold = _section(cfg, path, {"type", *_EXCITATION_KEYS[kind]}, name).get("hold", 5)
+    hold = _section(cfg, path, {"type", *excitations[kind]}, name).get("hold", 5)
     if isinstance(hold, bool) or not isinstance(hold, int) or hold < 1:
         raise SchemaError(
             f"{name}: config key 'simulate.excitation.hold' must be a positive integer, "
@@ -106,7 +141,7 @@ def _check_config(cfg: dict, name: str) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    cfg = storage.read_json(path)
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
     _check_config(cfg, Path(path).name)
@@ -174,7 +209,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     ds = build_prepared_dataset(bundle, _geo_reference(cfg), _prepare_config(cfg))
     storage.write_prepared_csv(out / "prepared.csv", ds)
     summary = ds.summary()
-    storage.write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(
         f"prepared {summary['points']} points in {summary['segments']} segments "
         f"({summary['minutes']:.2f} minutes at h={ds.h} s)"
@@ -270,7 +305,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for entry in sweep
         ]
 
-    storage.write_json(out / "metrics.json", doc)
+    write_json(out / "metrics.json", doc)
     metrics_header = ("section", "side", "axis", "metric", "value")
     storage.write_csv(out / "metrics.csv", metrics_header, list(zip(*_metrics_csv_rows(doc))))
     storage.write_csv(out / "traces.csv", ("t", "axis", "truth", "prediction"), list(zip(*traces)))
@@ -333,14 +368,14 @@ def _report_lines(doc: dict) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.metrics)
-    doc = storage.read_json(path)
+    doc = read_json(path)
     try:
         lines = _report_lines(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path.name}: not a metrics file: {exc!r}") from None
     text = "\n".join(lines).rstrip() + "\n"
     if args.out:
-        storage.atomic_write_text(Path(args.out), text)
+        atomic_write_text(Path(args.out), text)
         print(f"wrote report to {args.out}")
     else:
         print(text, end="")
@@ -394,12 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "report":
+        _bind_numeric()
     try:
         return args.func(args)
     except (OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -291,6 +291,10 @@ def resample_causal(
     t_raw = np.asarray(t_raw, dtype=float)
     y_raw = np.asarray(y_raw, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if y_raw.shape[:1] != t_raw.shape:
+        raise ValueError(
+            f"y_raw needs one row per raw stamp: shape {y_raw.shape} for {t_raw.size} stamps"
+        )
     if np.any(np.diff(t_raw) <= 0):
         raise ValueError("raw timestamps must be strictly increasing")
     tol = max(_TIME_TOL, _ulps(t_raw, t_grid))

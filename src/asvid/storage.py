@@ -30,14 +30,12 @@ A missing file raises ``FileNotFoundError``.  A malformed one raises
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import itertools
 import json
 import math
 import os
-import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -47,6 +45,7 @@ import numpy as np
 from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle, off_grid_row
 from .errors import DataError, SchemaError
 from .estimator import IdentifiedModel
+from .files import _atomic_open, atomic_write_text, read_json, write_json
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
 from .oracle import GroundTruth
 from .regressors import TERMS
@@ -73,41 +72,6 @@ MODEL_FILE_VERSION = 1
 
 # Rows that write_csv formats and writes at a time.
 _WRITE_BLOCK = 4096
-
-
-@contextlib.contextmanager
-def _atomic_open(path: Path):
-    """A text handle on a temp file in ``path``'s directory, renamed to ``path``
-    when the block ends; the temp file is removed if the block raises."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    with _atomic_open(Path(path)) as fh:
-        fh.write(text)
-
-
-def read_json(path: str | Path):
-    """The document in a JSON file; one that does not parse is a :class:`SchemaError`."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise SchemaError(f"{path.name}: not valid JSON: {exc}") from None
-
-
-def write_json(path: str | Path, doc) -> None:
-    atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
 
 
 def _line_at(text: str, pos: int) -> tuple[str, int]:

@@ -155,6 +155,12 @@ class TestResampleCausal:
         with pytest.raises(ValueError, match="strictly increasing"):
             resample_causal(np.array([0.0, 1.0, 1.0]), np.arange(3.0), np.arange(3.0))
 
+    @pytest.mark.parametrize("rows", [5, 2])
+    def test_one_row_per_stamp(self, rows):
+        # A longer y_raw would be held silently; a shorter one failed deep in the indexing.
+        with pytest.raises(ValueError, match=rf"shape \({rows},\) for 3 stamps"):
+            resample_causal(np.arange(3.0), np.arange(float(rows)), [0.5, 2.5])
+
 
 class TestSavitzkyGolay:
     @pytest.mark.parametrize("causal", [False, True])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asvid import oracle, storage
+from asvid import cli, oracle, storage
 from asvid.cli import main
 from asvid.dataprep import GeoReference
 from asvid.errors import SchemaError
@@ -434,6 +434,19 @@ class TestCli:
                         "--out", str(tmp_path / "m"))
         assert code == 1
         capsys.readouterr()
+
+    def test_linalg_error_gives_exit_1(self, tmp_path, ds_static, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError: main catches it without naming numpy.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "identify_from_systems", no_convergence)
+        prep = tmp_path / "prepared.csv"
+        storage.write_prepared_csv(prep, ds_static)
+        code = self.run("identify", "--prepared", str(prep), "--kind", "static",
+                        "--out", str(tmp_path / "m"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_simulate_deterministic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
