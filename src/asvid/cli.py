@@ -2,21 +2,50 @@
 
 Every command is deterministic given its inputs, config and seed.  Exit
 codes: 0 success, 1 numerical failure, 2 an input file that is missing or
-malformed (the message names the file, and the line of a bad CSV cell) or
-another I/O failure.
+malformed (the message names the file, and the line of a bad CSV cell), a
+bad flag value, or another I/O failure.
+
+The config file (``--config``) is one JSON object.  Each section is built
+into the class or function whose parameters define it: the keys are those
+parameters, the defaults theirs, and every value must match its annotation
+(:func:`asvid.files.from_json`).  Every section may be left out.
+
+* top level (``_Config``): ``kind`` "static" (default) or "dynamic", ``seed``
+  an integer (0), and the sections below;
+* ``geo_reference``: ``GeoReference`` (``lat0`` 37.4, ``lon0`` -6.0 supplied,
+  ``antenna_offset`` [0, 0]);
+* ``prepare``: ``PrepareConfig`` (``h`` 0.2, ``gap_factor`` 3), with
+  ``pwm_map`` a ``PwmMapConfig`` (``neutral_us`` 1500, ``half_span_us`` 400,
+  ``oob_fraction`` 0.05) and ``savgol`` a ``SavGolConfig`` (``window_length``
+  11, ``poly_order`` 3);
+* ``column_adapter``: per ``RAW_STREAMS`` stream, its column names mapped to
+  the names in the log's header;
+* ``ground_truth``: the ``ground_truth.json`` layout
+  (``storage.parse_ground_truth``); ``simulate`` uses it for the vessel;
+* ``simulate`` (``_Simulate``): ``duration_s`` 600, ``dt`` null (the
+  simulator's step), ``noise`` a ``SensorNoise`` (levels 0; its seed is the
+  run's, not a key), and ``excitation`` with ``type`` "smooth" (default; the
+  parameters of ``smooth_excitation``) or "prbs" (``_prbs``: ``hold`` 5).
+
+The whole file is checked when it is loaded, whichever command runs.  An
+unknown or missing key, a value of the wrong type, or one the built class
+rejects exits 2 naming the file and the dotted key, for example
+``cfg.json: 'prepare.h': must be a finite number, got 'abc'``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
+import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Literal
 
 from .errors import SchemaError
-from .files import atomic_write_text, read_json, write_json
+from .files import atomic_write_text, from_json, read_json, write_json
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -29,33 +58,16 @@ EXIT_IO = 2
 _NUMERIC = {
     name: module
     for module, names in {
-        "dataprep": (
-            "GeoReference",
-            "PrepareConfig",
-            "PwmMapConfig",
-            "SavGolConfig",
-            "build_prepared_dataset",
-        ),
+        "dataprep": ("GeoReference", "PrepareConfig", "RAW_STREAMS", "build_prepared_dataset"),
         "estimator": ("identify_from_systems",),
         "oracle": (
-            "SensorNoise",
-            "default_ground_truth",
-            "emit_sensor_logs",
-            "known_params_to_X",
-            "prbs_frames",
-            "simulate_continuous",
-            "smooth_excitation",
-            "zoh_excitation",
+            "SensorNoise", "default_ground_truth", "emit_sensor_logs", "known_params_to_X",
+            "prbs_frames", "simulate_continuous", "smooth_excitation", "zoh_excitation",
         ),
         "regressors": ("build_systems",),
         "validate": (
-            "PartitionSpec",
-            "evaluate",
-            "fit_split",
-            "partition",
-            "prediction_traces",
-            "sensitivity_study",
-            "training_fraction_sweep",
+            "PartitionSpec", "evaluate", "fit_split", "partition", "prediction_traces",
+            "sensitivity_study", "training_fraction_sweep",
         ),
     }.items()
     for name in names
@@ -81,117 +93,98 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def _config_keys() -> tuple[dict, dict]:
-    """The keys each config section may hold (every section is a JSON object),
-    and the keys of simulate.excitation besides "type", per excitation type.
+@dataclass(frozen=True)
+class _Simulate:
+    """The ``simulate`` section; :func:`_settings` reads ``excitation`` and ``noise``."""
 
-    Built when a config is checked: they read the fields of numeric modules."""
+    duration_s: float = 600.0
+    dt: float | None = None
+    excitation: dict = field(default_factory=dict)
+    noise: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Config:
+    """The top level of a config file; :func:`_settings` reads the sections held as dicts."""
+
+    kind: Literal["static", "dynamic"] = "static"
+    seed: int = 0
+    ground_truth: dict | None = None
+    column_adapter: dict[str, dict[str, str]] = field(default_factory=dict)
+    geo_reference: dict = field(default_factory=dict)
+    prepare: dict = field(default_factory=dict)
+    simulate: _Simulate = field(default_factory=_Simulate)
+
+
+def _prbs(hold: int = 5) -> int:
+    """The keys of a PRBS ``simulate.excitation`` besides ``type``."""
+    if hold < 1:
+        raise ValueError(f"hold must be a positive integer, got {hold!r}")
+    return hold
+
+
+def _settings(cfg: dict, path: str | None) -> SimpleNamespace:
+    """Every section of the config document ``cfg`` built into what it configures.
+
+    A bad key or value is a :class:`SchemaError` naming the file ``path`` and
+    the dotted key (see the module docstring).
+    """
     _bind_numeric()
-    sections = {
-        (): {"kind", "seed", "ground_truth", "column_adapter", "geo_reference", "prepare",
-             "simulate"},
-        ("geo_reference",): {f.name for f in fields(GeoReference)},
-        ("prepare",): {f.name for f in fields(PrepareConfig)},
-        ("prepare", "pwm_map"): {f.name for f in fields(PwmMapConfig)},
-        ("prepare", "savgol"): {f.name for f in fields(SavGolConfig)},
-        ("simulate",): {"duration_s", "dt", "excitation", "noise"},
-        ("simulate", "noise"): {f.name for f in fields(SensorNoise)} - {"seed"},
-    }
-    excitations = {
-        "smooth": set(inspect.signature(smooth_excitation).parameters),
-        "prbs": {"hold"},
-    }
-    return sections, excitations
-
-
-def _section(cfg: dict, path: tuple[str, ...], known: set[str], name: str) -> dict:
-    """The config section at ``path`` ({} when absent), checked to hold only ``known`` keys."""
-    doc = cfg
-    for key in path:
-        doc = doc.get(key, {})
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{name}: config key {'.'.join(path)!r} must hold a JSON object")
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise SchemaError(f"{name}: unknown config key {'.'.join((*path, unknown[0]))!r}")
-    return doc
-
-
-def _check_config(cfg: dict, name: str) -> None:
-    """Every section an object, every key known, the excitation well formed."""
-    sections, excitations = _config_keys()
-    for path, known in sections.items():
-        _section(cfg, path, known, name)
-    path = ("simulate", "excitation")
-    any_key = {"type"}.union(*excitations.values())
-    kind = _section(cfg, path, any_key, name).get("type", "smooth")
-    if kind not in excitations:
+    source = Path(path).name if path else "config"
+    top = from_json(_Config, cfg, "", source)
+    streams = {stream: columns for stream, columns, _ in RAW_STREAMS}
+    for stream, rename in top.column_adapter.items():
+        known = streams.get(stream)
+        bad = [f"{stream}.{c}" for c in sorted(rename) if c not in known] if known else [stream]
+        if bad:
+            raise SchemaError(f"{source}: 'column_adapter.{bad[0]}': is not a known key")
+    excitation = dict(top.simulate.excitation)
+    schedule = excitation.pop("type", "smooth")
+    if schedule not in ("smooth", "prbs"):
         raise SchemaError(
-            f"{name}: config key 'simulate.excitation.type' must be one of "
-            f"{sorted(excitations)}, got {kind!r}"
+            f"{source}: 'simulate.excitation.type': must be one of ['smooth', 'prbs'], "
+            f"got {schedule!r}"
         )
-    hold = _section(cfg, path, {"type", *excitations[kind]}, name).get("hold", 5)
-    if isinstance(hold, bool) or not isinstance(hold, int) or hold < 1:
-        raise SchemaError(
-            f"{name}: config key 'simulate.excitation.hold' must be a positive integer, "
-            f"got {hold!r}"
-        )
+    geo = {"lat0": 37.4, "lon0": -6.0, **top.geo_reference}
+    read_excitation = _prbs if schedule == "prbs" else smooth_excitation
+    gt = storage.parse_ground_truth(top.ground_truth, source) if top.ground_truth else None
+    return SimpleNamespace(
+        kind=top.kind, seed=top.seed, ground_truth=gt, column_adapter=top.column_adapter,
+        geo_reference=from_json(GeoReference, geo, "geo_reference", source),
+        prepare=from_json(PrepareConfig, top.prepare, "prepare", source),
+        duration_s=top.simulate.duration_s, dt=top.simulate.dt, schedule=schedule,
+        excitation=from_json(read_excitation, excitation, "simulate.excitation", source),
+        noise=from_json(SensorNoise, top.simulate.noise, "simulate.noise", source, seed=top.seed),
+    )
 
 
 def _load_config(path: str | None) -> dict:
+    """The config document as written (provenance hashes it), checked by :func:`_settings`."""
     if path is None:
         return {}
     cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
-    _check_config(cfg, Path(path).name)
+    _settings(cfg, path)
     return cfg
 
 
-def _geo_reference(cfg: dict) -> GeoReference:
-    geo = cfg.get("geo_reference", {})
-    return GeoReference(
-        lat0=geo.get("lat0", 37.4),
-        lon0=geo.get("lon0", -6.0),
-        antenna_offset=tuple(geo.get("antenna_offset", (0.0, 0.0))),
-    )
-
-
-def _prepare_config(cfg: dict) -> PrepareConfig:
-    kwargs = dict(cfg.get("prepare", {}))
-    for key, section in (("pwm_map", PwmMapConfig), ("savgol", SavGolConfig)):
-        if key in kwargs:
-            kwargs[key] = section(**kwargs[key])
-    return PrepareConfig(**kwargs)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _settings(_load_config(args.config), args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = args.kind or cfg.get("kind", "static")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    kind = args.kind or cfg.kind
+    seed = args.seed if args.seed is not None else cfg.seed
+    gt = cfg.ground_truth or default_ground_truth(dynamic=(kind == "dynamic"))
 
-    if cfg.get("ground_truth"):
-        gt = storage.parse_ground_truth(cfg["ground_truth"], Path(args.config).name)
-    else:
-        gt = default_ground_truth(dynamic=(kind == "dynamic"))
-
-    sim = cfg.get("simulate", {})
-    duration = float(sim.get("duration_s", 600.0))
-    exc_cfg = sim.get("excitation", {"type": "smooth"})
-    if exc_cfg.get("type") == "prbs":
+    duration = cfg.duration_s
+    if cfg.schedule == "prbs":
         steps = int(round(duration / gt.h))
-        frames = prbs_frames(steps, seed=seed, hold=exc_cfg.get("hold", 5))
-        excitation = zoh_excitation(frames, gt.h)
+        excitation = zoh_excitation(prbs_frames(steps, seed=seed, hold=cfg.excitation), gt.h)
     else:
-        params = {k: v for k, v in exc_cfg.items() if k != "type"}
-        excitation = smooth_excitation(**params)
-    traj = simulate_continuous(gt, excitation, duration, dt=sim.get("dt"))
-
-    ref = _geo_reference(cfg)
-    noise = SensorNoise(**sim.get("noise", {}), seed=seed)
-    bundle = emit_sensor_logs(traj, ref, noise=noise)
+        excitation = cfg.excitation
+    traj = simulate_continuous(gt, excitation, duration, dt=cfg.dt)
+    bundle = emit_sensor_logs(traj, cfg.geo_reference, noise=replace(cfg.noise, seed=seed))
     storage.write_raw_logs(out, bundle)
     storage.write_ground_truth(out / "ground_truth.json", gt)
     vectors = known_params_to_X(gt, kind)
@@ -202,11 +195,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _settings(_load_config(args.config), args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = storage.read_raw_logs(args.logs, adapter=cfg.get("column_adapter"))
-    ds = build_prepared_dataset(bundle, _geo_reference(cfg), _prepare_config(cfg))
+    bundle = storage.read_raw_logs(args.logs, adapter=cfg.column_adapter)
+    ds = build_prepared_dataset(bundle, cfg.geo_reference, cfg.prepare)
     storage.write_prepared_csv(out / "prepared.csv", ds)
     summary = ds.summary()
     write_json(out / "summary.json", summary)
@@ -218,14 +211,14 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    doc = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = args.kind or cfg.get("kind", "static")
+    kind = args.kind or _settings(doc, args.config).kind
     ds = storage.read_prepared_csv(args.prepared)
     systems = build_systems(ds, kind)
     model = identify_from_systems(kind, systems, ds.h)
-    provenance = storage.provenance_stamp(args.prepared, cfg or None)
+    provenance = storage.provenance_stamp(args.prepared, doc or None)
     storage.write_model_file(out / "model.json", model, provenance)
     for axis in ("u", "v", "r"):
         rep = model.reports[axis]
@@ -258,24 +251,27 @@ def _metrics_csv_rows(doc: dict) -> list[tuple]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _settings(_load_config(args.config), args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = args.kind or cfg.get("kind", "static")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    kind = args.kind or cfg.kind
+    seed = args.seed if args.seed is not None else cfg.seed
     ds = storage.read_prepared_csv(args.prepared)
     systems = build_systems(ds, kind)
     doc: dict = {"kind": kind}
-
+    spec = PartitionSpec(args.method, args.train_fraction, seed)
     if args.model:
         model = storage.read_model_file(args.model)
+        name, h = Path(args.model).name, model.metadata.get("h")
         if model.kind != kind:
-            raise SchemaError(f"{Path(args.model).name}: model kind {model.kind!r} is not {kind!r}")
+            raise SchemaError(f"{name}: model kind {model.kind!r} is not {kind!r}")
+        same_h = isinstance(h, (int, float)) and math.isclose(h, ds.h, rel_tol=1e-9)
+        if h is not None and not same_h:
+            raise SchemaError(f"{name}: model h {h!r} is not the prepared dataset's h {ds.h!r}")
         metrics = evaluate(model, systems, None, {"side": "full dataset"})
         doc["validation"] = asdict(metrics)
         traces = prediction_traces(model, systems, ds)
     else:
-        spec = PartitionSpec(args.method, args.train_fraction, seed)
         split = partition(ds, spec, kind, systems=systems)
         model = fit_split(kind, systems, ds.h, split)
         info = split.describe()
@@ -290,12 +286,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             doc["alpha_stable"] = model.alpha_resolution.stable
 
     if args.sensitivity:
-        spec = PartitionSpec(args.method, args.train_fraction, seed)
         report = sensitivity_study(ds, kind, spec, args.sensitivity, systems=systems)
         doc["sensitivity"] = asdict(report)
     if args.sweep:
-        fractions = tuple(float(f) for f in args.sweep.split(","))
-        sweep = training_fraction_sweep(ds, kind, fractions, seed=seed, systems=systems)
+        sweep = training_fraction_sweep(ds, kind, args.sweep, seed=seed, systems=systems)
         doc["sweep"] = [
             {
                 "train_fraction": entry["train_fraction"],
@@ -382,6 +376,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag_type(convert, valid, want: str):
+    """An argparse ``type``: ``convert(text)``, which must work and be ``valid``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+        return value
+    return parse
+
+
+_fraction = _flag_type(float, lambda f: 0.0 < f < 1.0, "a number strictly between 0 and 1")
+_fractions = _flag_type(
+    lambda text: tuple(map(float, text.split(","))), lambda fs: all(0.0 < f < 1.0 for f in fs),
+    "a comma-separated list of numbers strictly between 0 and 1",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asvid",
@@ -412,10 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="existing model file; omitted = identify-and-validate")
     p.add_argument("--kind", choices=("static", "dynamic"))
     p.add_argument("--method", choices=("by_points", "by_segments"), default="by_points")
-    p.add_argument("--train-fraction", type=float, default=0.7)
+    p.add_argument("--train-fraction", type=_fraction, default=0.7)
     p.add_argument("--seed", type=int)
-    p.add_argument("--sensitivity", type=int, help="repetitions for the sensitivity study")
-    p.add_argument("--sweep", help="comma-separated training fractions, e.g. 0.7,0.6,0.5")
+    p.add_argument("--sensitivity", type=_flag_type(int, lambda n: n >= 2, "an integer >= 2"),
+                   help="repetitions for the sensitivity study, at least 2")
+    p.add_argument("--sweep", type=_fractions,
+                   help="comma-separated training fractions, e.g. 0.7,0.6,0.5")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
 

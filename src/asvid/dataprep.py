@@ -20,23 +20,10 @@ from .errors import DataError
 from .model import classify_regions
 
 __all__ = [
-    "EARTH_RADIUS_M",
-    "GeoReference",
-    "RAW_STREAMS",
-    "RawLogBundle",
-    "SavGolConfig",
-    "PwmMapConfig",
-    "PrepareConfig",
-    "PreparedDataset",
-    "geodetic_to_ned",
-    "ned_to_geodetic",
-    "lever_arm_correct",
-    "resample_causal",
-    "savitzky_golay",
-    "body_velocities_from_pose",
-    "normalize_pwm",
-    "denormalize_pwm",
-    "build_prepared_dataset",
+    "EARTH_RADIUS_M", "GeoReference", "RAW_STREAMS", "RawLogBundle", "SavGolConfig", "PwmMapConfig",
+    "PrepareConfig", "PreparedDataset", "geodetic_to_ned", "ned_to_geodetic", "lever_arm_correct",
+    "resample_causal", "savitzky_golay", "body_velocities_from_pose", "normalize_pwm",
+    "denormalize_pwm", "build_prepared_dataset",
 ]
 
 # Mean spherical earth radius; adequate for the sub-kilometre fields this
@@ -78,9 +65,9 @@ class GeoReference:
 
     def __post_init__(self) -> None:
         if abs(self.lat0) > 90.0:
-            raise ValueError(f"latitude out of range: {self.lat0}")
+            raise ValueError(f"lat0 must lie within [-90, 90], got {self.lat0!r}")
         if abs(self.lon0) > 180.0:
-            raise ValueError(f"longitude out of range: {self.lon0}")
+            raise ValueError(f"lon0 must lie within [-180, 180], got {self.lon0!r}")
 
 
 def _check_stream(name: str, t: np.ndarray, *cols: np.ndarray) -> None:

@@ -45,19 +45,9 @@ from .model import (
 from .regressors import TERMS, Term, region_allowed
 
 __all__ = [
-    "GroundTruth",
-    "sigma_coeffs",
-    "DiscreteGenConfig",
-    "Trajectory",
-    "default_ground_truth",
-    "known_params_to_X",
-    "prbs_frames",
-    "generate_discrete",
-    "simulate_continuous",
-    "trajectory_to_dataset",
-    "emit_sensor_logs",
-    "smooth_excitation",
-    "zoh_excitation",
+    "GroundTruth", "sigma_coeffs", "DiscreteGenConfig", "Trajectory", "default_ground_truth",
+    "known_params_to_X", "prbs_frames", "generate_discrete", "simulate_continuous",
+    "trajectory_to_dataset", "emit_sensor_logs", "smooth_excitation", "zoh_excitation",
 ]
 
 Excitation = Callable[[float], tuple[float, float]]
@@ -108,9 +98,9 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         if not self.d > 0:
-            raise ValueError("propeller separation d must be > 0")
+            raise ValueError(f"d (the propeller separation) must be > 0, got {self.d!r}")
         if not self.h > 0:
-            raise ValueError("sampling period h must be > 0")
+            raise ValueError(f"h (the sampling period) must be > 0, got {self.h!r}")
         m = self.mass_matrix()
         if abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("inertia matrix is singular")
@@ -157,31 +147,11 @@ def default_ground_truth(dynamic: bool = False, alpha: float = 0.9) -> GroundTru
     if dynamic:
         thrust = ThrustDynamicParams(alpha=alpha, beta=1.0 - alpha, static_part=static)
     return GroundTruth(
-        m=30.0,
-        x_g=0.05,
-        i_z=6.5,
-        x_udot=-3.0,
-        y_vdot=-6.0,
-        y_rdot=-0.6,
-        n_rdot=-2.5,
-        x_u=-6.0,
-        x_uu=-8.0,
-        y_v=-30.0,
-        y_vv=-25.0,
-        y_rv=-3.0,
-        y_r=-2.0,
-        y_vr=-2.0,
-        y_rr=-1.0,
-        n_v=-1.0,
-        n_vv=-1.0,
-        n_rv=-0.3,
-        n_r=-6.0,
-        n_vr=-0.8,
-        n_rr=-2.5,
-        thrust=thrust,
-        d=0.8,
-        bias=(0.02, 0.015, -0.01),
-        h=0.2,
+        m=30.0, x_g=0.05, i_z=6.5, x_udot=-3.0, y_vdot=-6.0, y_rdot=-0.6, n_rdot=-2.5,
+        x_u=-6.0, x_uu=-8.0,
+        y_v=-30.0, y_vv=-25.0, y_rv=-3.0, y_r=-2.0, y_vr=-2.0, y_rr=-1.0,
+        n_v=-1.0, n_vv=-1.0, n_rv=-0.3, n_r=-6.0, n_vr=-0.8, n_rr=-2.5,
+        thrust=thrust, d=0.8, bias=(0.02, 0.015, -0.01), h=0.2,
     )
 
 

@@ -38,6 +38,7 @@ import math
 import os
 import time
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +46,15 @@ import numpy as np
 from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle, off_grid_row
 from .errors import DataError, SchemaError
 from .estimator import IdentifiedModel
-from .files import _atomic_open, atomic_write_text, read_json, write_json
+from .files import _atomic_open, atomic_write_text, from_json, read_json, write_json
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
 from .oracle import GroundTruth
 from .regressors import TERMS
 
 __all__ = [
-    "atomic_write_text",
-    "write_csv",
-    "read_json",
-    "write_json",
-    "read_raw_logs",
-    "write_raw_logs",
-    "write_prepared_csv",
-    "read_prepared_csv",
-    "write_model_file",
-    "read_model_file",
-    "write_expected_x",
-    "write_ground_truth",
-    "parse_ground_truth",
-    "MODEL_FILE_VERSION",
+    "atomic_write_text", "write_csv", "read_json", "write_json", "read_raw_logs", "write_raw_logs",
+    "write_prepared_csv", "read_prepared_csv", "write_model_file", "read_model_file",
+    "write_expected_x", "write_ground_truth", "parse_ground_truth", "MODEL_FILE_VERSION",
 ]
 
 MODEL_FILE_VERSION = 1
@@ -433,88 +423,40 @@ _GT_UNITS = {
     "n_vr": "kg*m", "n_rr": "kg*m^2/rad",
     "d": "m", "bias": "(m/s^2, m/s^2, rad/s^2)", "h": "s",
 }
-_GT_THRUST_KEYS = ("a_f", "b_f", "a_r", "b_r", "dead_zone_forward", "dead_zone_reverse",
-                   "alpha", "beta")
 
 
 def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
     """The ground truth as JSON; a ``sigma_override`` has no file form."""
     if gt.sigma_override is not None:
         raise ValueError("a ground truth with a sigma_override cannot be written")
-    static = gt.static_thrust
-    thrust = {"a_f": static.a_f, "b_f": static.b_f, "a_r": static.a_r, "b_r": static.b_r}
-    if static.has_dead_zone:
-        thrust["dead_zone_forward"] = static.dead_zone_forward
-        thrust["dead_zone_reverse"] = static.dead_zone_reverse
+    thrust = {key: value for key, value in asdict(gt.static_thrust).items() if value is not None}
     if isinstance(gt.thrust, ThrustDynamicParams):
-        thrust["alpha"] = gt.thrust.alpha
-        thrust["beta"] = gt.thrust.beta
-    doc = {
-        name: getattr(gt, name)
-        for name in _GT_UNITS
-        if name not in ("d", "bias", "h")
-    }
-    doc.update({"thrust": thrust, "d": gt.d, "bias": list(gt.bias), "h": gt.h})
-    doc["_units"] = _GT_UNITS
-    write_json(path, doc)
+        thrust.update(alpha=gt.thrust.alpha, beta=gt.thrust.beta)
+    doc = {f.name: getattr(gt, f.name) for f in fields(gt) if f.name != "sigma_override"}
+    write_json(path, {**doc, "thrust": thrust, "_units": _GT_UNITS})
 
 
 def parse_ground_truth(doc: dict, source: str) -> GroundTruth:
     """Ground truth from a document in the :func:`write_ground_truth` layout.
 
-    ``source`` names where the document came from in error messages.  A
-    missing or unknown key, a value that is not a finite number (``bias`` is
-    a list of three), a ``d`` or ``h`` that is not positive, and parameters
-    the model rejects raise :class:`SchemaError` naming the key as
-    ``ground_truth.<key>``.  ``_units`` is documentation and never read.
+    The keys and value types are the fields of :class:`GroundTruth` but
+    ``sigma_override``; under ``thrust``, those of :class:`ThrustStaticParams`
+    and, given together, ``alpha`` and ``beta``.  A bad key or value is a
+    :class:`SchemaError` naming ``source`` and the key (``files.from_json``).
+    ``_units`` is documentation and never read.
     """
-
-    def fail(key: str, problem: str) -> SchemaError:
-        return SchemaError(f"{source}: {key!r}: {problem}")
-
-    def check_keys(section: object, path: str, known: tuple, needed: tuple) -> None:
-        if not isinstance(section, dict):
-            raise fail(path, "must hold a JSON object")
-        unknown = sorted(set(section) - set(known))
-        if unknown:
-            raise fail(f"{path}.{unknown[0]}", "is not a known key")
-        missing = [key for key in needed if key not in section]
-        if missing:
-            raise fail(f"{path}.{missing[0]}", "is missing")
-
-    def number(key: str, value: object) -> float:
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise fail(key, f"must be a finite number, got {value!r}")
-        return value
-
-    check_keys(doc, "ground_truth", (*_GT_UNITS, "thrust", "_units"), (*_GT_UNITS, "thrust"))
-    check_keys(doc["thrust"], "ground_truth.thrust", _GT_THRUST_KEYS, ("a_f", "b_f", "a_r", "b_r"))
-    t = {key: number(f"ground_truth.thrust.{key}", value) for key, value in doc["thrust"].items()}
-    fields = {
-        name: number(f"ground_truth.{name}", doc[name]) for name in _GT_UNITS if name != "bias"
-    }
-    bias = doc["bias"]
-    if not (isinstance(bias, list) and len(bias) == 3):
-        raise fail("ground_truth.bias", f"must be a list of three numbers, got {bias!r}")
-    bias = tuple(number(f"ground_truth.bias[{i}]", value) for i, value in enumerate(bias))
-    for key in ("d", "h"):
-        if not fields[key] > 0:
-            raise fail(f"ground_truth.{key}", f"must be > 0, got {fields[key]!r}")
-    if ("alpha" in t) != ("beta" in t):
-        raise fail("ground_truth.thrust", "needs both alpha and beta, or neither")
-    try:
-        static = ThrustStaticParams(**{k: v for k, v in t.items() if k not in ("alpha", "beta")})
-    except ValueError as exc:
-        raise fail("ground_truth.thrust", str(exc)) from None
-    thrust = ThrustDynamicParams(t["alpha"], t["beta"], static) if "alpha" in t else static
-    try:
-        return GroundTruth(thrust=thrust, bias=bias, **fields)
-    except ValueError as exc:
-        raise fail("ground_truth", str(exc)) from None
+    thrust = doc.get("thrust", {})
+    if not isinstance(thrust, dict):
+        raise SchemaError(f"{source}: 'ground_truth.thrust': must be a JSON object, got {thrust!r}")
+    static = {key: value for key, value in thrust.items() if key not in ("alpha", "beta")}
+    lag = {key: value for key, value in thrust.items() if key in ("alpha", "beta")}
+    thrust = from_json(ThrustStaticParams, static, "ground_truth.thrust", source)
+    if lag:
+        thrust = from_json(ThrustDynamicParams, lag, "ground_truth.thrust", source,
+                           static_part=thrust)
+    params = {key: value for key, value in doc.items() if key not in ("thrust", "_units")}
+    return from_json(GroundTruth, params, "ground_truth", source, thrust=thrust,
+                     sigma_override=None)
 
 
 def sha256_of_file(path: str | Path) -> str:

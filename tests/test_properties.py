@@ -1,8 +1,9 @@
 """Property tests: exact file round trips, causality of the preparation filters, the
 in-class generator and the pole fit."""
 
+import json
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from asvid import storage
 from asvid.dataprep import (
     _TIME_TOL,
     RAW_STREAMS,
+    GeoReference,
+    PrepareConfig,
     PreparedDataset,
+    PwmMapConfig,
     RawLogBundle,
     SavGolConfig,
     _ulps,
@@ -23,10 +27,12 @@ from asvid.dataprep import (
 )
 from asvid.errors import DataError
 from asvid.estimator import IdentifiedModel, resolve_alpha
+from asvid.files import from_json
 from asvid.model import ThrustDynamicParams, ThrustStaticParams
 from asvid.oracle import (
     DiscreteGenConfig,
     GroundTruth,
+    SensorNoise,
     default_ground_truth,
     generate_discrete,
     known_params_to_X,
@@ -267,6 +273,40 @@ def test_ground_truth_round_trip(tmp_path_factory, gt):
     path = tmp_path_factory.mktemp("gt") / "ground_truth.json"
     storage.write_ground_truth(path, gt)
     assert storage.parse_ground_truth(storage.read_json(path), path.name) == gt
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def prepare_configs(draw):
+    window = 2 * draw(st.integers(0, 20)) + 1
+    return PrepareConfig(
+        h=draw(positive),
+        pwm_map=PwmMapConfig(draw(finite), draw(positive), draw(finite)),
+        savgol=SavGolConfig(window, draw(st.integers(0, window - 1))),
+        gap_factor=draw(finite),
+    )
+
+
+# The config sections read by field type, with a strategy over valid values.
+CONFIG_SECTIONS = {
+    "prepare": prepare_configs(),
+    "geo_reference": st.builds(
+        GeoReference, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.tuples(finite, finite)
+    ),
+    "simulate.noise": st.builds(SensorNoise, finite, finite, finite, st.integers()),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_SECTIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_section_round_trips_through_json(key, data):
+    # Every field type of a section (nested ones too) is one the reader knows.
+    obj = data.draw(CONFIG_SECTIONS[key])
+    doc = json.loads(json.dumps(asdict(obj)))
+    assert from_json(type(obj), doc, key, "cfg.json") == obj
 
 
 @st.composite

@@ -10,6 +10,7 @@ from asvid import cli, oracle, storage
 from asvid.cli import main
 from asvid.dataprep import GeoReference
 from asvid.errors import SchemaError
+from asvid.files import from_json
 from asvid.estimator import identify_from_systems
 from asvid.model import ThrustStaticParams
 from asvid.oracle import known_params_to_X, sigma_coeffs
@@ -570,6 +571,7 @@ ERROR_CASES = {
     "model-without-kind": _edit_model(lambda doc: doc.pop("kind")),
     "model-without-vectors": _edit_model(lambda doc: doc.pop("vectors")),
     "model-without-value": _edit_model(lambda doc: doc["vectors"]["v"][2].pop("value")),
+    "model-other-h": _edit_model(lambda doc: doc.update(h=2 * doc["h"])),
     "prepared-non-numeric-u": _edit_prepared_row(6, _set(2, "abc")),
     "prepared-nan-u": _edit_prepared_row(7, _set(2, "nan")),
     "prepared-unknown-region": _edit_prepared_row(8, _set(7, "XX")),
@@ -620,6 +622,29 @@ BAD_CONFIGS = {
     ),
     "noise-not-object": (_sim(noise=0.02), "'simulate.noise'"),
     "noise-unknown": (_sim(noise={"pos": 0.02}), "'simulate.noise.pos'"),
+    "kind-unknown": ({"kind": "bogus"}, "'kind'"),
+    "seed-string": ({"seed": "3"}, "'seed'"),
+    "prepare-h-string": ({"prepare": {"h": "abc"}}, "'prepare.h'"),
+    "prepare-h-bool": ({"prepare": {"h": True}}, "'prepare.h'"),
+    "prepare-gap-null": ({"prepare": {"gap_factor": None}}, "'prepare.gap_factor'"),
+    "savgol-window-float": (
+        {"prepare": {"savgol": {"window_length": 2.5}}}, "'prepare.savgol.window_length'"
+    ),
+    "geo-lat-string": ({"geo_reference": {"lat0": "a"}}, "'geo_reference.lat0'"),
+    "geo-offset-number": (
+        {"geo_reference": {"antenna_offset": 5}}, "'geo_reference.antenna_offset'"
+    ),
+    "adapter-not-object": ({"column_adapter": 5}, "'column_adapter'"),
+    "adapter-unknown-stream": (
+        {"column_adapter": {"gnsss": {"lat": "latitude"}}}, "'column_adapter.gnsss'"
+    ),
+    "adapter-unknown-column": (
+        {"column_adapter": {"gnss": {"latitude": "lat"}}}, "'column_adapter.gnss.latitude'"
+    ),
+    "duration-string": (_sim(duration_s="x"), "'simulate.duration_s'"),
+    "excitation-param-string": (
+        _sim(excitation={"mean_amp": "x"}), "'simulate.excitation.mean_amp'"
+    ),
 }
 
 
@@ -639,12 +664,22 @@ def _gt_negative_d(doc):
     doc["d"] = -1
 
 
+def _gt_alpha_without_beta(doc):
+    doc["thrust"]["alpha"] = 0.9
+
+
+def _gt_dead_zone_sign(doc):
+    doc["thrust"].update(dead_zone_forward=-0.05, dead_zone_reverse=-0.04)
+
+
 # edit of a valid ground-truth section, the key the error must name
 BAD_GROUND_TRUTHS = {
     "unknown": (_gt_unknown, "'ground_truth.gain'"),
     "thrust-unknown": (_gt_thrust_unknown, "'ground_truth.thrust.gain'"),
     "string-value": (_gt_string_value, "'ground_truth.thrust.a_f'"),
     "negative-d": (_gt_negative_d, "'ground_truth.d'"),
+    "alpha-without-beta": (_gt_alpha_without_beta, "'ground_truth.thrust.beta'"),
+    "dead-zone-sign": (_gt_dead_zone_sign, "'ground_truth.thrust.dead_zone_forward'"),
 }
 
 
@@ -678,3 +713,52 @@ def test_bad_config_exits_2_naming_the_key(case, command, tmp_path, small_bundle
     err = capsys.readouterr().err
     assert "cfg.json" in err and key in err
     assert "Traceback" not in err
+
+
+# validate flags, the flag the usage error must name
+BAD_VALIDATE_FLAGS = {
+    "sweep-not-a-number": (["--sweep", "0.7,abc"], "--sweep"),
+    "sweep-fraction-above-one": (["--sweep", "0.7,1.5"], "--sweep"),
+    "sensitivity-one": (["--sensitivity", "1"], "--sensitivity"),
+    "train-fraction-above-one": (["--train-fraction", "1.5"], "--train-fraction"),
+    "train-fraction-nan": (["--train-fraction", "nan"], "--train-fraction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALIDATE_FLAGS))
+def test_bad_validate_flag_is_a_usage_error(case, tmp_path, ds_static, capsys):
+    flags, flag = BAD_VALIDATE_FLAGS[case]
+    prep = tmp_path / "prepared.csv"
+    storage.write_prepared_csv(prep, ds_static)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--prepared", str(prep), "--out", str(tmp_path / "val"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag}:" in err
+
+
+def test_validate_model_accepts_an_inferred_h(tmp_path, ds_static, capsys):
+    # Without the "# h=" record h is a median of timestamp steps, a few ulps off.
+    prep, model = tmp_path / "prepared.csv", tmp_path / "model.json"
+    storage.write_prepared_csv(prep, ds_static)
+    prep.write_text("".join(line for line in prep.read_text().splitlines(keepends=True)
+                            if not line.startswith("# h=")))
+    assert storage.read_prepared_csv(prep).h != ds_static.h
+    storage.write_model_file(model, identify(ds_static, "static"))
+    argv = ["validate", "--prepared", str(prep), "--model", str(model), "--kind", "static",
+            "--out", str(tmp_path / "val")]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_a_fixed_parameter_is_not_a_key():
+    with pytest.raises(SchemaError, match=r"cfg\.json: 'simulate\.noise\.seed': is not a known key"):
+        from_json(oracle.SensorNoise, {"seed": 3}, "simulate.noise", "cfg.json", seed=0)
+
+
+def test_unknown_annotation_is_a_program_fault():
+    def target(x: complex = 0j):
+        return x
+
+    with pytest.raises(TypeError, match="cannot read the annotation"):
+        from_json(target, {"x": 1.0}, "section", "cfg.json")
