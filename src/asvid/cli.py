@@ -66,8 +66,8 @@ _NUMERIC = {
         ),
         "regressors": ("build_systems",),
         "validate": (
-            "PartitionSpec", "evaluate", "fit_split", "partition", "prediction_traces",
-            "sensitivity_study", "training_fraction_sweep",
+            "TRACE_COLUMNS", "PartitionSpec", "evaluate", "fit_split", "partition",
+            "prediction_traces", "sensitivity_study", "training_fraction_sweep",
         ),
     }.items()
     for name in names
@@ -158,19 +158,22 @@ def _settings(cfg: dict, path: str | None) -> SimpleNamespace:
     )
 
 
-def _load_config(path: str | None) -> dict:
-    """The config document as written (provenance hashes it), checked by :func:`_settings`."""
-    if path is None:
-        return {}
-    cfg = read_json(path)
+def _config(path: str | None) -> tuple[dict, SimpleNamespace]:
+    """The config document as written (provenance hashes it) and its sections
+    built by :func:`_settings`, which also checks them."""
+    cfg = {} if path is None else read_json(path)
     if not isinstance(cfg, dict):
         raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
-    _settings(cfg, path)
-    return cfg
+    return cfg, _settings(cfg, path)
+
+
+def _load_config(path: str | None) -> dict:
+    """The config document as written, checked by :func:`_settings`."""
+    return _config(path)[0]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _settings(_load_config(args.config), args.config)
+    _, cfg = _config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kind = args.kind or cfg.kind
@@ -195,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = _settings(_load_config(args.config), args.config)
+    _, cfg = _config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bundle = storage.read_raw_logs(args.logs, adapter=cfg.column_adapter)
@@ -211,10 +214,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config)
+    doc, cfg = _config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = args.kind or _settings(doc, args.config).kind
+    kind = args.kind or cfg.kind
     ds = storage.read_prepared_csv(args.prepared)
     systems = build_systems(ds, kind)
     model = identify_from_systems(kind, systems, ds.h)
@@ -251,7 +254,7 @@ def _metrics_csv_rows(doc: dict) -> list[tuple]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _settings(_load_config(args.config), args.config)
+    _, cfg = _config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kind = args.kind or cfg.kind
@@ -302,7 +305,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     write_json(out / "metrics.json", doc)
     metrics_header = ("section", "side", "axis", "metric", "value")
     storage.write_csv(out / "metrics.csv", metrics_header, list(zip(*_metrics_csv_rows(doc))))
-    storage.write_csv(out / "traces.csv", ("t", "axis", "truth", "prediction"), list(zip(*traces)))
+    storage.write_csv(out / "traces.csv", TRACE_COLUMNS, [traces[name] for name in TRACE_COLUMNS])
 
     val = doc["validation"]
     print("validation R^2:", {a: round(val["r2"][a], 6) for a in ("u", "v", "r")})
@@ -396,6 +399,17 @@ _fractions = _flag_type(
 )
 
 
+def _sweep(text: str) -> tuple[float, ...]:
+    """The ``--sweep`` type: training fractions that leave room for the
+    validation share of the sweep."""
+    fractions = _fractions(text)
+    try:
+        importlib.import_module(f"{__package__}.validate").check_sweep_fractions(fractions)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return fractions
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asvid",
@@ -430,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--sensitivity", type=_flag_type(int, lambda n: n >= 2, "an integer >= 2"),
                    help="repetitions for the sensitivity study, at least 2")
-    p.add_argument("--sweep", type=_fractions,
+    p.add_argument("--sweep", type=_sweep,
                    help="comma-separated training fractions, e.g. 0.7,0.6,0.5")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)

@@ -5,6 +5,9 @@ factorization; minimum-norm solution when a system is rank deficient, which
 happens by construction when a dataset contains no asymmetric-thrust rows).
 A fit on whole segments solves the same problem from the merged R factors of
 the segments' ``[A | b]`` rows, whose top block has the singular values of A.
+Sway and yaw share one matrix (:class:`~asvid.regressors.RowBlock`), so
+each fit solves both right-hand sides in one ``lstsq``; each axis still gets
+its own report, with the shared rank and condition and its own residual.
 For the first-order propeller model the three solved vectors overdetermine
 the shared pole.  :func:`resolve_alpha` fits it to the six pole-coupled
 entries by variable projection: each axis' damping-like term is eliminated
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .regressors import TERMS, RegressionSystem, term_index
+from .regressors import TERMS, RegressionSystem, select_rows, term_index
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -98,40 +101,52 @@ class IdentifiedModel:
         return {"u": self.surge, "v": self.sway, "r": self.yaw}[axis]
 
 
-def _solve(
-    a: np.ndarray, b: np.ndarray, label: str, rows_used: int, tail: float | None = None
-) -> LeastSquaresReport:
-    """Minimum-norm ``lstsq`` of ``a x = b`` and its health indicators.
+@dataclass(frozen=True)
+class _Fit:
+    """Minimum-norm solve of every right-hand side of one block."""
 
-    ``tail`` is the part of the residual norm that ``b`` cannot show: the
-    last diagonal entry of the R factor of ``[A | b]`` when ``a, b`` are the
-    top rows of that factor.
+    solution: np.ndarray  # one column per right-hand side, in the block's column order
+    residual_norm: np.ndarray
+    condition: float
+    rank: int
+    rows_used: int
+
+
+def _fit(a: np.ndarray, b: np.ndarray, rows_used: int, tail: np.ndarray | float = 0.0) -> _Fit:
+    """One minimum-norm ``lstsq`` of ``a X = b`` for every column of ``b``.
+
+    ``tail`` is the part of each column's residual norm that ``b`` cannot
+    show: the norm of that column below the top rows of the R factor of
+    ``[A | b]`` when ``a, b`` are those top rows.
     """
-    n = a.shape[1]
     solution, _, rank, sv = np.linalg.lstsq(a, b, rcond=np.finfo(float).eps)
     # A column of exact zeros (structural cancellation) has minimum-norm
     # coefficient exactly zero; clear the rounding dust the SVD leaves there.
     dead = ~np.any(a != 0.0, axis=0)
     if np.any(dead):
         solution[dead] = 0.0
-    residual_norm = float(np.linalg.norm(a @ solution - b))
-    if tail is not None:
-        residual_norm = math.hypot(residual_norm, tail)
+    residual_norm = np.hypot(np.linalg.norm(a @ solution - b, axis=0), tail)
     smallest = sv[min(rank, len(sv)) - 1] if rank > 0 else 0.0
     condition = float(sv[0] / smallest) if smallest > 0 else np.inf
-    if condition > CONDITION_WARN_THRESHOLD:
+    return _Fit(solution, residual_norm, condition, int(rank), rows_used)
+
+
+def _report(fit: _Fit, sys: RegressionSystem) -> LeastSquaresReport:
+    """The part of a block's fit that belongs to ``sys``, in its column order."""
+    label = f"{sys.model_kind}/{sys.axis}"
+    if fit.condition > CONDITION_WARN_THRESHOLD:
         warnings.warn(
-            f"{label} system condition estimate {condition:.2e} "
+            f"{label} system condition estimate {fit.condition:.2e} "
             f"exceeds {CONDITION_WARN_THRESHOLD:.0e}",
             stacklevel=3,
         )
     return LeastSquaresReport(
-        solution=solution,
-        residual_norm=residual_norm,
-        condition_estimate=condition,
-        rank=int(rank),
-        rows_used=rows_used,
-        rank_deficient=rank < n,
+        solution=fit.solution[sys.columns, sys.slot],
+        residual_norm=float(fit.residual_norm[sys.slot]),
+        condition_estimate=fit.condition,
+        rank=fit.rank,
+        rows_used=fit.rows_used,
+        rank_deficient=fit.rank < sys.n_cols,
     )
 
 
@@ -150,30 +165,38 @@ def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
     estimate ``sigma_max / sigma_rank`` follow that threshold.  numpy's
     default ``rcond`` (``eps * max(m, n)``) would drop more directions on
     tall, nearly rank-deficient systems, so the threshold is passed
-    explicitly.
+    explicitly.  The first system of a shared block to be solved solves
+    every right-hand side of the block in the same ``lstsq``; the others read
+    their part of it.
     """
     _check_rows(sys, sys.n_rows)
-    return _solve(sys.a, sys.b, f"{sys.model_kind}/{sys.axis}", sys.n_rows)
+    block = sys.block
+    if None not in block.fits:
+        block.fits[None] = _fit(block.matrix, block.rhs.T, block.n_rows)
+    return _report(block.fits[None], sys)
 
 
 def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSquaresReport:
     """:func:`solve_least_squares` on the rows of whole segments, from their R factors.
 
-    The R factors of the chosen segments' ``[A | b]`` blocks are stacked and
-    reduced by one more QR (TSQR).  Its top p x p block has the singular
-    values of the gathered A and its column p holds Q^T b, so the same
-    ``lstsq`` runs on p rows; the last diagonal entry is the part of the
-    residual outside the column space.  Segment ids without rows in this
-    system contribute nothing.
+    The R factors of the chosen segments' ``[A | b_1 | ... | b_m]`` blocks
+    (one ``b`` per system of the block) are stacked and reduced by one more
+    QR (TSQR).  Its top p x p block has the singular values of the gathered
+    A and its columns p and on hold Q^T b, so the same ``lstsq`` runs on p
+    rows; the rest of column p + j is the part of b_j's residual outside the
+    column space.  Segment ids without rows in this system contribute
+    nothing.  Like the full solve, the merged fit is kept on the block.
     """
     factors = sys.segment_factors
-    chosen = [factors[s] for s in sorted(segments) if s in factors]
-    m = sum(count for _, count in chosen)
+    ids = tuple(s for s in sorted(segments) if s in factors)
+    m = sum(factors[s][1] for s in ids)
     _check_rows(sys, m)
-    p = sys.n_cols
-    r = np.linalg.qr(np.vstack([rf for rf, _ in chosen]), mode="r")
-    tail = abs(float(r[p, p])) if r.shape[0] > p else None
-    return _solve(r[:p, :p], r[:p, p], f"{sys.model_kind}/{sys.axis}", m, tail)
+    block = sys.block
+    if ids not in block.fits:
+        p = block.matrix.shape[1]
+        r = np.linalg.qr(np.vstack([factors[s][0] for s in ids]), mode="r")
+        block.fits[ids] = _fit(r[:p, :p], r[:p, p:], m, np.linalg.norm(r[p:, p:], axis=0))
+    return _report(block.fits[ids], sys)
 
 
 def resolve_alpha(xu: np.ndarray, xv: np.ndarray, xr: np.ndarray) -> AlphaResolution:
@@ -245,10 +268,8 @@ def identify_from_systems(
     gathering rows.
     """
     if segments is None:
-        reports = {
-            axis: solve_least_squares(sys if rows is None else sys.select(rows[axis]))
-            for axis, sys in systems.items()
-        }
+        chosen = systems if rows is None else select_rows(systems, rows)
+        reports = {axis: solve_least_squares(sys) for axis, sys in chosen.items()}
     elif rows is None:
         reports = {axis: _solve_segments(sys, segments) for axis, sys in systems.items()}
     else:

@@ -17,6 +17,14 @@ also needs the row before to be k-1 of the segment, with the same region
 as k, so a row never mixes thrust-model branches.  The region-signed thrust columns vanish in
 forward-forward rows, which keeps forward-forward-only systems from chasing
 coefficients the data cannot show.
+
+Sway and yaw have the same terms, in another order, and the same row rule,
+so they share one :class:`RowBlock`: one matrix, built once in the sway
+order, with both right-hand sides.  The yaw system reads that matrix
+through a column index, the identity for the static kind and the swap of
+the own and the other velocity for the dynamic kind.  Solvers and
+predictors work on the block, so the pair is factored, gathered and
+multiplied once.
 """
 
 from __future__ import annotations
@@ -33,7 +41,10 @@ from .dataprep import PreparedDataset
 from .errors import DataError
 from .model import REGION_SIGN, OperatingRegion
 
-__all__ = ["Term", "TERMS", "term_index", "region_allowed", "RegressionSystem", "build_systems"]
+__all__ = [
+    "Term", "TERMS", "term_index", "region_allowed", "RowBlock", "RegressionSystem", "select_rows",
+    "build_systems",
+]
 
 
 @dataclass(frozen=True)
@@ -133,94 +144,167 @@ def region_allowed(axis: str, region: np.ndarray) -> np.ndarray:
     return region == OperatingRegion.FF if axis == "u" else region != OperatingRegion.RR
 
 
-@dataclass
-class RegressionSystem:
-    """One assembled least-squares problem with row provenance.
+@dataclass(eq=False)
+class RowBlock:
+    """The rows that one or more systems share: one matrix, one right-hand
+    side per system, and each row's provenance.
 
-    Row i comes from time index ``k[i]`` of segment ``segment[i]``;
-    ``base`` holds the current-step velocity of the axis so one-step
-    predictions (base + A @ X) and truths (base + b) can be reconstructed.
-    ``n_skipped`` counts candidate steps excluded by the preconditions.
+    Row i comes from time index ``k[i]`` of segment ``segment[i]``; ``rhs[j]``
+    is the right-hand side of the block's j-th system.  ``fits`` keeps the
+    estimator's solves of the block, by the segments they used (``None``: all
+    rows), so the systems that share the block solve it once.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
     segment: np.ndarray
     k: np.ndarray
-    model_kind: str
-    axis: str
-    base: np.ndarray = field(repr=False, default=None)
-    n_skipped: int = 0
+    fits: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        expected = len(TERMS[(self.model_kind, self.axis)])
-        if self.a.ndim != 2 or self.a.shape[1] != expected:
-            raise DataError(
-                f"{self.model_kind}/{self.axis} system must have {expected} columns, "
-                f"got shape {self.a.shape}"
-            )
-        n = self.a.shape[0]
-        if self.b.shape != (n,) or self.segment.shape != (n,) or self.k.shape != (n,):
+        if self.matrix.ndim != 2:
+            raise DataError(f"a regression matrix must be 2-D, got shape {self.matrix.shape}")
+        n = self.matrix.shape[0]
+        if self.rhs.ndim != 2 or self.rhs.shape[1] != n or self.segment.shape != (n,) \
+                or self.k.shape != (n,):
             raise DataError("row count mismatch between a, b and provenance")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.rhs))):
             raise DataError("regression system contains non-finite entries")
 
     @property
     def n_rows(self) -> int:
-        return int(self.a.shape[0])
-
-    @property
-    def n_cols(self) -> int:
-        return int(self.a.shape[1])
+        return int(self.matrix.shape[0])
 
     @cached_property
     def segment_factors(self) -> dict[int, tuple[np.ndarray, int]]:
-        """Segment id -> (R of that segment's ``[A | b]`` rows, row count).
+        """Segment id -> (R of that segment's ``[matrix | rhs^T]`` rows, row count).
 
         Computed on first use and kept, so fits on many unions of whole
         segments factor each segment once.  Rows come grouped by segment id,
-        so each block is a contiguous slice.
+        so each segment's rows are a contiguous slice.
         """
         starts = np.flatnonzero(np.diff(self.segment)) + 1
         ids = np.r_[self.segment[:1], self.segment[starts]]
         if np.unique(ids).size != ids.size:
-            raise DataError(f"{self.model_kind}/{self.axis} rows are not grouped by segment")
+            raise DataError("regression rows are not grouped by segment")
         bounds = np.r_[0, starts, self.n_rows]
         return {
-            int(sid): (np.linalg.qr(np.column_stack((self.a[lo:hi], self.b[lo:hi])), mode="r"),
-                       int(hi - lo))
+            int(sid): (np.linalg.qr(np.hstack((self.matrix[lo:hi], self.rhs[:, lo:hi].T)),
+                                    mode="r"), int(hi - lo))
             for sid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
         }
 
+    def select(self, indices: np.ndarray) -> "RowBlock":
+        """The block restricted to the rows ``indices``, in that order."""
+        return RowBlock(self.matrix[indices], self.rhs[:, indices], self.segment[indices],
+                        self.k[indices])
+
+
+class RegressionSystem:
+    """One assembled least-squares problem ``A @ X = b`` with row provenance.
+
+    Its rows live in a :class:`RowBlock`, which sway and yaw share: ``b`` is
+    ``block.rhs[slot]`` and column j of ``A`` is ``block.matrix[:,
+    columns[j]]``.  Reading ``a`` gives ``A`` in this system's own column
+    order: the stored matrix itself when ``columns`` is the identity, else a
+    copy made on each access.  ``base`` holds the current-step velocity of
+    the axis, so one-step predictions (base + A @ X) and truths (base + b)
+    can be reconstructed.  ``n_skipped`` counts candidate steps excluded by
+    the preconditions.
+    """
+
+    def __init__(self, a, b, segment, k, model_kind: str, axis: str,
+                 base: np.ndarray | None = None, n_skipped: int = 0) -> None:
+        """A system with rows of its own."""
+        block = RowBlock(np.asarray(a), np.asarray(b)[np.newaxis], np.asarray(segment),
+                         np.asarray(k))
+        self._bind(block, 0, np.arange(block.matrix.shape[1]), model_kind, axis, base, n_skipped)
+
+    @classmethod
+    def on_block(cls, block: RowBlock, slot: int, columns: np.ndarray, model_kind: str,
+                 axis: str, base: np.ndarray, n_skipped: int = 0) -> "RegressionSystem":
+        """The system of right-hand side ``block.rhs[slot]`` whose column j is
+        ``block.matrix[:, columns[j]]``."""
+        system = cls.__new__(cls)
+        system._bind(block, slot, columns, model_kind, axis, base, n_skipped)
+        return system
+
+    def _bind(self, block, slot, columns, model_kind, axis, base, n_skipped) -> None:
+        self.block, self.slot, self.columns = block, slot, np.asarray(columns)
+        self.b, self.segment, self.k = block.rhs[slot], block.segment, block.k
+        self.model_kind, self.axis, self.base, self.n_skipped = model_kind, axis, base, n_skipped
+        expected = len(TERMS[(model_kind, axis)])
+        if self.columns.shape != (expected,):
+            raise DataError(
+                f"{model_kind}/{axis} system must have {expected} columns, "
+                f"got shape {(block.n_rows, self.columns.size)}"
+            )
+        self._own_layout = bool(np.array_equal(self.columns, np.arange(block.matrix.shape[1])))
+
+    @property
+    def a(self) -> np.ndarray:
+        matrix = self.block.matrix
+        return matrix if self._own_layout else matrix[:, self.columns]
+
+    @property
+    def n_rows(self) -> int:
+        return self.block.n_rows
+
+    @property
+    def n_cols(self) -> int:
+        return int(self.columns.size)
+
+    @property
+    def segment_factors(self) -> dict[int, tuple[np.ndarray, int]]:
+        """The block's :attr:`RowBlock.segment_factors`."""
+        return self.block.segment_factors
+
     def select(self, indices: np.ndarray) -> "RegressionSystem":
         """Row subset (used by train/validation partitions)."""
-        indices = np.asarray(indices, dtype=int)
-        return RegressionSystem(
-            a=self.a[indices],
-            b=self.b[indices],
-            segment=self.segment[indices],
-            k=self.k[indices],
-            model_kind=self.model_kind,
-            axis=self.axis,
-            base=self.base[indices],
-            n_skipped=self.n_skipped,
-        )
+        return select_rows({self.axis: self}, {self.axis: indices})[self.axis]
 
 
-def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSystem:
-    """Evaluate the term table of (kind, axis) on every row that passes the row rule."""
+def select_rows(
+    systems: dict[str, RegressionSystem], rows: dict[str, np.ndarray]
+) -> dict[str, RegressionSystem]:
+    """Each system restricted to ``rows[axis]``.  Systems that share a block
+    and select the same rows share the gathered block, so it is gathered once."""
+    gathered: list[tuple[RowBlock, np.ndarray, RowBlock]] = []
+    out = {}
+    for axis, sys in systems.items():
+        idx = np.asarray(rows[axis], dtype=int)
+        block = next((g for b, i, g in gathered if b is sys.block and np.array_equal(i, idx)),
+                     None)
+        if block is None:
+            block = sys.block.select(idx)
+            gathered.append((sys.block, idx, block))
+        out[axis] = RegressionSystem.on_block(block, sys.slot, sys.columns, sys.model_kind,
+                                              sys.axis, sys.base[idx], sys.n_skipped)
+    return out
+
+
+# Axes whose systems share one block: sway and yaw have the same terms (in
+# another order) and the same row rule.
+_BLOCKS = (("u",), ("v", "r"))
+
+
+def _build(
+    data: dict[str, np.ndarray], kind: str, axes: tuple[str, ...]
+) -> dict[str, RegressionSystem]:
+    """Evaluate the term table of (kind, axes[0]) on every row that passes the
+    row rule: one block, with one system for each of ``axes``."""
     lag = 1 if kind == "dynamic" else 0
     region = data["region"]
     k = data["k"]
     # k+1 is in the same segment unless the next row starts one (k == 0).
     rows = np.flatnonzero((k >= lag) & np.append(k[1:] != 0, False))
-    ok = region_allowed(axis, region[rows])
+    ok = region_allowed(axes[0], region[rows])
     if lag:
         ok &= region[rows - 1] == region[rows]
     n_skipped = int(np.sum(~ok))
     rows = rows[ok]
     if rows.size == 0:
-        raise DataError(f"no usable rows for the {kind} {axis} system")
+        raise DataError(f"no usable rows for the {kind} {axes[0]} system")
     steps = [
         SimpleNamespace(
             u=data["u"][i], v=data["v"][i], r=data["r"][i],
@@ -229,24 +313,30 @@ def _build(data: dict[str, np.ndarray], kind: str, axis: str) -> RegressionSyste
         )
         for i in ([rows, rows - 1] if lag else [rows])
     ]
-    series = data[axis]
-    return RegressionSystem(
-        a=np.column_stack([t.column(steps[t.lag]) for t in TERMS[(kind, axis)]]),
-        b=series[rows + 1] - series[rows],
+    terms = TERMS[(kind, axes[0])]
+    matrix = np.empty((rows.size, len(terms)))
+    for j, term in enumerate(terms):
+        matrix[:, j] = term.column(steps[term.lag])
+    block = RowBlock(
+        matrix=matrix,
+        rhs=np.stack([data[axis][rows + 1] - data[axis][rows] for axis in axes]),
         segment=data["segment"][rows],
         k=k[rows],
-        model_kind=kind,
-        axis=axis,
-        base=series[rows],
-        n_skipped=n_skipped,
     )
+    return {
+        axis: RegressionSystem.on_block(
+            block, slot, np.array([term_index(kind, axes[0], t.name) for t in TERMS[(kind, axis)]]),
+            kind, axis, data[axis][rows], n_skipped,
+        )
+        for slot, axis in enumerate(axes)
+    }
 
 
 def build_systems(ds: PreparedDataset, kind: str) -> dict[str, RegressionSystem]:
-    """All three per-axis systems for one model kind."""
+    """All three per-axis systems for one model kind; sway and yaw share one block."""
     if kind not in ("static", "dynamic"):
         raise ValueError(f"unknown model kind {kind!r}")
     if not ds.n_samples:
         raise DataError("dataset has no rows")
     data = ds.columns()
-    return {axis: _build(data, kind, axis) for axis in ("u", "v", "r")}
+    return {axis: sys for axes in _BLOCKS for axis, sys in _build(data, kind, axes).items()}

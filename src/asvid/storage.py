@@ -16,12 +16,14 @@ directory, then rename).
 Reading a CSV takes one pass over its text for the header and the ``#``
 records, then numpy's C reader (``np.loadtxt``) for the needed columns; a
 cell is a number as that reader takes it (``float`` syntax, ASCII, no ``_``
-separators, surrounding whitespace allowed, optionally quoted).  Lines may
-end in LF, CRLF or CR.  Writing formats rows with one ``%`` format per file
-and streams them to the temp file in blocks, so neither side holds a log as
-per-cell Python objects.  Raw logs drop rows with a non-finite cell and
-exact repeats of the row before, with one warning for each that names the
-file, the count and the first line.
+separators, surrounding whitespace allowed, optionally quoted).  The
+prepared ``segment`` column is an int64 as that reader takes it (``3.0`` is
+not one), and ``region`` is read as text and mapped once per distinct name.
+Lines may end in LF, CRLF or CR.  Writing formats rows with one ``%``
+format per file and streams them to the temp file in blocks, so neither
+side holds a log as per-cell Python objects.  Raw logs drop rows with a
+non-finite cell and exact repeats of the row before, with one warning for
+each that names the file, the count and the first line.
 
 A missing file raises ``FileNotFoundError``.  A malformed one raises
 :class:`SchemaError` naming the file, and the line of a bad CSV cell
@@ -141,6 +143,15 @@ def _number(cell: str) -> float:
     return value
 
 
+def _integer(cell: str) -> int:
+    """``int(cell)`` restricted to what ``np.loadtxt`` parses as int64: ASCII,
+    no ``_``, in range."""
+    value = int(cell)
+    if "_" in cell or not cell.strip().isascii() or not -2**63 <= value < 2**63:
+        raise ValueError(f"could not convert string to int64: {cell!r}")
+    return value
+
+
 def _bad_cell(path: Path, index: dict[str, int], converters: dict,
               finite: bool) -> SchemaError | None:
     """The error for the first cell, in row order and then column order, that
@@ -164,8 +175,12 @@ def _read_csv(path: Path, columns, adapter: dict | None = None,
     """The named columns of a CSV file as arrays, and its ``#`` records.
 
     ``adapter`` maps a column name to the one in the header.  Cells are
-    float64 unless ``converters`` maps the column name to ``(dtype, function
-    of the cell text)``.  With ``finite`` set, a non-finite float is an error.
+    float64 unless ``converters`` maps the column name to ``(dtype, parser,
+    result dtype)``: ``np.loadtxt`` reads the column as ``dtype``, and
+    ``parser``, a function of one cell's text, names a cell that does not
+    parse.  A text column (a ``str`` dtype) is then mapped through ``parser``
+    once per distinct value, into the result dtype.  With ``finite`` set, a
+    non-finite float is an error.
     """
     rename, converters = adapter or {}, converters or {}
     header, skip, records, has_rows = _scan(path)
@@ -176,16 +191,24 @@ def _read_csv(path: Path, columns, adapter: dict | None = None,
     index = {name: header.index(col) for name, col in names.items()}
     dtype = np.dtype([(name, converters.get(name, (np.float64,))[0]) for name in columns])
     try:
-        table = np.empty(0, dtype) if not has_rows else np.loadtxt(
-            path, dtype=dtype, delimiter=",", quotechar='"', skiprows=skip,
-            usecols=list(index.values()), ndmin=1, encoding="utf-8",
-            converters={index[name]: conv[1] for name, conv in converters.items()},
-        )
+        with warnings.catch_warnings():
+            # numpy < 2 still reads an integer cell like "3.0" into an int
+            # column, with this warning.
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                    DeprecationWarning)
+            table = np.empty(0, dtype) if not has_rows else np.loadtxt(
+                path, dtype=dtype, delimiter=",", quotechar='"', skiprows=skip,
+                usecols=list(index.values()), ndmin=1, encoding="utf-8",
+            )
         cols = {name: table[name].copy() for name in columns}  # contiguous, not record fields
+        for name, (read, parse, result) in converters.items():
+            if np.dtype(read).kind == "U":
+                values, inverse = np.unique(cols[name], return_inverse=True)
+                cols[name] = np.array([parse(v) for v in values.tolist()], result)[inverse]
         if finite and not all(np.isfinite(cols[name]).all() for name in columns
                               if name not in converters):
             raise ValueError("a non-finite cell")
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise _bad_cell(path, index, converters, finite) or SchemaError(
             f"{path.name}: malformed CSV: {exc}"
         ) from None
@@ -278,8 +301,14 @@ def _region(cell: str) -> int:
         raise ValueError(f"unknown operating region {cell!r}") from None
 
 
-# The prepared columns that are not float64: (dtype, cell parser).
-_PREPARED_CONVERTERS = {"segment": (np.int64, int), "region": (np.int8, _region)}
+# The prepared columns that are not float64: (dtype read, cell parser, result
+# dtype).  The region names are read as text one character wider than the
+# longest name, so a longer cell is cut to a string that is no name, never to
+# a name.
+_PREPARED_CONVERTERS = {
+    "segment": (np.int64, _integer, np.int64),
+    "region": (f"U{max(len(r.name) for r in OperatingRegion) + 1}", _region, np.int8),
+}
 
 
 def write_prepared_csv(path: str | Path, ds: PreparedDataset) -> None:

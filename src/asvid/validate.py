@@ -3,8 +3,13 @@
 Two partition methods are supported, mirroring how the vessel experiments
 are evaluated: random selection of individual regression rows, and random
 grouping of whole trajectory segments.  Surge rows form one partition group
-and sway/yaw rows another (they share identical row sets by construction),
+and sway/yaw rows another (they share one row block by construction),
 matching the split between forward and turning manoeuvres.
+
+Work is done per block, not per axis: a fit on a point split gathers the
+sway/yaw block once, and a prediction is one product of each block's matrix
+with the vectors of the axes that share it, computed on all its rows and
+then indexed, so no row-gathered copy of a matrix is made.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .dataprep import PreparedDataset
 from .errors import DataError
 from .estimator import IdentifiedModel, identify_from_systems
-from .regressors import RegressionSystem, build_systems
+from .regressors import RegressionSystem, RowBlock, build_systems
 
 __all__ = [
     "PartitionSpec",
@@ -29,10 +34,13 @@ __all__ = [
     "mae",
     "evaluate",
     "sensitivity_study",
+    "check_sweep_fractions",
     "training_fraction_sweep",
 ]
 
 AXES = ("u", "v", "r")
+TRACE_COLUMNS = ("t", "axis", "truth", "prediction")
+_TRACE_DTYPE = np.dtype(list(zip(TRACE_COLUMNS, (np.float64, "U1", np.float64, np.float64))))
 # The validation share of the training-fraction sweep.
 VALIDATION_FRACTION = 0.3
 
@@ -178,15 +186,26 @@ def fit_split(
     return identify_from_systems(kind, systems, h, rows=split.train)
 
 
-def _predict(model: IdentifiedModel, system: RegressionSystem, rows) -> tuple[np.ndarray, np.ndarray]:
-    """One-step prediction base + A @ X and its truth base + b on (a subset of) the rows."""
-    if system.model_kind != model.kind:
-        raise ValueError(f"{model.kind} model cannot predict on a {system.model_kind} system")
-    idx = np.arange(system.n_rows) if rows is None else np.asarray(rows, dtype=int)
-    x = model.vector(system.axis)
-    pred = system.base[idx] + system.a[idx] @ x
-    truth = system.base[idx] + system.b[idx]
-    return truth, pred
+def _changes(model: IdentifiedModel, systems: dict[str, RegressionSystem]) -> dict[str, np.ndarray]:
+    """Each system's predicted one-step change A @ X on all its rows: one
+    product per block, with each system's vector placed in its columns."""
+    products: dict[RowBlock, np.ndarray] = {}
+    for sys in systems.values():
+        if sys.model_kind != model.kind:
+            raise ValueError(f"{model.kind} model cannot predict on a {sys.model_kind} system")
+    for sys in systems.values():
+        block = sys.block
+        if block not in products:
+            x = np.zeros((block.matrix.shape[1], block.rhs.shape[0]))
+            for other in systems.values():
+                if other.block is block:
+                    x[other.columns, other.slot] = model.vector(other.axis)
+            products[block] = block.matrix @ x
+    return {axis: products[sys.block][:, sys.slot] for axis, sys in systems.items()}
+
+
+def _rows(rows: dict[str, np.ndarray] | None, axis: str):
+    return slice(None) if rows is None else np.asarray(rows[axis], dtype=int)
 
 
 def r_squared(truth, prediction) -> float:
@@ -248,9 +267,11 @@ def evaluate(
     maed: dict[str, float] = {}
     counts: dict[str, int] = {}
     skipped: dict[str, int] = {}
+    changes = _changes(model, systems)
     for axis in AXES:
-        idx = None if rows is None else rows[axis]
-        truth, pred = _predict(model, systems[axis], idx)
+        sys, idx = systems[axis], _rows(rows, axis)
+        base = sys.base[idx]
+        truth, pred = base + sys.b[idx], base + changes[axis][idx]
         r2d[axis] = r_squared(truth, pred)
         maed[axis] = mae(truth, pred)
         counts[axis] = truth.size
@@ -270,22 +291,28 @@ def prediction_traces(
     systems: dict[str, RegressionSystem],
     ds: PreparedDataset,
     rows: dict[str, np.ndarray] | None = None,
-) -> list[tuple[float, str, float, float]]:
-    """Per-sample (time, axis, truth, prediction) rows for external plotting.
+) -> np.ndarray:
+    """Per-sample (time, axis, truth, prediction) records for external plotting.
 
-    The time stamps the predicted instant (one step past the row's k).
+    One structured array with a field per column (``TRACE_COLUMNS``), its
+    rows sorted by axis name and then by time.  The time stamps the predicted
+    instant (one step past the row's k).
     """
     ids, starts = np.unique(ds.segment, return_index=True)
-    out: list[tuple[float, str, float, float]] = []
-    for axis in AXES:
-        system = systems[axis]
-        idx = np.arange(system.n_rows) if rows is None else np.asarray(rows[axis], dtype=int)
-        truth, pred = _predict(model, system, idx)
-        ds_rows = starts[np.searchsorted(ids, system.segment[idx])] + system.k[idx]
-        times = ds.t[ds_rows] + ds.h
-        out.extend(zip(times.tolist(), [axis] * idx.size, truth.tolist(), pred.tolist()))
-    out.sort(key=lambda row: (row[1], row[0]))
-    return out
+    changes = _changes(model, systems)
+    parts = []
+    for axis in sorted(AXES):
+        sys, idx = systems[axis], _rows(rows, axis)
+        times = ds.t[starts[np.searchsorted(ids, sys.segment[idx])] + sys.k[idx]] + ds.h
+        order = np.argsort(times, kind="stable")
+        base = sys.base[idx]
+        part = np.empty(order.size, dtype=_TRACE_DTYPE)
+        part["t"] = times[order]
+        part["axis"] = axis
+        part["truth"] = (base + sys.b[idx])[order]
+        part["prediction"] = (base + changes[axis][idx])[order]
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -340,6 +367,15 @@ def sensitivity_study(
     )
 
 
+def check_sweep_fractions(fractions: tuple[float, ...]) -> None:
+    """Reject a training fraction that leaves no room for ``VALIDATION_FRACTION``."""
+    if any(f + VALIDATION_FRACTION > 1.0 + 1e-12 for f in fractions):
+        raise ValueError(
+            "train fraction plus validation fraction exceeds 1: a training fraction "
+            f"may be at most {1.0 - VALIDATION_FRACTION:g}"
+        )
+
+
 def training_fraction_sweep(
     ds: PreparedDataset,
     kind: str,
@@ -356,8 +392,7 @@ def training_fraction_sweep(
     1 never fail on rounding).  Returns one entry per fraction with
     train- and validation-side metrics.
     """
-    if any(f + VALIDATION_FRACTION > 1.0 + 1e-12 for f in fractions):
-        raise ValueError("train fraction plus validation fraction exceeds 1")
+    check_sweep_fractions(fractions)
     systems = systems if systems is not None else build_systems(ds, kind)
     _vr_rows_consistent(systems)
     rng = np.random.default_rng(seed)

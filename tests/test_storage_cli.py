@@ -576,6 +576,9 @@ ERROR_CASES = {
     "prepared-nan-u": _edit_prepared_row(7, _set(2, "nan")),
     "prepared-unknown-region": _edit_prepared_row(8, _set(7, "XX")),
     "prepared-short-row": _edit_prepared_row(9, lambda cells: ",".join(cells[:5])),
+    "prepared-segment-float": _edit_prepared_row(11, _set(1, "3.0")),
+    "prepared-segment-text": _edit_prepared_row(12, _set(1, "x")),
+    "prepared-region-too-long": _edit_prepared_row(13, _set(7, "FFX")),
     "prepared-off-grid-t": _edit_prepared_row(
         10, lambda cells: ",".join([repr(float(cells[0]) + 0.05), *cells[1:]])
     ),
@@ -719,6 +722,7 @@ def test_bad_config_exits_2_naming_the_key(case, command, tmp_path, small_bundle
 BAD_VALIDATE_FLAGS = {
     "sweep-not-a-number": (["--sweep", "0.7,abc"], "--sweep"),
     "sweep-fraction-above-one": (["--sweep", "0.7,1.5"], "--sweep"),
+    "sweep-leaves-no-validation-share": (["--sweep", "0.8"], "--sweep"),
     "sensitivity-one": (["--sensitivity", "1"], "--sensitivity"),
     "train-fraction-above-one": (["--train-fraction", "1.5"], "--train-fraction"),
     "train-fraction-nan": (["--train-fraction", "nan"], "--train-fraction"),
@@ -735,6 +739,34 @@ def test_bad_validate_flag_is_a_usage_error(case, tmp_path, ds_static, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "prepare", "identify", "validate"])
+def test_each_command_builds_each_config_section_once(
+    command, tmp_path, ds_static, small_bundle, monkeypatch, capsys
+):
+    built = []
+
+    def counting_from_json(target, doc, key, source, **fixed):
+        built.append(key)
+        return from_json(target, doc, key, source, **fixed)
+
+    monkeypatch.setattr(cli, "from_json", counting_from_json)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"duration_s": 2.0}}))
+    storage.write_raw_logs(tmp_path / "logs", small_bundle)
+    prep = tmp_path / "prepared.csv"
+    storage.write_prepared_csv(prep, ds_static)
+    argv = {
+        "simulate": ["simulate", "--out", str(tmp_path / "sim")],
+        "prepare": ["prepare", "--logs", str(tmp_path / "logs"), "--out", str(tmp_path / "p")],
+        "identify": ["identify", "--prepared", str(prep), "--out", str(tmp_path / "id")],
+        "validate": ["validate", "--prepared", str(prep), "--out", str(tmp_path / "val")],
+    }[command]
+    assert main(["--config", str(cfg), *argv]) == 0
+    capsys.readouterr()
+    assert sorted(built) == ["", "geo_reference", "prepare", "simulate.excitation",
+                             "simulate.noise"]
 
 
 def test_validate_model_accepts_an_inferred_h(tmp_path, ds_static, capsys):
