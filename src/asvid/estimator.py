@@ -3,11 +3,18 @@
 The per-axis parameter vectors come from SVD-based least squares (orthogonal
 factorization; minimum-norm solution when a system is rank deficient, which
 happens by construction when a dataset contains no asymmetric-thrust rows).
-A fit on whole segments solves the same problem from the merged R factors of
-the segments' ``[A | b]`` rows, whose top block has the singular values of A.
-Sway and yaw share one matrix (:class:`~asvid.regressors.RowBlock`), so
-each fit solves both right-hand sides in one ``lstsq``; each axis still gets
-its own report, with the shared rank and condition and its own residual.
+Every fit takes one path: the ``[A | b]`` rows it uses are reduced to at most
+one chunk of rows with the same Gram matrix, and one ``lstsq`` runs on
+those.  All rows are read by slice and a row subset by index, chunk by
+chunk, with no gathered copy of the block
+(:meth:`~asvid.regressors.RowBlock.reduced`); a union of whole segments
+stacks the segments' cached R factors and reduces that stack.  The stack is
+an orthogonal transform of the rows, so its A part has their singular
+values and its residual norms are theirs.  A system that fits one chunk goes
+to ``lstsq`` as its own rows.  Sway and yaw share one matrix
+(:class:`~asvid.regressors.RowBlock`), so each fit solves both right-hand
+sides in one ``lstsq``; each axis still gets its own report, with the shared
+rank and condition and its own residual.
 For the first-order propeller model the three solved vectors overdetermine
 the shared pole.  :func:`resolve_alpha` fits it to the six pole-coupled
 entries by variable projection: each axis' damping-like term is eliminated
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .regressors import TERMS, RegressionSystem, select_rows, term_index
+from .regressors import TERMS, RegressionSystem, reduce_stack, term_index
 
 __all__ = [
     "CONDITION_WARN_THRESHOLD",
@@ -112,20 +119,17 @@ class _Fit:
     rows_used: int
 
 
-def _fit(a: np.ndarray, b: np.ndarray, rows_used: int, tail: np.ndarray | float = 0.0) -> _Fit:
-    """One minimum-norm ``lstsq`` of ``a X = b`` for every column of ``b``.
-
-    ``tail`` is the part of each column's residual norm that ``b`` cannot
-    show: the norm of that column below the top rows of the R factor of
-    ``[A | b]`` when ``a, b`` are those top rows.
-    """
+def _fit(rows: np.ndarray, p: int, rows_used: int) -> _Fit:
+    """One minimum-norm ``lstsq`` of ``A X = B`` for rows ``[A | B]``, ``A`` of
+    ``p`` columns: a system's own rows or a stack reduced from them."""
+    a, b = rows[:, :p], rows[:, p:]
     solution, _, rank, sv = np.linalg.lstsq(a, b, rcond=np.finfo(float).eps)
     # A column of exact zeros (structural cancellation) has minimum-norm
     # coefficient exactly zero; clear the rounding dust the SVD leaves there.
     dead = ~np.any(a != 0.0, axis=0)
     if np.any(dead):
         solution[dead] = 0.0
-    residual_norm = np.hypot(np.linalg.norm(a @ solution - b, axis=0), tail)
+    residual_norm = np.linalg.norm(a @ solution - b, axis=0)
     smallest = sv[min(rank, len(sv)) - 1] if rank > 0 else 0.0
     condition = float(sv[0] / smallest) if smallest > 0 else np.inf
     return _Fit(solution, residual_norm, condition, int(rank), rows_used)
@@ -157,35 +161,46 @@ def _check_rows(sys: RegressionSystem, m: int) -> None:
         )
 
 
-def solve_least_squares(sys: RegressionSystem) -> LeastSquaresReport:
+def solve_least_squares(
+    sys: RegressionSystem, rows: np.ndarray | None = None
+) -> LeastSquaresReport:
     """Minimize ||A x - b|| by SVD (minimum-norm solution if rank deficient).
 
-    LAPACK gelsd treats singular values at or below ``eps * sigma_max``
-    (``eps`` = float64 machine epsilon) as zero; ``rank`` and the condition
-    estimate ``sigma_max / sigma_rank`` follow that threshold.  numpy's
-    default ``rcond`` (``eps * max(m, n)``) would drop more directions on
-    tall, nearly rank-deficient systems, so the threshold is passed
-    explicitly.  The first system of a shared block to be solved solves
-    every right-hand side of the block in the same ``lstsq``; the others read
-    their part of it.
+    ``rows`` (indices into the system's rows) fits that subset; they are
+    read from the block chunk by chunk, never gathered whole.  LAPACK gelsd
+    treats singular values at or below ``eps * sigma_max`` (``eps`` = float64
+    machine epsilon) as zero; ``rank`` and the condition estimate ``sigma_max
+    / sigma_rank`` follow that threshold.  numpy's default ``rcond`` (``eps *
+    max(m, n)``) would drop more directions on tall, nearly rank-deficient
+    systems, so the threshold is passed explicitly.  The first system of a
+    shared block to be solved solves every right-hand side of the block in
+    the same ``lstsq``; the others read their part of it, the latest row
+    subset's by equal indices.
     """
-    _check_rows(sys, sys.n_rows)
     block = sys.block
-    if None not in block.fits:
-        block.fits[None] = _fit(block.matrix, block.rhs.T, block.n_rows)
-    return _report(block.fits[None], sys)
+    p = block.matrix.shape[1]
+    if rows is None:
+        _check_rows(sys, sys.n_rows)
+        if None not in block.fits:
+            block.fits[None] = _fit(block.reduced(range(block.n_rows)), p, block.n_rows)
+        return _report(block.fits[None], sys)
+    rows = np.asarray(rows, dtype=int)
+    _check_rows(sys, rows.size)
+    last = block.fits.get("rows")
+    if last is None or not np.array_equal(last[0], rows):
+        # A copy of the indices, so a caller reusing its array cannot stale the fit.
+        block.fits["rows"] = last = (rows.copy(), _fit(block.reduced(rows), p, rows.size))
+    return _report(last[1], sys)
 
 
 def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSquaresReport:
     """:func:`solve_least_squares` on the rows of whole segments, from their R factors.
 
-    The R factors of the chosen segments' ``[A | b_1 | ... | b_m]`` blocks
-    (one ``b`` per system of the block) are stacked and reduced by one more
-    QR (TSQR).  Its top p x p block has the singular values of the gathered
-    A and its columns p and on hold Q^T b, so the same ``lstsq`` runs on p
-    rows; the rest of column p + j is the part of b_j's residual outside the
-    column space.  Segment ids without rows in this system contribute
-    nothing.  Like the full solve, the merged fit is kept on the block.
+    The R factors of the chosen segments' ``[A | b_1 | ... | b_m]`` rows (one
+    ``b`` per system of the block) are stacked, and the stack is reduced
+    until it fits one chunk; ``lstsq`` runs on it.  Segment ids without rows
+    in this system contribute nothing.  Like the full solve, the merged fit
+    is kept on the block.
     """
     factors = sys.segment_factors
     ids = tuple(s for s in sorted(segments) if s in factors)
@@ -193,9 +208,8 @@ def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSq
     _check_rows(sys, m)
     block = sys.block
     if ids not in block.fits:
-        p = block.matrix.shape[1]
-        r = np.linalg.qr(np.vstack([factors[s][0] for s in ids]), mode="r")
-        block.fits[ids] = _fit(r[:p, :p], r[:p, p:], m, np.linalg.norm(r[p:, p:], axis=0))
+        stack = reduce_stack(np.vstack([factors[s][0] for s in ids]))
+        block.fits[ids] = _fit(stack, block.matrix.shape[1], m)
     return _report(block.fits[ids], sys)
 
 
@@ -263,13 +277,13 @@ def identify_from_systems(
     """Fit all three axes on (a row subset of) pre-built systems.
 
     Building systems once and fitting many subsets is what the repeated
-    partition studies lean on.  ``rows`` selects rows per axis; ``segments``
-    selects whole segments by id and merges their cached R factors instead of
-    gathering rows.
+    partition studies lean on.  ``rows`` selects rows per axis (sway and yaw
+    with equal indices share one solve); ``segments`` selects whole segments
+    by id and merges their cached R factors.
     """
     if segments is None:
-        chosen = systems if rows is None else select_rows(systems, rows)
-        reports = {axis: solve_least_squares(sys) for axis, sys in chosen.items()}
+        reports = {axis: solve_least_squares(sys, None if rows is None else rows[axis])
+                   for axis, sys in systems.items()}
     elif rows is None:
         reports = {axis: _solve_segments(sys, segments) for axis, sys in systems.items()}
     else:

@@ -23,8 +23,13 @@ so they share one :class:`RowBlock`: one matrix, built once in the sway
 order, with both right-hand sides.  The yaw system reads that matrix
 through a column index, the identity for the static kind and the swap of
 the own and the other velocity for the dynamic kind.  Solvers and
-predictors work on the block, so the pair is factored, gathered and
-multiplied once.
+predictors work on the block, so the pair is factored and multiplied once.
+
+Least squares never reads a block's rows all at once: :meth:`RowBlock.reduced`
+reads ``[matrix | rhs^T]`` in chunks of at most ``_CHUNK_ENTRIES`` entries and
+stacks each chunk's R factor, the sequential TSQR of Demmel, Grigori,
+Hoemmen & Langou (SIAM J. Sci. Comput., 2012).  The stack is an orthogonal
+transform of the rows, so it keeps their singular values and residual norms.
 """
 
 from __future__ import annotations
@@ -42,9 +47,16 @@ from .errors import DataError
 from .model import REGION_SIGN, OperatingRegion
 
 __all__ = [
-    "Term", "TERMS", "term_index", "region_allowed", "RowBlock", "RegressionSystem", "select_rows",
+    "Term", "TERMS", "term_index", "region_allowed", "RowBlock", "RegressionSystem",
     "build_systems",
 ]
+
+# The most entries (rows x columns) one factorization of a least-squares
+# solve reads.  OpenBLAS runs ``dger`` on one thread up to 2048 x 4 = 8192
+# entries, and an unblocked Householder QR (under 32 columns) is made of such
+# calls; larger calls wake a second thread, which sometimes stalls a call for
+# milliseconds on a busy host.
+_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,28 @@ def region_allowed(axis: str, region: np.ndarray) -> np.ndarray:
     return region == OperatingRegion.FF if axis == "u" else region != OperatingRegion.RR
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a ``width``-column stack; at least two factors' worth,
+    so each pass of :func:`reduce_stack` shrinks the stack."""
+    return max(_CHUNK_ENTRIES // width, 2 * width)
+
+
+def _r_factor(rows: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(rows, mode="r")
+
+
+def reduce_stack(stack: np.ndarray) -> np.ndarray:
+    """Rows with the Gram matrix of ``stack``, at most one chunk of them.
+
+    A stack that fits one chunk is returned as it is; otherwise the R factors
+    of its chunks are stacked, and again, until they fit.
+    """
+    step = _chunk_rows(stack.shape[1])
+    while stack.shape[0] > step:
+        stack = np.vstack([_r_factor(stack[lo:lo + step]) for lo in range(0, stack.shape[0], step)])
+    return stack
+
+
 @dataclass(eq=False)
 class RowBlock:
     """The rows that one or more systems share: one matrix, one right-hand
@@ -152,7 +186,8 @@ class RowBlock:
     Row i comes from time index ``k[i]`` of segment ``segment[i]``; ``rhs[j]``
     is the right-hand side of the block's j-th system.  ``fits`` keeps the
     estimator's solves of the block, by the segments they used (``None``: all
-    rows), so the systems that share the block solve it once.
+    rows; ``"rows"``: the latest row subset, as its indices and its fit), so
+    the systems that share the block solve it once.
     """
 
     matrix: np.ndarray
@@ -175,13 +210,33 @@ class RowBlock:
     def n_rows(self) -> int:
         return int(self.matrix.shape[0])
 
+    def _read(self, rows: range | np.ndarray) -> np.ndarray:
+        sel = slice(rows.start, rows.stop, rows.step) if isinstance(rows, range) else rows
+        return np.hstack((self.matrix[sel], self.rhs[:, sel].T))
+
+    def reduced(self, rows: range | np.ndarray) -> np.ndarray:
+        """``[matrix | rhs^T]`` on ``rows`` (a range or row indices), reduced to
+        at most one chunk of rows with the same Gram matrix.
+
+        Rows that fit one chunk come back as they are.  Otherwise each chunk
+        is read (by slice from a range, by index from indices), and its R
+        factor goes onto a stack that :func:`reduce_stack` finishes; no
+        more than one chunk of the block is copied at a time.
+        """
+        step = _chunk_rows(self.matrix.shape[1] + self.rhs.shape[0])
+        if len(rows) <= step:
+            return self._read(rows)
+        return reduce_stack(np.vstack([_r_factor(self._read(rows[lo:lo + step]))
+                                       for lo in range(0, len(rows), step)]))
+
     @cached_property
     def segment_factors(self) -> dict[int, tuple[np.ndarray, int]]:
         """Segment id -> (R of that segment's ``[matrix | rhs^T]`` rows, row count).
 
         Computed on first use and kept, so fits on many unions of whole
         segments factor each segment once.  Rows come grouped by segment id,
-        so each segment's rows are a contiguous slice.
+        so each segment's rows are a contiguous slice, reduced chunk by chunk
+        (:meth:`reduced`) before its R factor is taken.
         """
         starts = np.flatnonzero(np.diff(self.segment)) + 1
         ids = np.r_[self.segment[:1], self.segment[starts]]
@@ -189,8 +244,7 @@ class RowBlock:
             raise DataError("regression rows are not grouped by segment")
         bounds = np.r_[0, starts, self.n_rows]
         return {
-            int(sid): (np.linalg.qr(np.hstack((self.matrix[lo:hi], self.rhs[:, lo:hi].T)),
-                                    mode="r"), int(hi - lo))
+            int(sid): (_r_factor(self.reduced(range(lo, hi))), int(hi - lo))
             for sid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
         }
 
@@ -260,27 +314,11 @@ class RegressionSystem:
         return self.block.segment_factors
 
     def select(self, indices: np.ndarray) -> "RegressionSystem":
-        """Row subset (used by train/validation partitions)."""
-        return select_rows({self.axis: self}, {self.axis: indices})[self.axis]
-
-
-def select_rows(
-    systems: dict[str, RegressionSystem], rows: dict[str, np.ndarray]
-) -> dict[str, RegressionSystem]:
-    """Each system restricted to ``rows[axis]``.  Systems that share a block
-    and select the same rows share the gathered block, so it is gathered once."""
-    gathered: list[tuple[RowBlock, np.ndarray, RowBlock]] = []
-    out = {}
-    for axis, sys in systems.items():
-        idx = np.asarray(rows[axis], dtype=int)
-        block = next((g for b, i, g in gathered if b is sys.block and np.array_equal(i, idx)),
-                     None)
-        if block is None:
-            block = sys.block.select(idx)
-            gathered.append((sys.block, idx, block))
-        out[axis] = RegressionSystem.on_block(block, sys.slot, sys.columns, sys.model_kind,
-                                              sys.axis, sys.base[idx], sys.n_skipped)
-    return out
+        """A copy of the row subset ``indices``, on a block of its own."""
+        idx = np.asarray(indices, dtype=int)
+        return RegressionSystem.on_block(self.block.select(idx), self.slot, self.columns,
+                                         self.model_kind, self.axis, self.base[idx],
+                                         self.n_skipped)
 
 
 # Axes whose systems share one block: sway and yaw have the same terms (in

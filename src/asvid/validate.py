@@ -6,10 +6,11 @@ grouping of whole trajectory segments.  Surge rows form one partition group
 and sway/yaw rows another (they share one row block by construction),
 matching the split between forward and turning manoeuvres.
 
-Work is done per block, not per axis: a fit on a point split gathers the
-sway/yaw block once, and a prediction is one product of each block's matrix
-with the vectors of the axes that share it, computed on all its rows and
-then indexed, so no row-gathered copy of a matrix is made.
+Work is done per block, not per axis: a fit on a point split solves the
+sway/yaw block once, reading its rows chunk by chunk, and a prediction is
+one product of each block's matrix with the vectors of the axes that share
+it, computed on all its rows and then indexed, so no row-gathered copy of a
+matrix is made.
 """
 
 from __future__ import annotations
@@ -157,10 +158,13 @@ def partition(
 
     train: dict[str, np.ndarray] = {}
     val: dict[str, np.ndarray] = {}
+    sides: dict[RowBlock, tuple[np.ndarray, np.ndarray]] = {}  # sway and yaw share a block
     for axis in AXES:
-        in_train = np.isin(systems[axis].segment, sorted(train_set))
-        train[axis] = np.flatnonzero(in_train)
-        val[axis] = np.flatnonzero(~in_train)
+        block = systems[axis].block
+        if block not in sides:
+            in_train = np.isin(block.segment, sorted(train_set))
+            sides[block] = np.flatnonzero(in_train), np.flatnonzero(~in_train)
+        train[axis], val[axis] = sides[block]
         if train[axis].size == 0 or val[axis].size == 0:
             raise DataError(f"segment partition leaves the {axis} system without rows on one side")
     return RowSplit(
@@ -179,7 +183,7 @@ def fit_split(
     """Identify on the training side of a split.
 
     A segment split is fitted from its segments' merged R factors, a point
-    split from its gathered rows.
+    split from its rows, read chunk by chunk.
     """
     if split.train_segments is not None:
         return identify_from_systems(kind, systems, h, segments=split.train_segments)
