@@ -62,7 +62,8 @@ _NUMERIC = {
         "estimator": ("identify_from_systems",),
         "oracle": (
             "SensorNoise", "default_ground_truth", "emit_sensor_logs", "known_params_to_X",
-            "prbs_frames", "simulate_continuous", "smooth_excitation", "zoh_excitation",
+            "prbs_frames", "simulate_blocks", "simulate_continuous", "smooth_excitation",
+            "zoh_excitation",
         ),
         "regressors": ("build_systems",),
         "validate": (
@@ -175,7 +176,6 @@ def _load_config(path: str | None) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _, cfg = _config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     kind = args.kind or cfg.kind
     seed = args.seed if args.seed is not None else cfg.seed
     gt = cfg.ground_truth or default_ground_truth(dynamic=(kind == "dynamic"))
@@ -188,6 +188,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         excitation = cfg.excitation
     traj = simulate_continuous(gt, excitation, duration, dt=cfg.dt)
     bundle = emit_sensor_logs(traj, cfg.geo_reference, noise=replace(cfg.noise, seed=seed))
+    del traj  # 8.6 MB for 1200 s at 100 Hz: not held while the logs are written
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_raw_logs(out, bundle)
     storage.write_ground_truth(out / "ground_truth.json", gt)
     vectors = known_params_to_X(gt, kind)

@@ -8,13 +8,13 @@ Two generators serve different purposes:
   :func:`sigma_coeffs`, region-switched thrust columns).  Data from it
   admits an exact parameter vector, so identification must recover
   :func:`known_params_to_X` to numerical precision.
-* :func:`simulate_continuous` integrates the full continuous-time vessel
-  model (RK4), which is *not* in the identified model class; it measures
-  how much the discretized quasi-quadratic form gives away on realistic
-  trajectories.
+* :func:`simulate_blocks` integrates the full continuous-time vessel model
+  (RK4), which is *not* in the identified model class, in pieces of bounded
+  size; it measures how much the discretized quasi-quadratic form gives
+  away on realistic trajectories.  :func:`simulate_continuous` joins them.
 
-:func:`emit_sensor_logs` turns a continuous trajectory back into raw
-multi-rate sensor logs for end-to-end pipeline tests.
+:func:`emit_sensor_logs` turns a continuous trajectory, whole or in pieces,
+back into raw multi-rate sensor logs for end-to-end pipeline tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,8 +46,9 @@ from .regressors import TERMS, Term, region_allowed
 
 __all__ = [
     "GroundTruth", "sigma_coeffs", "DiscreteGenConfig", "Trajectory", "default_ground_truth",
-    "known_params_to_X", "prbs_frames", "generate_discrete", "simulate_continuous",
-    "trajectory_to_dataset", "emit_sensor_logs", "smooth_excitation", "zoh_excitation",
+    "known_params_to_X", "prbs_frames", "generate_discrete", "simulate_blocks",
+    "simulate_continuous", "trajectory_to_dataset", "emit_sensor_logs", "smooth_excitation",
+    "zoh_excitation",
 ]
 
 Excitation = Callable[[float], tuple[float, float]]
@@ -414,7 +415,7 @@ def generate_discrete(gt: GroundTruth, cfg: DiscreteGenConfig) -> PreparedDatase
 
 @dataclass
 class Trajectory:
-    """Continuous simulation output on a fine, uniform time grid."""
+    """Continuous simulation output on a fine, uniform time grid, from row ``start`` of the run."""
 
     t: np.ndarray
     eta: np.ndarray  # (n, 3): x, y, psi
@@ -422,6 +423,7 @@ class Trajectory:
     delta: np.ndarray  # (n, 2): delta_l, delta_r
     dt: float
     h: float
+    start: int = 0
 
 
 def smooth_excitation(
@@ -445,29 +447,46 @@ def smooth_excitation(
 def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
     """Hold a (steps, 2) (mean, diff) schedule constant over each h interval.
 
-    The schedule's ``hold`` attribute is ``h``; :func:`simulate_continuous`
+    The schedule's ``hold`` attribute is ``h``; :func:`simulate_blocks`
     reads it to keep each RK4 substep inside one interval.
     """
-    rows = np.asarray(frames, dtype=float).tolist()
-    last = len(rows) - 1
+    frames = np.asarray(frames, dtype=float)
+    # Memoryviews index to Python floats without a per-frame list of them.
+    left = memoryview(frames[:, 0] + frames[:, 1] / 2.0)
+    right = memoryview(frames[:, 0] - frames[:, 1] / 2.0)
+    last = len(frames) - 1
 
     def schedule(t: float) -> tuple[float, float]:
-        mean, diff = rows[min(int(t / h + 1e-9), last)]
-        return mean + diff / 2.0, mean - diff / 2.0
+        i = min(int(t / h + 1e-9), last)
+        return left[i], right[i]
 
     schedule.hold = h
     return schedule
 
 
-def simulate_continuous(
+_BLOCK_STEPS = 4096  # rows per piece of simulate_blocks: 0.29 MB of t, eta, nu and delta
+
+
+def _time_grid(gt: GroundTruth, duration: float, dt: float | None) -> tuple[float, int, int]:
+    """(dt, substeps per h, substeps of the run) of a continuous simulation."""
+    dt = dt if dt is not None else gt.h / 20.0
+    n_sub = round(gt.h / dt)
+    if n_sub < 1 or abs(n_sub * dt - gt.h) > 1e-9:
+        raise ValueError("dt must divide the sampling period h")
+    if not duration >= 0:
+        raise ValueError(f"duration must be >= 0, got {duration!r}")
+    return dt, n_sub, int(round(duration / dt))
+
+
+def simulate_blocks(
     gt: GroundTruth,
     excitation: Excitation,
     duration: float,
     dt: float | None = None,
     nu0: tuple[float, float, float] = (0.0, 0.0, 0.0),
     eta0: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> Trajectory:
-    """Fixed-step RK4 integration of the full vessel model.
+) -> Iterator[Trajectory]:
+    """Fixed-step RK4 integration of the full vessel model, yielded in pieces.
 
     Kinetics: M nu_dot = -(C(nu) + D(nu)) nu + tau_w + tau with the thrust
     force/torque from the excitation schedule (no lateral force), kinematics
@@ -477,22 +496,23 @@ def simulate_continuous(
     gives static thrust evaluated once per substep, at its start, so no
     stage of the last substep of an interval sees the next interval.
 
+    Row k of the n = duration/dt substeps is the state at ``t[k] = k*dt``
+    and the command given there.  The pieces tile rows 0..n in order, at
+    most ``_BLOCK_STEPS`` rows each, so memory does not grow with the
+    duration; a divergence raises after the pieces before it.
+
     Each substep works on six Python floats in a fixed arithmetic order:
     stage states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
     ``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)`` summed left to right, and
     ``t[k] = k*dt``.  Trajectories are therefore bitwise reproducible, and
-    tests pin their SHA-256.  States and commands are appended to packed
-    ``array("d")`` buffers, 8 bytes per value, which the returned float64
+    tests pin their SHA-256.  A piece's states and commands are appended to
+    packed ``array("d")`` buffers, 8 bytes per value, which its float64
     C-contiguous arrays view without a copy.
     """
     if gt.sigma_override is not None:
         raise ValueError("the continuous simulator integrates the Fossen model; "
                          "it cannot follow a sigma_override")
-    dt = dt if dt is not None else gt.h / 20.0
-    n_sub = round(gt.h / dt)
-    if n_sub < 1 or abs(n_sub * dt - gt.h) > 1e-9:
-        raise ValueError("dt must divide the sampling period h")
-    n_steps = int(round(duration / dt))
+    dt, n_sub, n_steps = _time_grid(gt, duration, dt)
     dynamic = isinstance(gt.thrust, ThrustDynamicParams)
     held = not dynamic and hasattr(excitation, "hold")
     if held:
@@ -543,9 +563,11 @@ def simulate_continuous(
         tl, tr = thrust_static(dl, ts), thrust_static(dr, ts)
         return tl + tr, half_d * (tl - tr), dl, dr
 
+    def packed(buf: array, width: int) -> np.ndarray:
+        return np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
+
     x, y, psi = (float(c) for c in eta0)
     u, v, r = (float(c) for c in nu0)
-    eta_buf, nu_buf, delta_buf = array("d", (x, y, psi)), array("d", (u, v, r)), array("d")
     half, sixth = 0.5 * dt, dt / 6.0
 
     # Dynamic thrust state per propeller, updated at multiples of h; the
@@ -554,57 +576,78 @@ def simulate_continuous(
     fu_a = fu_b = fu_c = t_l + t_r
     tr_a = tr_b = tr_c = half_d * (t_l - t_r)
 
-    for k in range(n_steps):
-        tk = k * dt
-        if dynamic:
-            dl, dr = excitation(tk)
-            if k % n_sub == 0:
-                if k > 0:
-                    dyn = gt.dynamic_thrust
-                    t_l = dyn.alpha * t_l + dyn.beta * thrust_static(prev_dl, ts)
-                    t_r = dyn.alpha * t_r + dyn.beta * thrust_static(prev_dr, ts)
-                    fu_a = fu_b = fu_c = t_l + t_r
-                    tr_a = tr_b = tr_c = half_d * (t_l - t_r)
-                prev_dl, prev_dr = dl, dr
-        else:
-            fu_a, tr_a, dl, dr = forces_at(tk)
-            if held:
-                fu_b = fu_c = fu_a
-                tr_b = tr_c = tr_a
+    for start in range(0, n_steps + 1, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n_steps + 1)
+        eta_buf, nu_buf, delta_buf = array("d"), array("d"), array("d")
+        for k in range(start, min(stop, n_steps)):
+            eta_buf.extend((x, y, psi))
+            nu_buf.extend((u, v, r))
+            tk = k * dt
+            if dynamic:
+                dl, dr = excitation(tk)
+                if k % n_sub == 0:
+                    if k > 0:
+                        dyn = gt.dynamic_thrust
+                        t_l = dyn.alpha * t_l + dyn.beta * thrust_static(prev_dl, ts)
+                        t_r = dyn.alpha * t_r + dyn.beta * thrust_static(prev_dr, ts)
+                        fu_a = fu_b = fu_c = t_l + t_r
+                        tr_a = tr_b = tr_c = half_d * (t_l - t_r)
+                    prev_dl, prev_dr = dl, dr
             else:
-                fu_b, tr_b, _, _ = forces_at(tk + half)
-                fu_c, tr_c, _, _ = forces_at(tk + dt)
-        delta_buf.extend((dl, dr))
+                fu_a, tr_a, dl, dr = forces_at(tk)
+                if held:
+                    fu_b = fu_c = fu_a
+                    tr_b = tr_c = tr_a
+                else:
+                    fu_b, tr_b, _, _ = forces_at(tk + half)
+                    fu_c, tr_c, _, _ = forces_at(tk + dt)
+            delta_buf.extend((dl, dr))
 
-        k1x, k1y, k1p, k1u, k1v, k1r = rates(psi, u, v, r, fu_a, tr_a)
-        k2x, k2y, k2p, k2u, k2v, k2r = rates(
-            psi + half * k1p, u + half * k1u, v + half * k1v, r + half * k1r, fu_b, tr_b
+            k1x, k1y, k1p, k1u, k1v, k1r = rates(psi, u, v, r, fu_a, tr_a)
+            k2x, k2y, k2p, k2u, k2v, k2r = rates(
+                psi + half * k1p, u + half * k1u, v + half * k1v, r + half * k1r, fu_b, tr_b
+            )
+            k3x, k3y, k3p, k3u, k3v, k3r = rates(
+                psi + half * k2p, u + half * k2u, v + half * k2v, r + half * k2r, fu_b, tr_b
+            )
+            k4x, k4y, k4p, k4u, k4v, k4r = rates(
+                psi + dt * k3p, u + dt * k3u, v + dt * k3v, r + dt * k3r, fu_c, tr_c
+            )
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
+                raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
+        if stop > n_steps:  # row n: the final state and the command at its time
+            eta_buf.extend((x, y, psi))
+            nu_buf.extend((u, v, r))
+            delta_buf.extend(excitation(n_steps * dt))
+        yield Trajectory(
+            t=dt * np.arange(start, stop), eta=packed(eta_buf, 3), nu=packed(nu_buf, 3),
+            delta=packed(delta_buf, 2), dt=dt, h=gt.h, start=start,
         )
-        k3x, k3y, k3p, k3u, k3v, k3r = rates(
-            psi + half * k2p, u + half * k2u, v + half * k2v, r + half * k2r, fu_b, tr_b
-        )
-        k4x, k4y, k4p, k4u, k4v, k4r = rates(
-            psi + dt * k3p, u + dt * k3u, v + dt * k3v, r + dt * k3r, fu_c, tr_c
-        )
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        eta_buf.extend((x, y, psi))
-        nu_buf.extend((u, v, r))
-        if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
-            raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
-    delta_buf.extend(excitation(n_steps * dt))
 
-    def packed(buf: array, width: int) -> np.ndarray:
-        return np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
 
-    return Trajectory(
-        t=dt * np.arange(n_steps + 1), eta=packed(eta_buf, 3), nu=packed(nu_buf, 3),
-        delta=packed(delta_buf, 2), dt=dt, h=gt.h,
-    )
+def simulate_continuous(
+    gt: GroundTruth,
+    excitation: Excitation,
+    duration: float,
+    dt: float | None = None,
+    nu0: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    eta0: tuple[float, float, float] = (0.0, 0.0, 0.0),
+) -> Trajectory:
+    """The whole run of :func:`simulate_blocks`: its pieces copied into arrays of n + 1 rows."""
+    dt, _, n_steps = _time_grid(gt, duration, dt)
+    n = n_steps + 1
+    traj = Trajectory(t=dt * np.arange(n), eta=np.empty((n, 3)), nu=np.empty((n, 3)),
+                      delta=np.empty((n, 2)), dt=dt, h=gt.h)
+    for piece in simulate_blocks(gt, excitation, duration, dt, nu0, eta0):
+        rows = slice(piece.start, piece.start + piece.t.size)
+        traj.eta[rows], traj.nu[rows], traj.delta[rows] = piece.eta, piece.nu, piece.delta
+    return traj
 
 
 def trajectory_to_dataset(traj: Trajectory, n_segments: int = 1) -> PreparedDataset:
@@ -632,11 +675,35 @@ class SensorNoise:
     seed: int = 0
 
 
-_GNSS_PERIOD, _HEADING_PERIOD, _PWM_PERIOD = 0.2, 0.02, 0.1  # s: 5 Hz, 50 Hz, 10 Hz
+_LOG_PERIODS = {"gnss": 0.2, "heading": 0.02, "pwm": 0.1}  # s: 5 Hz, 50 Hz, 10 Hz
+
+
+def _log_rows(log: str, period: float, piece: Trajectory) -> np.ndarray:
+    """The rows of ``piece`` whose index in the run is a multiple of ``log``'s period over dt."""
+    dt = piece.dt
+    stride = round(period / dt)
+    if stride < 1 or abs(stride * dt - period) > 1e-9:
+        raise ValueError(f"dt {dt:g} s does not divide the {log} log period {period:g} s")
+    return np.arange(-piece.start % stride, piece.t.size, stride)
+
+
+def _log_samples(piece: Trajectory) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The GNSS (t, x, y, psi), heading (t, psi) and PWM (t, delta_l, delta_r) samples."""
+    gi, hi, pi_ = (_log_rows(log, period, piece) for log, period in _LOG_PERIODS.items())
+    return (
+        (piece.t[gi], piece.eta[gi, 0], piece.eta[gi, 1], piece.eta[gi, 2]),
+        (piece.t[hi], piece.eta[hi, 2]),
+        (piece.t[pi_], piece.delta[pi_, 0], piece.delta[pi_, 1]),
+    )
+
+
+def _joined(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One column's samples from every piece; a lone piece's uncopied, to keep the peak down."""
+    return columns[0] if len(columns) == 1 else np.concatenate(columns)
 
 
 def emit_sensor_logs(
-    traj: Trajectory, ref: GeoReference, noise: SensorNoise | None = None
+    traj: Trajectory | Iterable[Trajectory], ref: GeoReference, noise: SensorNoise | None = None
 ) -> RawLogBundle:
     """Turn a simulated trajectory into raw multi-rate sensor logs.
 
@@ -644,19 +711,22 @@ def emit_sensor_logs(
     antenna, NED positions become geodetic fixes (5 Hz), headings are
     wrapped to (-pi, pi] (50 Hz), and normalized PWM commands become pulse
     widths in us under the default :class:`PwmMapConfig` (10 Hz).
+
+    ``traj`` is a whole trajectory or the pieces of :func:`simulate_blocks`.
+    Each log keeps the rows k that are multiples of its period over dt (a
+    ValueError naming the log if dt does not divide it), at ``t[k]``.  The
+    noise is drawn after the last piece, so both forms give the same bits.
     """
+    pieces = [traj] if isinstance(traj, Trajectory) else traj
+    gnss, heading, pwm = zip(*map(_log_samples, pieces))  # per log: the samples of each piece
+    gnss_t, x, y, psi_g = map(_joined, zip(*gnss))
+    heading_t, psi = map(_joined, zip(*heading))
+    pwm_t, delta_l, delta_r = map(_joined, zip(*pwm))
+    del gnss, heading, pwm  # the per-piece copies, so they are not held through the noise
+
     noise = noise or SensorNoise()
     pwm_map = PwmMapConfig()
     rng = np.random.default_rng(noise.seed)
-
-    def sample_times(period: float) -> np.ndarray:
-        idx = np.arange(0, traj.t.size, max(round(period / traj.dt), 1))
-        return idx
-
-    gi = sample_times(_GNSS_PERIOD)
-    x = traj.eta[gi, 0]
-    y = traj.eta[gi, 1]
-    psi_g = traj.eta[gi, 2]
     ox, oy = ref.antenna_offset
     ax = x + np.cos(psi_g) * ox - np.sin(psi_g) * oy
     ay = y + np.sin(psi_g) * ox + np.cos(psi_g) * oy
@@ -665,26 +735,23 @@ def emit_sensor_logs(
         ay = ay + rng.normal(0.0, noise.pos_m, ay.shape)
     lat, lon = ned_to_geodetic(ax, ay, ref)
 
-    hi = sample_times(_HEADING_PERIOD)
-    psi = traj.eta[hi, 2]
     if noise.psi_rad > 0:
         psi = psi + rng.normal(0.0, noise.psi_rad, psi.shape)
     psi_wrapped = np.mod(psi + math.pi, 2.0 * math.pi) - math.pi
 
-    pi_ = sample_times(_PWM_PERIOD)
-    pwm_l = denormalize_pwm(traj.delta[pi_, 0], pwm_map)
-    pwm_r = denormalize_pwm(traj.delta[pi_, 1], pwm_map)
+    pwm_l = denormalize_pwm(delta_l, pwm_map)
+    pwm_r = denormalize_pwm(delta_r, pwm_map)
     if noise.pwm_us > 0:
         pwm_l = pwm_l + rng.normal(0.0, noise.pwm_us, pwm_l.shape)
         pwm_r = pwm_r + rng.normal(0.0, noise.pwm_us, pwm_r.shape)
 
     return RawLogBundle(
-        gnss_t=traj.t[gi],
+        gnss_t=gnss_t,
         lat=lat,
         lon=lon,
-        heading_t=traj.t[hi],
+        heading_t=heading_t,
         psi=psi_wrapped,
-        pwm_t=traj.t[pi_],
+        pwm_t=pwm_t,
         pwm_l=pwm_l,
         pwm_r=pwm_r,
     )

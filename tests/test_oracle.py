@@ -10,14 +10,17 @@ import pytest
 from asvid.dataprep import GeoReference
 from asvid.model import ThrustStaticParams
 from asvid.oracle import (
+    _BLOCK_STEPS,
     DiscreteGenConfig,
     GroundTruth,
+    SensorNoise,
     default_ground_truth,
     emit_sensor_logs,
     generate_discrete,
     known_params_to_X,
     prbs_frames,
     sigma_coeffs,
+    simulate_blocks,
     simulate_continuous,
     smooth_excitation,
     trajectory_to_dataset,
@@ -555,6 +558,100 @@ class TestEmitSensorLogs:
         assert np.array_equal(b1.lat, b2.lat)
 
 
+NOISE = SensorNoise(pos_m=0.02, psi_rad=0.003, pwm_us=2.0, seed=7)
+
+
+def _bundle_bytes(bundle) -> list[tuple]:
+    return [(name, values.dtype, values.tobytes()) for name, values in vars(bundle).items()]
+
+
+def _held(seed: int, duration: float):
+    """A PRBS schedule held over h that covers ``duration``."""
+    return lambda gt: zoh_excitation(prbs_frames(int(duration / gt.h) + 1, seed=seed), gt.h)
+
+
+# At the default dt of 0.01 s, a run of (_BLOCK_STEPS - 1) * dt fills one
+# piece exactly and one of _BLOCK_STEPS * dt leaves the final row alone in a
+# second piece; 50 s ends mid-piece.
+ONE_PIECE_S, LAST_ROW_ALONE_S = (_BLOCK_STEPS - 1) * 0.01, _BLOCK_STEPS * 0.01
+
+# (dynamic thrust?, the excitation for the ground truth, duration in s, dt).
+STREAMED_RUNS = {
+    "static-smooth": (False, lambda gt: smooth_excitation(), 50.0, None),
+    "static-held": (False, _held(2, 50.0), 50.0, None),
+    "dynamic-prbs": (True, _held(3, 50.0), 50.0, None),
+    "one-full-piece": (False, lambda gt: smooth_excitation(), ONE_PIECE_S, None),
+    "last-row-alone": (True, _held(4, LAST_ROW_ALONE_S), LAST_ROW_ALONE_S, None),
+    # Strides of 40, 4 and 20 rows, which need not divide the piece size, so a
+    # log's first sample can sit at a different row of each piece.
+    "dt-h/40": (True, _held(5, 30.0), 30.0, 0.005),
+}
+
+
+class TestStreamedSimulation:
+    @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+    def test_pieces_tile_the_whole_run(self, name):
+        dynamic, excitation, duration, dt = STREAMED_RUNS[name]
+        gt = default_ground_truth(dynamic=dynamic)
+        whole = simulate_continuous(gt, excitation(gt), duration, dt=dt)
+        pieces = list(simulate_blocks(gt, excitation(gt), duration, dt=dt))
+        assert [p.start for p in pieces] == list(range(0, whole.t.size, _BLOCK_STEPS))
+        for field in ("t", "eta", "nu", "delta"):
+            joined = np.concatenate([getattr(p, field) for p in pieces])
+            assert joined.tobytes() == getattr(whole, field).tobytes(), field
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+    def test_streamed_logs_equal_whole_logs(self, name):
+        dynamic, excitation, duration, dt = STREAMED_RUNS[name]
+        gt = default_ground_truth(dynamic=dynamic)
+        whole = emit_sensor_logs(simulate_continuous(gt, excitation(gt), duration, dt=dt), REF,
+                                 NOISE)
+        streamed = emit_sensor_logs(simulate_blocks(gt, excitation(gt), duration, dt=dt), REF,
+                                    NOISE)
+        assert _bundle_bytes(streamed) == _bundle_bytes(whole)
+
+    def test_divergence_raises_the_same_step_from_either_form(self, gt_static):
+        # Diverges at step 6262, in the second piece.
+        unstable = replace(gt_static, x_u=-0.3, x_uu=0.0, bias=(0.0, 0.0, 0.0))
+        exc = lambda t: (0.9, 0.9)
+        with pytest.raises(RuntimeError) as whole:
+            simulate_continuous(unstable, exc, duration=120.0)
+        with pytest.raises(RuntimeError) as streamed:
+            emit_sensor_logs(simulate_blocks(unstable, exc, duration=120.0), REF)
+        assert str(streamed.value) == str(whole.value) == (
+            "continuous simulation diverged at step 6262"
+        )
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_dt_off_a_log_period_is_rejected(self, gt_static, streamed):
+        # 0.04 s divides h = 0.2 s but not the 50 Hz heading or 10 Hz PWM periods.
+        run = simulate_blocks if streamed else simulate_continuous
+        with pytest.raises(ValueError, match=r"dt 0.04 s does not divide the heading log "
+                                             r"period 0.02 s"):
+            emit_sensor_logs(run(gt_static, smooth_excitation(), 2.0, dt=0.04), REF)
+
+    def test_negative_duration_is_rejected(self, gt_static):
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            simulate_continuous(gt_static, smooth_excitation(), -1.0)
+
+    def test_memory_does_not_grow_with_the_duration(self, gt_dynamic):
+        # The whole 100 Hz trajectory is 9 values a row against 1.5 for the
+        # logs; streamed, only the samples outlive a piece.
+        used = {}
+        for duration in (120.0, 600.0):
+            exc = zoh_excitation(prbs_frames(int(duration / gt_dynamic.h), seed=1), gt_dynamic.h)
+            tracemalloc.start()
+            try:
+                bundle = emit_sensor_logs(simulate_blocks(gt_dynamic, exc, duration), REF, NOISE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            used[duration] = peak, sum(a.nbytes for a in vars(bundle).values())
+        (peak_short, bytes_short), (peak_long, bytes_long) = used[120.0], used[600.0]
+        assert peak_long <= 3 * bytes_long
+        assert peak_long - peak_short <= 2 * (bytes_long - bytes_short)
+
+
 class TestZohExcitation:
     def test_holds_within_interval(self):
         frames = np.array([[0.2, 0.0], [0.4, 0.2]])
@@ -562,3 +659,9 @@ class TestZohExcitation:
         assert exc(0.0) == exc(0.19)
         assert exc(0.2) == pytest.approx((0.5, 0.3))
         assert exc.hold == 0.2
+
+    def test_commands_equal_the_frames_mean_and_half_difference(self):
+        frames = prbs_frames(6000, seed=1)
+        exc = zoh_excitation(frames, h=0.2)
+        for k, (mean, diff) in enumerate(frames.tolist()):
+            assert exc(0.2 * k) == (mean + diff / 2.0, mean - diff / 2.0)

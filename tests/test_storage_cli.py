@@ -460,6 +460,31 @@ class TestCli:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         capsys.readouterr()
 
+    def test_simulate_rejects_a_dt_off_a_log_period(self, tmp_path, capsys):
+        # 0.04 s divides h = 0.2 s, but the 50 Hz heading log would come out at 25 Hz.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"duration_s": 2.0, "dt": 0.04}}))
+        out = tmp_path / "sim"
+        assert self.run("--config", str(cfg), "simulate", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: dt 0.04 s does not divide the heading log period 0.02 s\n"
+        )
+        assert not out.exists()
+
+    def test_simulate_divergence_writes_no_logs(self, tmp_path, gt_static, capsys):
+        unstable = replace(gt_static, x_u=-0.3, x_uu=0.0, bias=(0.0, 0.0, 0.0))
+        storage.write_ground_truth(tmp_path / "gt.json", unstable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ground_truth": json.loads((tmp_path / "gt.json").read_text()),
+            "simulate": {"duration_s": 120.0,
+                         "excitation": {"mean_center": 0.9, "mean_amp": 0.0, "diff_amp": 0.0}},
+        }))
+        out = tmp_path / "sim"
+        assert self.run("--config", str(cfg), "simulate", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: continuous simulation diverged at step 6262\n"
+        assert not out.exists()
+
     def test_ground_truth_config_errors_name_the_config(self, tmp_path, gt_static, capsys):
         gt_path = tmp_path / "gt.json"
         storage.write_ground_truth(gt_path, gt_static)
