@@ -410,6 +410,25 @@ def _pinned_run(name, gt):
     return run(gt, prbs_frames(100, seed=3, hold=5))
 
 
+# SHA-256 of the t, eta, nu and delta bytes of 50 s runs: 5001 rows, so the
+# pose carries across a piece boundary.  Pinned from the integrator that
+# evaluated the full six-state derivative at every RK4 stage.
+TWO_PIECE_RUNS = {
+    "static-smooth": (
+        lambda: simulate_continuous(default_ground_truth(), smooth_excitation(), 50.0),
+        "fd5687dcd24c2661bfbb6403e75110a9fa8625c43d46903507eec27cf3884613",
+    ),
+    "dynamic-prbs": (
+        lambda: simulate_continuous(
+            default_ground_truth(dynamic=True),
+            zoh_excitation(prbs_frames(250, seed=3, hold=5), 0.2), 50.0,
+            nu0=(0.4, -0.05, 0.02), eta0=(1.0, -2.0, 0.3),
+        ),
+        "064450756cad94c90accc665cb75ef79fde740e8d5874451996b8756dfc2ae01",
+    ),
+}
+
+
 class TestSimulatorBits:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_final_state_matches_reference(self, name, gt_static):
@@ -428,6 +447,16 @@ class TestSimulatorBits:
         assert traj.t.shape == (2001,)
         shapes = (traj.eta.shape, traj.nu.shape, traj.delta.shape)
         assert shapes == ((2001, 3), (2001, 3), (2001, 2))
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("name", sorted(TWO_PIECE_RUNS))
+    def test_two_piece_trajectory_bytes_are_pinned(self, name):
+        run, expected = TWO_PIECE_RUNS[name]
+        traj = run()
+        assert traj.t.shape == (5001,) and 5001 > _BLOCK_STEPS
+        digest = hashlib.sha256()
+        for values in (traj.t, traj.eta, traj.nu, traj.delta):
+            digest.update(values.tobytes())
         assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("bad, message", [
