@@ -60,6 +60,7 @@ _NUMERIC = {
     for module, names in {
         "dataprep": ("GeoReference", "PrepareConfig", "RAW_STREAMS", "build_prepared_dataset"),
         "estimator": ("identify_from_systems",),
+        "model": ("ThrustDynamicParams",),
         "oracle": (
             "SensorNoise", "default_ground_truth", "emit_sensor_logs", "known_params_to_X",
             "prbs_frames", "simulate_blocks", "simulate_continuous", "smooth_excitation",
@@ -179,6 +180,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     kind = args.kind or cfg.kind
     seed = args.seed if args.seed is not None else cfg.seed
     gt = cfg.ground_truth or default_ground_truth(dynamic=(kind == "dynamic"))
+    thrust = "dynamic" if isinstance(gt.thrust, ThrustDynamicParams) else "static"
+    if thrust != kind:  # only a configured ground truth can disagree
+        raise SchemaError(f"{Path(args.config).name}: kind {kind!r} contradicts the {thrust} "
+                          "thrust model of 'ground_truth'")
 
     duration = cfg.duration_s
     if cfg.schedule == "prbs":

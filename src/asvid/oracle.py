@@ -20,7 +20,7 @@ back into raw multi-rate sensor logs for end-to-end pipeline tests.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -464,7 +464,12 @@ def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
     return schedule
 
 
-_BLOCK_STEPS = 4096  # rows per piece of simulate_blocks: 0.29 MB of t, eta, nu and delta
+# Rows per piece of simulate_blocks: 0.59 MB of row buffer (14 floats a row:
+# four stages' velocities and the command), pose and t.
+_BLOCK_STEPS = 4096
+
+
+_ROW = struct.Struct("14d")  # a substep's (u, v, r) at its four RK4 stages and its command
 
 
 def _time_grid(gt: GroundTruth, duration: float, dt: float | None) -> tuple[float, int, int]:
@@ -501,13 +506,18 @@ def simulate_blocks(
     most ``_BLOCK_STEPS`` rows each, so memory does not grow with the
     duration; a divergence raises after the pieces before it.
 
-    Each substep works on six Python floats in a fixed arithmetic order:
-    stage states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
+    The kinetics never read the pose, so each substep works on three Python
+    floats (u, v, r) and the thrust state in a fixed arithmetic order: stage
+    states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
     ``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)`` summed left to right, and
-    ``t[k] = k*dt``.  Trajectories are therefore bitwise reproducible, and
-    tests pin their SHA-256.  A piece's states and commands are appended to
-    packed ``array("d")`` buffers, 8 bytes per value, which its float64
-    C-contiguous arrays view without a copy.
+    ``t[k] = k*dt``.  A substep packs its stage velocities and command into
+    one row of a byte buffer; ``nu`` and ``delta`` are views of those rows.
+    Once per piece, :func:`_pose_pass` integrates the pose from them with
+    numpy in the same expression order, and a sequential ``cumsum`` adds the
+    increments as the scalar loop would.  Numpy's elementwise float64
+    operations are IEEE operations, never fused, and its cos and sin give
+    libm's bits (a test checks that), so trajectories are bitwise reproducible
+    and tests pin their SHA-256.
     """
     if gt.sigma_override is not None:
         raise ValueError("the continuous simulator integrates the Fossen model; "
@@ -532,30 +542,6 @@ def simulate_blocks(
     x_u, x_uu = gt.x_u, gt.x_uu
     y_v, y_vv, y_rv, y_r, y_vr, y_rr = gt.y_v, gt.y_vv, gt.y_rv, gt.y_r, gt.y_vr, gt.y_rr
     n_v, n_vv, n_rv, n_r, n_vr, n_rr = gt.n_v, gt.n_vv, gt.n_rv, gt.n_r, gt.n_vr, gt.n_rr
-    cos, sin = math.cos, math.sin
-
-    def rates(psi: float, u: float, v: float, r: float, fu: float, tr: float):
-        """(x, y, psi, u, v, r) derivatives; x and y never enter them."""
-        av, ar = abs(v), abs(r)
-        c13 = -a1 * v - a2 * r
-        c23 = a3 * u
-        f1 = -c13 * r + (x_u + x_uu * abs(u)) * u + tw1 + fu
-        f2 = (
-            -c23 * r
-            + (y_v + y_vv * av + y_rv * ar) * v
-            + (y_r + y_vr * av + y_rr * ar) * r
-            + tw2
-        )
-        f3 = (
-            c13 * u
-            + c23 * v
-            + (n_v + n_vv * av + n_rv * ar) * v
-            + (n_r + n_vr * av + n_rr * ar) * r
-            + tw3
-            + tr
-        )
-        c, s = cos(psi), sin(psi)
-        return c * u - s * v, s * u + c * v, r, i11 * f1, i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
 
     def forces_at(time: float) -> tuple[float, float, float, float]:
         """Static-thrust surge force and yaw torque, and the commands, at ``time``."""
@@ -563,12 +549,10 @@ def simulate_blocks(
         tl, tr = thrust_static(dl, ts), thrust_static(dr, ts)
         return tl + tr, half_d * (tl - tr), dl, dr
 
-    def packed(buf: array, width: int) -> np.ndarray:
-        return np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
-
     x, y, psi = (float(c) for c in eta0)
     u, v, r = (float(c) for c in nu0)
     half, sixth = 0.5 * dt, dt / 6.0
+    pack_row = _ROW.pack
 
     # Dynamic thrust state per propeller, updated at multiples of h; the
     # forces it gives hold until the next update.
@@ -578,10 +562,8 @@ def simulate_blocks(
 
     for start in range(0, n_steps + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_steps + 1)
-        eta_buf, nu_buf, delta_buf = array("d"), array("d"), array("d")
+        buf = bytearray()  # per row: (u, v, r) at each of the four stages, then the command
         for k in range(start, min(stop, n_steps)):
-            eta_buf.extend((x, y, psi))
-            nu_buf.extend((u, v, r))
             tk = k * dt
             if dynamic:
                 dl, dr = excitation(tk)
@@ -601,34 +583,91 @@ def simulate_blocks(
                 else:
                     fu_b, tr_b, _, _ = forces_at(tk + half)
                     fu_c, tr_c, _, _ = forces_at(tk + dt)
-            delta_buf.extend((dl, dr))
 
-            k1x, k1y, k1p, k1u, k1v, k1r = rates(psi, u, v, r, fu_a, tr_a)
-            k2x, k2y, k2p, k2u, k2v, k2r = rates(
-                psi + half * k1p, u + half * k1u, v + half * k1v, r + half * k1r, fu_b, tr_b
-            )
-            k3x, k3y, k3p, k3u, k3v, k3r = rates(
-                psi + half * k2p, u + half * k2u, v + half * k2v, r + half * k2r, fu_b, tr_b
-            )
-            k4x, k4y, k4p, k4u, k4v, k4r = rates(
-                psi + dt * k3p, u + dt * k3u, v + dt * k3v, r + dt * k3r, fu_c, tr_c
-            )
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            # The kinetics at the four stages; the pose never enters them.
+            av, ar = abs(v), abs(r)
+            c13, c23 = -a1 * v - a2 * r, a3 * u
+            du1 = i11 * (-c13 * r + (x_u + x_uu * abs(u)) * u + tw1 + fu_a)
+            f2 = (-c23 * r + (y_v + y_vv * av + y_rv * ar) * v
+                  + (y_r + y_vr * av + y_rr * ar) * r + tw2)
+            f3 = (c13 * u + c23 * v + (n_v + n_vv * av + n_rv * ar) * v
+                  + (n_r + n_vr * av + n_rr * ar) * r + tw3 + tr_a)
+            dv1, dr1 = i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
+            u2, v2, r2 = u + half * du1, v + half * dv1, r + half * dr1
+
+            av, ar = abs(v2), abs(r2)
+            c13, c23 = -a1 * v2 - a2 * r2, a3 * u2
+            du2 = i11 * (-c13 * r2 + (x_u + x_uu * abs(u2)) * u2 + tw1 + fu_b)
+            f2 = (-c23 * r2 + (y_v + y_vv * av + y_rv * ar) * v2
+                  + (y_r + y_vr * av + y_rr * ar) * r2 + tw2)
+            f3 = (c13 * u2 + c23 * v2 + (n_v + n_vv * av + n_rv * ar) * v2
+                  + (n_r + n_vr * av + n_rr * ar) * r2 + tw3 + tr_b)
+            dv2, dr2 = i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
+            u3, v3, r3 = u + half * du2, v + half * dv2, r + half * dr2
+
+            av, ar = abs(v3), abs(r3)
+            c13, c23 = -a1 * v3 - a2 * r3, a3 * u3
+            du3 = i11 * (-c13 * r3 + (x_u + x_uu * abs(u3)) * u3 + tw1 + fu_b)
+            f2 = (-c23 * r3 + (y_v + y_vv * av + y_rv * ar) * v3
+                  + (y_r + y_vr * av + y_rr * ar) * r3 + tw2)
+            f3 = (c13 * u3 + c23 * v3 + (n_v + n_vv * av + n_rv * ar) * v3
+                  + (n_r + n_vr * av + n_rr * ar) * r3 + tw3 + tr_b)
+            dv3, dr3 = i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
+            u4, v4, r4 = u + dt * du3, v + dt * dv3, r + dt * dr3
+
+            av, ar = abs(v4), abs(r4)
+            c13, c23 = -a1 * v4 - a2 * r4, a3 * u4
+            du4 = i11 * (-c13 * r4 + (x_u + x_uu * abs(u4)) * u4 + tw1 + fu_c)
+            f2 = (-c23 * r4 + (y_v + y_vv * av + y_rv * ar) * v4
+                  + (y_r + y_vr * av + y_rr * ar) * r4 + tw2)
+            f3 = (c13 * u4 + c23 * v4 + (n_v + n_vv * av + n_rv * ar) * v4
+                  + (n_r + n_vr * av + n_rr * ar) * r4 + tw3 + tr_c)
+            dv4, dr4 = i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
+
+            buf += pack_row(u, v, r, u2, v2, r2, u3, v3, r3, u4, v4, r4, dl, dr)
+            u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+            v = v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
                 raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
-        if stop > n_steps:  # row n: the final state and the command at its time
-            eta_buf.extend((x, y, psi))
-            nu_buf.extend((u, v, r))
-            delta_buf.extend(excitation(n_steps * dt))
+        steps = len(buf) // _ROW.size
+        if stop > n_steps:  # row n: the final state, at every stage, and the command at its time
+            buf += pack_row(*(u, v, r) * 4, *excitation(n_steps * dt))
+        rows = np.frombuffer(buf, dtype=np.float64).reshape(-1, 14)
+        pose = np.empty((steps + 1, 3))
+        pose[0] = x, y, psi
+        _pose_pass(pose, rows[:steps, :12], half, dt, sixth)
+        x, y, psi = pose[steps].tolist()
         yield Trajectory(
-            t=dt * np.arange(start, stop), eta=packed(eta_buf, 3), nu=packed(nu_buf, 3),
-            delta=packed(delta_buf, 2), dt=dt, h=gt.h, start=start,
+            t=dt * np.arange(start, stop), eta=pose[:stop - start], nu=rows[:, :3],
+            delta=rows[:, 12:], dt=dt, h=gt.h, start=start,
         )
+        del buf, rows, pose  # the consumer's to keep, not held while the next piece is built
+
+
+def _pose_pass(pose: np.ndarray, rows: np.ndarray, half: float, dt: float, sixth: float) -> None:
+    """Fill rows 1..m of ``pose`` (x, y, psi) from its row 0 and the m substeps' stage velocities.
+
+    ``rows[:, 3*i:3*i + 3]`` holds (u, v, r) at stage i + 1 of each substep.
+    Each value is the scalar RK4's expression in its order, and ``cumsum``
+    adds the increments one after another.
+    """
+    u1, v1, r1, u2, v2, r2, u3, v3, r3, u4, v4, r4 = rows.T
+    pose[1:, 2] = sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    np.cumsum(pose[:, 2], out=pose[:, 2])
+    psi = pose[:-1, 2]
+
+    def rotated(ang: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, s = np.cos(ang), np.sin(ang)
+        return c * u - s * v, s * u + c * v
+
+    k1x, k1y = rotated(psi, u1, v1)
+    k2x, k2y = rotated(psi + half * r1, u2, v2)
+    k3x, k3y = rotated(psi + half * r2, u3, v3)
+    k4x, k4y = rotated(psi + dt * r3, u4, v4)
+    pose[1:, 0] = sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    pose[1:, 1] = sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    np.cumsum(pose[:, :2], axis=0, out=pose[:, :2])
 
 
 def simulate_continuous(
@@ -678,23 +717,24 @@ class SensorNoise:
 _LOG_PERIODS = {"gnss": 0.2, "heading": 0.02, "pwm": 0.1}  # s: 5 Hz, 50 Hz, 10 Hz
 
 
-def _log_rows(log: str, period: float, piece: Trajectory) -> np.ndarray:
+def _log_rows(log: str, period: float, piece: Trajectory) -> slice:
     """The rows of ``piece`` whose index in the run is a multiple of ``log``'s period over dt."""
     dt = piece.dt
     stride = round(period / dt)
     if stride < 1 or abs(stride * dt - period) > 1e-9:
         raise ValueError(f"dt {dt:g} s does not divide the {log} log period {period:g} s")
-    return np.arange(-piece.start % stride, piece.t.size, stride)
+    return slice(-piece.start % stride, piece.t.size, stride)
 
 
 def _log_samples(piece: Trajectory) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The GNSS (t, x, y, psi), heading (t, psi) and PWM (t, delta_l, delta_r) samples."""
+    """Copies of the GNSS (t, x, y, psi), heading (t, psi) and PWM (t, delta_l, delta_r)
+    samples; views would keep every piece alive."""
     gi, hi, pi_ = (_log_rows(log, period, piece) for log, period in _LOG_PERIODS.items())
-    return (
+    return tuple(tuple(column.copy() for column in log) for log in (
         (piece.t[gi], piece.eta[gi, 0], piece.eta[gi, 1], piece.eta[gi, 2]),
         (piece.t[hi], piece.eta[hi, 2]),
         (piece.t[pi_], piece.delta[pi_, 0], piece.delta[pi_, 1]),
-    )
+    ))
 
 
 def _joined(columns: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -731,26 +771,29 @@ def emit_sensor_logs(
     ax = x + np.cos(psi_g) * ox - np.sin(psi_g) * oy
     ay = y + np.sin(psi_g) * ox + np.cos(psi_g) * oy
     if noise.pos_m > 0:
-        ax = ax + rng.normal(0.0, noise.pos_m, ax.shape)
-        ay = ay + rng.normal(0.0, noise.pos_m, ay.shape)
+        ax += rng.normal(0.0, noise.pos_m, ax.shape)
+        ay += rng.normal(0.0, noise.pos_m, ay.shape)
     lat, lon = ned_to_geodetic(ax, ay, ref)
 
+    # In place on the sample copies: the same operations as psi + noise, wrapped.
     if noise.psi_rad > 0:
-        psi = psi + rng.normal(0.0, noise.psi_rad, psi.shape)
-    psi_wrapped = np.mod(psi + math.pi, 2.0 * math.pi) - math.pi
+        psi += rng.normal(0.0, noise.psi_rad, psi.shape)
+    psi += math.pi
+    np.mod(psi, 2.0 * math.pi, out=psi)
+    psi -= math.pi
 
     pwm_l = denormalize_pwm(delta_l, pwm_map)
     pwm_r = denormalize_pwm(delta_r, pwm_map)
     if noise.pwm_us > 0:
-        pwm_l = pwm_l + rng.normal(0.0, noise.pwm_us, pwm_l.shape)
-        pwm_r = pwm_r + rng.normal(0.0, noise.pwm_us, pwm_r.shape)
+        pwm_l += rng.normal(0.0, noise.pwm_us, pwm_l.shape)
+        pwm_r += rng.normal(0.0, noise.pwm_us, pwm_r.shape)
 
     return RawLogBundle(
         gnss_t=gnss_t,
         lat=lat,
         lon=lon,
         heading_t=heading_t,
-        psi=psi_wrapped,
+        psi=psi,
         pwm_t=pwm_t,
         pwm_l=pwm_l,
         pwm_r=pwm_r,

@@ -459,6 +459,22 @@ class TestSimulatorBits:
             digest.update(values.tobytes())
         assert digest.hexdigest() == expected
 
+    def test_numpy_trig_equals_libm_on_the_stage_angles(self, gt_static):
+        # The pose pass takes cos and sin from numpy, the pinned digests came
+        # from math.cos and math.sin: a numpy whose float64 trig is not libm's
+        # fails here, naming itself, besides failing the digests.
+        traj = _pinned_run("dynamic-prbs", gt_static)
+        psi, r = traj.eta[:-1, 2], traj.nu[:-1, 2]
+        angles = np.concatenate([psi, psi + (0.5 * traj.dt) * r])  # stages 1 and 2, as formed
+        for name, np_f, libm_f in (("cos", np.cos, math.cos), ("sin", np.sin, math.sin)):
+            libm = np.array([libm_f(a) for a in angles.tolist()])
+            differ = np.count_nonzero(np_f(angles).view(np.int64) != libm.view(np.int64))
+            assert differ == 0, (
+                f"numpy {np.__version__}: np.{name} differs from libm's math.{name} in the last "
+                f"bits at {differ} of {angles.size} stage angles, so the pinned trajectory "
+                "digests cannot hold with this numpy"
+            )
+
     @pytest.mark.parametrize("bad, message", [
         (1.2, r"out of \[-1, 1\]: 1.2"), (float("nan"), "must be finite, got nan"),
     ])
@@ -618,6 +634,21 @@ STREAMED_RUNS = {
 
 
 class TestStreamedSimulation:
+    def test_emit_leaves_the_trajectory_unchanged(self, gt_dynamic):
+        exc = zoh_excitation(prbs_frames(250, seed=2), gt_dynamic.h)
+        whole = simulate_continuous(gt_dynamic, exc, 50.0)
+        pieces = list(simulate_blocks(gt_dynamic, exc, 50.0))
+        assert len(pieces) == 2
+
+        def snapshot():
+            return [(f, getattr(tr, f).tobytes()) for tr in (whole, *pieces)
+                    for f in ("t", "eta", "nu", "delta")]
+
+        before = snapshot()
+        emit_sensor_logs(whole, REF, NOISE)
+        emit_sensor_logs(pieces, REF, NOISE)
+        assert snapshot() == before
+
     @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
     def test_pieces_tile_the_whole_run(self, name):
         dynamic, excitation, duration, dt = STREAMED_RUNS[name]

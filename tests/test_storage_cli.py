@@ -485,6 +485,30 @@ class TestCli:
         assert capsys.readouterr().err == "error: continuous simulation diverged at step 6262\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dynamic_truth, kind_in", [
+        (False, "config"), (False, "flag"), (True, "config"), (True, "flag"),
+    ])
+    def test_simulate_rejects_a_kind_that_contradicts_the_ground_truth(
+        self, tmp_path, capsys, dynamic_truth, kind_in
+    ):
+        gt = oracle.default_ground_truth(dynamic=dynamic_truth)
+        storage.write_ground_truth(tmp_path / "gt.json", gt)
+        kind, thrust = ("static", "dynamic") if dynamic_truth else ("dynamic", "static")
+        doc = {"ground_truth": json.loads((tmp_path / "gt.json").read_text()),
+               "simulate": {"duration_s": 2.0}}
+        flags = ["--kind", kind] if kind_in == "flag" else []
+        if kind_in == "config":
+            doc["kind"] = kind
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert self.run("--config", str(cfg), "simulate", "--out", str(out), *flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: cfg.json: kind '{kind}' contradicts the {thrust} thrust model of "
+            "'ground_truth'\n"
+        )
+        assert not out.exists()
+
     def test_ground_truth_config_errors_name_the_config(self, tmp_path, gt_static, capsys):
         gt_path = tmp_path / "gt.json"
         storage.write_ground_truth(gt_path, gt_static)
