@@ -464,8 +464,8 @@ def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
     return schedule
 
 
-# Rows per piece of simulate_blocks: 0.59 MB of row buffer (14 floats a row:
-# four stages' velocities and the command), pose and t.
+# Rows per piece of simulate_blocks: 0.29 MB of t, eta, nu and delta, beside
+# one 0.46 MB buffer of 14 floats a row that every piece of a run reuses.
 _BLOCK_STEPS = 4096
 
 
@@ -511,8 +511,8 @@ def simulate_blocks(
     states ``x + (0.5*dt)*k`` and ``x + dt*k3``, the update
     ``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)`` summed left to right, and
     ``t[k] = k*dt``.  A substep packs its stage velocities and command into
-    one row of a byte buffer; ``nu`` and ``delta`` are views of those rows.
-    Once per piece, :func:`_pose_pass` integrates the pose from them with
+    one row of a buffer that every piece reuses; a piece gets copies of its
+    ``nu`` and ``delta`` columns.  Once per piece, :func:`_pose_pass` integrates the pose from them with
     numpy in the same expression order, and a sequential ``cumsum`` adds the
     increments as the scalar loop would.  Numpy's elementwise float64
     operations are IEEE operations, never fused, and its cos and sin give
@@ -552,7 +552,7 @@ def simulate_blocks(
     x, y, psi = (float(c) for c in eta0)
     u, v, r = (float(c) for c in nu0)
     half, sixth = 0.5 * dt, dt / 6.0
-    pack_row = _ROW.pack
+    pack_row, row_bytes = _ROW.pack_into, _ROW.size
 
     # Dynamic thrust state per propeller, updated at multiples of h; the
     # forces it gives hold until the next update.
@@ -560,10 +560,14 @@ def simulate_blocks(
     fu_a = fu_b = fu_c = t_l + t_r
     tr_a = tr_b = tr_c = half_d * (t_l - t_r)
 
+    # Per row, (u, v, r) at each of the four stages, then the command.  One
+    # buffer serves every piece, which gets copies of its columns.
+    rows = np.empty((min(_BLOCK_STEPS, n_steps + 1), 14))
     for start in range(0, n_steps + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_steps + 1)
-        buf = bytearray()  # per row: (u, v, r) at each of the four stages, then the command
-        for k in range(start, min(stop, n_steps)):
+        steps = min(stop, n_steps) - start  # the last piece's final row is no substep
+        at = 0  # the byte offset of row k - start
+        for k in range(start, start + steps):
             tk = k * dt
             if dynamic:
                 dl, dr = excitation(tk)
@@ -624,25 +628,24 @@ def simulate_blocks(
                   + (n_r + n_vr * av + n_rr * ar) * r4 + tw3 + tr_c)
             dv4, dr4 = i22 * f2 + i23 * f3, i23 * f2 + i33 * f3
 
-            buf += pack_row(u, v, r, u2, v2, r2, u3, v3, r3, u4, v4, r4, dl, dr)
+            pack_row(rows, at, u, v, r, u2, v2, r2, u3, v3, r3, u4, v4, r4, dl, dr)
+            at += row_bytes
             u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
             v = v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
             r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             if math.hypot(u, v, r) > _DIVERGENCE_BOUND:
                 raise RuntimeError(f"continuous simulation diverged at step {k + 1}")
-        steps = len(buf) // _ROW.size
         if stop > n_steps:  # row n: the final state, at every stage, and the command at its time
-            buf += pack_row(*(u, v, r) * 4, *excitation(n_steps * dt))
-        rows = np.frombuffer(buf, dtype=np.float64).reshape(-1, 14)
+            pack_row(rows, at, *(u, v, r) * 4, *excitation(n_steps * dt))
         pose = np.empty((steps + 1, 3))
         pose[0] = x, y, psi
         _pose_pass(pose, rows[:steps, :12], half, dt, sixth)
         x, y, psi = pose[steps].tolist()
         yield Trajectory(
-            t=dt * np.arange(start, stop), eta=pose[:stop - start], nu=rows[:, :3],
-            delta=rows[:, 12:], dt=dt, h=gt.h, start=start,
+            t=dt * np.arange(start, stop), eta=pose[:stop - start],
+            nu=rows[:stop - start, :3].copy(), delta=rows[:stop - start, 12:].copy(),
+            dt=dt, h=gt.h, start=start,
         )
-        del buf, rows, pose  # the consumer's to keep, not held while the next piece is built
 
 
 def _pose_pass(pose: np.ndarray, rows: np.ndarray, half: float, dt: float, sixth: float) -> None:

@@ -690,6 +690,15 @@ class TestStreamedSimulation:
                                              r"period 0.02 s"):
             emit_sensor_logs(run(gt_static, smooth_excitation(), 2.0, dt=0.04), REF)
 
+    def test_zero_duration_is_the_initial_row(self, gt_dynamic):
+        # One piece without a substep: the pose pass gets no rows.
+        exc = zoh_excitation(prbs_frames(3, seed=1), gt_dynamic.h)
+        (piece,) = simulate_blocks(gt_dynamic, exc, 0.0, nu0=(0.1, 0.2, 0.3), eta0=(1.0, 2.0, 3.0))
+        assert piece.t.tolist() == [0.0]
+        assert piece.eta.tolist() == [[1.0, 2.0, 3.0]]
+        assert piece.nu.tolist() == [[0.1, 0.2, 0.3]]
+        assert piece.delta.tolist() == [list(exc(0.0))]
+
     def test_negative_duration_is_rejected(self, gt_static):
         with pytest.raises(ValueError, match="duration must be >= 0"):
             simulate_continuous(gt_static, smooth_excitation(), -1.0)
