@@ -467,8 +467,6 @@ def zoh_excitation(frames: np.ndarray, h: float) -> Excitation:
 # Rows per piece of simulate_blocks: 0.29 MB of t, eta, nu and delta, beside
 # one 0.46 MB buffer of 14 floats a row that every piece of a run reuses.
 _BLOCK_STEPS = 4096
-
-
 _ROW = struct.Struct("14d")  # a substep's (u, v, r) at its four RK4 stages and its command
 
 
