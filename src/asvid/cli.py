@@ -30,7 +30,10 @@ parameters, the defaults theirs, and every value must match its annotation
 The whole file is checked when it is loaded, whichever command runs.  An
 unknown or missing key, a value of the wrong type, or one the built class
 rejects exits 2 naming the file and the dotted key, for example
-``cfg.json: 'prepare.h': must be a finite number, got 'abc'``.
+``cfg.json: 'prepare.h': must be a finite number, got 'abc'``.  The check
+loads the simulator (``oracle``) only for a file with a ``simulate`` or
+``ground_truth`` section: without them, the noise and excitation it would
+build are the defaults, which cannot fail.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ EXIT_NUMERICAL = 1
 EXIT_IO = 2
 
 
-# The names the numeric commands call, by the module that defines them.  They
-# are bound into this module's globals when a command other than ``report``
-# runs, so ``report`` never loads numpy.  ``storage`` is bound as a module.
+# The names the numeric commands call, by the module that defines them.  A
+# command binds into this module's globals the names of the modules it runs
+# (``_COMMANDS``), so ``report`` never loads numpy and no command compiles a
+# module it does not call.  ``storage`` is bound as a module.
 _NUMERIC = {
     name: module
     for module, names in {
@@ -75,17 +79,28 @@ _NUMERIC = {
     for name in names
 }
 
+# The modules whose names each numeric command calls, besides ``storage`` and
+# the ones its config check loads (see ``_settings``).
+_COMMANDS = {
+    "simulate": ("model", "oracle"),
+    "prepare": ("dataprep",),
+    "identify": ("regressors", "estimator"),
+    "validate": ("regressors", "validate"),
+}
 
-def _bind_numeric() -> None:
-    """Import the numeric modules and bind ``storage`` and the ``_NUMERIC`` names.
+
+def _bind_numeric(modules=frozenset(_NUMERIC.values())) -> None:
+    """Import ``storage`` and ``modules`` (by default every numeric module), and
+    bind ``storage`` and the ``_NUMERIC`` names they define.
 
     A name that is already bound keeps its value, so a tracer that replaced
     it before the first command keeps its wrapper.
     """
     names = globals()
-    for name, module in _NUMERIC.items():
-        names.setdefault(name, getattr(importlib.import_module(f"{__package__}.{module}"), name))
     names.setdefault("storage", importlib.import_module(f"{__package__}.storage"))
+    for name, module in _NUMERIC.items():
+        if module in modules:
+            names.setdefault(name, getattr(importlib.import_module(f"{__package__}.{module}"), name))
 
 
 def __getattr__(name: str):
@@ -103,6 +118,10 @@ class _Simulate:
     dt: float | None = None
     excitation: dict = field(default_factory=dict)
     noise: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be a positive number of seconds, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +144,16 @@ def _prbs(hold: int = 5) -> int:
     return hold
 
 
-def _settings(cfg: dict, path: str | None) -> SimpleNamespace:
+def _settings(cfg: dict, path: str | None, simulate: bool = False) -> SimpleNamespace:
     """Every section of the config document ``cfg`` built into what it configures.
 
     A bad key or value is a :class:`SchemaError` naming the file ``path`` and
-    the dotted key (see the module docstring).
+    the dotted key (see the module docstring).  The noise and excitation of
+    the ``simulate`` section are built when the section is present or
+    ``simulate`` is set, and are None otherwise.
     """
-    _bind_numeric()
+    simulate = simulate or "simulate" in cfg
+    _bind_numeric(("dataprep", "oracle") if simulate else ("dataprep",))
     source = Path(path).name if path else "config"
     top = from_json(_Config, cfg, "", source)
     streams = {stream: columns for stream, columns, _ in RAW_STREAMS}
@@ -148,25 +170,29 @@ def _settings(cfg: dict, path: str | None) -> SimpleNamespace:
             f"got {schedule!r}"
         )
     geo = {"lat0": 37.4, "lon0": -6.0, **top.geo_reference}
-    read_excitation = _prbs if schedule == "prbs" else smooth_excitation
     gt = storage.parse_ground_truth(top.ground_truth, source) if top.ground_truth else None
-    return SimpleNamespace(
+    settings = SimpleNamespace(
         kind=top.kind, seed=top.seed, ground_truth=gt, column_adapter=top.column_adapter,
         geo_reference=from_json(GeoReference, geo, "geo_reference", source),
         prepare=from_json(PrepareConfig, top.prepare, "prepare", source),
         duration_s=top.simulate.duration_s, dt=top.simulate.dt, schedule=schedule,
-        excitation=from_json(read_excitation, excitation, "simulate.excitation", source),
-        noise=from_json(SensorNoise, top.simulate.noise, "simulate.noise", source, seed=top.seed),
+        excitation=None, noise=None,
     )
+    if simulate:
+        read_excitation = _prbs if schedule == "prbs" else smooth_excitation
+        settings.excitation = from_json(read_excitation, excitation, "simulate.excitation", source)
+        settings.noise = from_json(SensorNoise, top.simulate.noise, "simulate.noise", source,
+                                   seed=top.seed)
+    return settings
 
 
-def _config(path: str | None) -> tuple[dict, SimpleNamespace]:
+def _config(path: str | None, simulate: bool = False) -> tuple[dict, SimpleNamespace]:
     """The config document as written (provenance hashes it) and its sections
     built by :func:`_settings`, which also checks them."""
     cfg = {} if path is None else read_json(path)
     if not isinstance(cfg, dict):
         raise SchemaError(f"{Path(path).name}: a config file holds one JSON object")
-    return cfg, _settings(cfg, path)
+    return cfg, _settings(cfg, path, simulate)
 
 
 def _load_config(path: str | None) -> dict:
@@ -175,7 +201,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _, cfg = _config(args.config)
+    _, cfg = _config(args.config, simulate=True)
     out = Path(args.out)
     kind = args.kind or cfg.kind
     seed = args.seed if args.seed is not None else cfg.seed
@@ -467,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "report":
-        _bind_numeric()
+        _bind_numeric(_COMMANDS[args.command])
     try:
         return args.func(args)
     except (OSError, SchemaError) as exc:

@@ -473,6 +473,8 @@ _ROW = struct.Struct("14d")  # a substep's (u, v, r) at its four RK4 stages and 
 def _time_grid(gt: GroundTruth, duration: float, dt: float | None) -> tuple[float, int, int]:
     """(dt, substeps per h, substeps of the run) of a continuous simulation."""
     dt = dt if dt is not None else gt.h / 20.0
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
     n_sub = round(gt.h / dt)
     if n_sub < 1 or abs(n_sub * dt - gt.h) > 1e-9:
         raise ValueError("dt must divide the sampling period h")
@@ -497,7 +499,8 @@ def simulate_blocks(
     state at each sampling instant h and holds it in between.  A held
     schedule (one with a ``hold`` attribute, see :func:`zoh_excitation`)
     gives static thrust evaluated once per substep, at its start, so no
-    stage of the last substep of an interval sees the next interval.
+    stage of the last substep of an interval sees the next interval; with
+    dynamic thrust it is called once per hold interval if dt divides it.
 
     Row k of the n = duration/dt substeps is the state at ``t[k] = k*dt``
     and the command given there.  The pieces tile rows 0..n in order, at
@@ -522,11 +525,14 @@ def simulate_blocks(
                          "it cannot follow a sigma_override")
     dt, n_sub, n_steps = _time_grid(gt, duration, dt)
     dynamic = isinstance(gt.thrust, ThrustDynamicParams)
-    held = not dynamic and hasattr(excitation, "hold")
-    if held:
-        n_hold = round(excitation.hold / dt)
-        if n_hold < 1 or abs(n_hold * dt - excitation.hold) > 1e-9:
+    # The dynamic branch calls a held schedule once per hold of n_hold
+    # substeps, and any other schedule at every substep.
+    held = hasattr(excitation, "hold")
+    n_hold = round(excitation.hold / dt) if held else 0
+    if n_hold < 1 or abs(n_hold * dt - excitation.hold) > 1e-9:
+        if held and not dynamic:
             raise ValueError("dt must divide the hold interval of the excitation")
+        n_hold = 1
 
     m = gt.m
     a1 = m - gt.y_vdot
@@ -568,7 +574,8 @@ def simulate_blocks(
         for k in range(start, start + steps):
             tk = k * dt
             if dynamic:
-                dl, dr = excitation(tk)
+                if k % n_hold == 0:
+                    dl, dr = excitation(tk)
                 if k % n_sub == 0:
                     if k > 0:
                         dyn = gt.dynamic_thrust
@@ -713,6 +720,11 @@ class SensorNoise:
     psi_rad: float = 0.0
     pwm_us: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("pos_m", "psi_rad", "pwm_us"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite level >= 0")
 
 
 _LOG_PERIODS = {"gnss": 0.2, "heading": 0.02, "pwm": 0.1}  # s: 5 Hz, 50 Hz, 10 Hz

@@ -240,7 +240,7 @@ class RowBlock:
         """
         starts = np.flatnonzero(np.diff(self.segment)) + 1
         ids = np.r_[self.segment[:1], self.segment[starts]]
-        if np.unique(ids).size != ids.size:
+        if len(set(ids.tolist())) != ids.size:  # a bare np.unique would load numpy.ma
             raise DataError("regression rows are not grouped by segment")
         bounds = np.r_[0, starts, self.n_rows]
         return {

@@ -28,12 +28,17 @@ each that names the file, the count and the first line.
 A missing file raises ``FileNotFoundError``.  A malformed one raises
 :class:`SchemaError` naming the file, and the line of a bad CSV cell
 (``prepared.csv:12: column 'u': ...``).  The CLI exits 2 on either.
+
+Loading this module loads only the CSV layer's own modules (``dataprep``,
+``model``): every CLI command reads or writes a CSV.  The model-file,
+expected-x, ground-truth and provenance functions import the estimator,
+regressor, simulator and hash modules when they are called, so ``prepare``
+compiles none of them.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import math
@@ -42,16 +47,18 @@ import time
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataprep import RAW_STREAMS, PreparedDataset, RawLogBundle, off_grid_row
 from .errors import DataError, SchemaError
-from .estimator import IdentifiedModel
 from .files import _atomic_open, atomic_write_text, from_json, read_json, write_json
 from .model import OperatingRegion, ThrustDynamicParams, ThrustStaticParams
-from .oracle import GroundTruth
-from .regressors import TERMS
+
+if TYPE_CHECKING:
+    from .estimator import IdentifiedModel
+    from .oracle import GroundTruth
 
 __all__ = [
     "atomic_write_text", "write_csv", "read_json", "write_json", "read_raw_logs", "write_raw_logs",
@@ -365,6 +372,8 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
 
 
 def _vector_rows(kind: str, axis: str, vec: np.ndarray) -> list[dict]:
+    from .regressors import TERMS
+
     terms = TERMS[(kind, axis)]
     return [
         {"index": i + 1, "value": float(v), "unit": terms[i].unit} for i, v in enumerate(vec)
@@ -406,6 +415,8 @@ def read_model_file(path: str | Path) -> IdentifiedModel:
     The version, the keys and the vector lengths of the model kind are
     checked; a file that fails a check is a :class:`SchemaError` naming it.
     """
+    from .estimator import IdentifiedModel
+
     path = Path(path)
     doc = read_json(path)
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -474,6 +485,8 @@ def parse_ground_truth(doc: dict, source: str) -> GroundTruth:
     :class:`SchemaError` naming ``source`` and the key (``files.from_json``).
     ``_units`` is documentation and never read.
     """
+    from .oracle import GroundTruth
+
     thrust = doc.get("thrust", {})
     if not isinstance(thrust, dict):
         raise SchemaError(f"{source}: 'ground_truth.thrust': must be a JSON object, got {thrust!r}")
@@ -489,6 +502,8 @@ def parse_ground_truth(doc: dict, source: str) -> GroundTruth:
 
 
 def sha256_of_file(path: str | Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -498,6 +513,8 @@ def sha256_of_file(path: str | Path) -> str:
 
 def provenance_stamp(dataset_path: str | Path | None, config: dict | None) -> dict:
     """Dataset/config hashes plus a timestamp (SOURCE_DATE_EPOCH overrides)."""
+    import hashlib
+
     stamp: dict = {}
     if dataset_path is not None:
         stamp["dataset_sha256"] = sha256_of_file(dataset_path)

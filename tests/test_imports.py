@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -18,13 +19,13 @@ SRC = str(Path(asvid.__file__).resolve().parents[1])
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
-def python(*args: str, path: str = SRC) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with ``path`` as PYTHONPATH; it must exit 0."""
+def python(*args: str, path: str = SRC, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``path`` as PYTHONPATH; with ``check`` it must exit 0."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
@@ -86,6 +87,95 @@ def test_tracer_entered_before_the_first_command_keeps_its_wrapper(tmp_path, ds_
     )
     out = python("-c", code, path=os.pathsep.join((SRC, PERFBENCH)))
     assert out.stdout.splitlines()[-1] == "0 ['regressors.build_systems']"
+
+
+# Runs one command in a fresh interpreter; prints its exit code, then the
+# loaded modules of the package and the other modules the tests watch.
+RUN_AND_LIST = (
+    "import sys\n"
+    "from asvid import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "watched = ('hashlib', 'numpy.ma')\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('asvid.') or m in watched))\n"
+)
+
+
+def command_modules(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``asvid argv`` in a fresh interpreter, and the modules it
+    loaded: those of ``asvid`` without the package prefix, and any watched ones."""
+    run = python("-c", RUN_AND_LIST, *argv, check=False)
+    code, *modules = run.stdout.splitlines()[-1].split()
+    return int(code), {m.removeprefix("asvid.") for m in modules}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, small_bundle, ds_dynamic):
+    """Raw logs, a prepared dataset of four segments and a short simulate config."""
+    root = tmp_path_factory.mktemp("inputs")
+    storage.write_raw_logs(root / "logs", small_bundle)
+    storage.write_prepared_csv(root / "prepared.csv", ds_dynamic)
+    (root / "sim.json").write_text('{"simulate": {"duration_s": 4.0}}')
+    return root
+
+
+def command_argv(command: str, inputs: Path, out: Path) -> list[str]:
+    prepared = ["--prepared", str(inputs / "prepared.csv"), "--kind", "dynamic"]
+    return {
+        "simulate": ["--config", str(inputs / "sim.json"), "simulate", "--out", str(out)],
+        "prepare": ["prepare", "--logs", str(inputs / "logs"), "--out", str(out)],
+        "identify": ["identify", *prepared, "--out", str(out)],
+        "validate": ["validate", *prepared, "--sensitivity", "2", "--sweep", "0.7,0.6",
+                     "--out", str(out)],
+    }[command]
+
+
+# Modules each command must not load: it calls nothing in them, and each
+# would be compiled and imported on every run of the command.
+NOT_LOADED = {
+    "simulate": {"validate", "estimator"},
+    "prepare": {"estimator", "oracle", "regressors", "validate", "hashlib"},
+    "identify": {"oracle", "validate"},
+    "validate": {"oracle"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_each_command_loads_only_the_modules_it_runs(command, inputs, tmp_path):
+    code, modules = command_modules(*command_argv(command, inputs, tmp_path / "out"))
+    assert code == 0
+    assert {"cli", "storage"} <= modules
+    assert modules & NOT_LOADED[command] == set()
+
+
+def test_segment_validation_loads_no_numpy_ma(inputs, tmp_path):
+    # A bare np.unique imports numpy.ma in numpy 2; numpy 1.24 imports it with numpy.
+    eager = python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip()
+    if eager == "True":
+        pytest.skip("this numpy loads numpy.ma when it is imported")
+    argv = ["validate", "--prepared", str(inputs / "prepared.csv"), "--kind", "dynamic",
+            "--method", "by_segments", "--sensitivity", "2", "--out", str(tmp_path / "val")]
+    code, modules = command_modules(*argv)
+    assert code == 0
+    assert "numpy.ma" not in modules
+
+
+def test_config_check_without_the_simulator_still_rejects_bad_sections(inputs, tmp_path,
+                                                                       gt_static):
+    # prepare and identify build no simulator from their configs, yet a bad
+    # simulate or ground_truth section still fails them before they run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"simulate": {"noise": {"pos": 0.02}}}')
+    argv = ["--config", str(cfg), *command_argv("prepare", inputs, tmp_path / "p")]
+    assert command_modules(*argv)[0] == 2
+    assert not (tmp_path / "p").exists()
+
+    storage.write_ground_truth(tmp_path / "gt.json", gt_static)
+    doc = json.loads((tmp_path / "gt.json").read_text())
+    doc["thrust"]["gain"] = 1.0
+    cfg.write_text(json.dumps({"ground_truth": doc}))
+    argv = ["--config", str(cfg), *command_argv("identify", inputs, tmp_path / "id")]
+    assert command_modules(*argv)[0] == 2
+    assert not (tmp_path / "id").exists()
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(asvid.__path__)))

@@ -316,6 +316,46 @@ class TestContinuousSimulator:
         with pytest.raises(ValueError, match="hold interval"):
             simulate_continuous(gt_static, exc, duration=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_dt_must_be_positive(self, gt_static, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            simulate_continuous(gt_static, lambda t: (0.0, 0.0), duration=1.0, dt=dt)
+
+    def test_dynamic_run_calls_a_held_schedule_once_per_interval(self, gt_dynamic):
+        exc = zoh_excitation(prbs_frames(10, seed=1, hold=2), gt_dynamic.h)
+        times = []
+
+        def counted(t):
+            times.append(t)
+            return exc(t)
+
+        counted.hold = exc.hold
+        held = simulate_continuous(gt_dynamic, counted, duration=2.0)
+        every = simulate_continuous(gt_dynamic, lambda t: exc(t), duration=2.0)
+        for name in ("t", "eta", "nu", "delta"):
+            assert getattr(held, name).tobytes() == getattr(every, name).tobytes()
+        # One call per 0.2 s interval of the 200 substeps, and one for the final row.
+        assert times == [k * 0.01 for k in range(0, 200, 20)] + [200 * 0.01]
+
+    def test_dynamic_run_with_a_hold_off_the_substep_grid_still_runs(self, gt_dynamic):
+        # 0.105 s is no whole number of 0.01 s substeps: the static branch
+        # refuses such a schedule, the dynamic one calls it at every substep.
+        # The digest is that of the integrator that always did so.
+        exc = zoh_excitation(prbs_frames(20, seed=1, hold=1), h=0.105)
+        traj = simulate_continuous(gt_dynamic, exc, duration=2.0, dt=0.01)
+        digest = hashlib.sha256()
+        for values in (traj.t, traj.eta, traj.nu, traj.delta):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "5c582f157b47bb855c5e08e5719a4a2f63c7d4f1978d55060fd69a22d933b3bf"
+        )
+
+    @pytest.mark.parametrize("level", ["pos_m", "psi_rad", "pwm_us"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_noise_level_must_be_finite_and_not_negative(self, level, value):
+        with pytest.raises(ValueError, match=f"^{level} must be a finite level >= 0"):
+            SensorNoise(**{level: value})
+
     def test_held_interval_never_sees_the_next_frame(self, gt_static):
         # The first frame commands (0.2, 0.2) for the whole 0.2 s run; the
         # second frame starts exactly where the run ends.

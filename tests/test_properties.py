@@ -276,6 +276,9 @@ def test_ground_truth_round_trip(tmp_path_factory, gt):
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# A noise level: finite and not negative.
+level = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                  st.sampled_from([s for s in SPECIALS if s >= 0]))
 
 
 @st.composite
@@ -295,7 +298,7 @@ CONFIG_SECTIONS = {
     "geo_reference": st.builds(
         GeoReference, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.tuples(finite, finite)
     ),
-    "simulate.noise": st.builds(SensorNoise, finite, finite, finite, st.integers()),
+    "simulate.noise": st.builds(SensorNoise, level, level, level, st.integers()),
 }
 
 

@@ -674,6 +674,7 @@ BAD_CONFIGS = {
     ),
     "noise-not-object": (_sim(noise=0.02), "'simulate.noise'"),
     "noise-unknown": (_sim(noise={"pos": 0.02}), "'simulate.noise.pos'"),
+    "noise-negative": (_sim(noise={"pos_m": -1}), "'simulate.noise.pos_m'"),
     "kind-unknown": ({"kind": "bogus"}, "'kind'"),
     "seed-string": ({"seed": "3"}, "'seed'"),
     "prepare-h-string": ({"prepare": {"h": "abc"}}, "'prepare.h'"),
@@ -765,6 +766,28 @@ def test_bad_config_exits_2_naming_the_key(case, command, tmp_path, small_bundle
     err = capsys.readouterr().err
     assert "cfg.json" in err and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt", [0, -0.01])
+@pytest.mark.parametrize("command", ["simulate", "prepare", "identify", "validate"])
+def test_non_positive_dt_exits_2_from_every_command(dt, command, tmp_path, ds_static, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"dt": dt}}))
+    prep = tmp_path / "prepared.csv"
+    storage.write_prepared_csv(prep, ds_static)
+    argv = {
+        "simulate": ["simulate"],
+        "prepare": ["prepare", "--logs", str(tmp_path)],
+        "identify": ["identify", "--prepared", str(prep)],
+        "validate": ["validate", "--prepared", str(prep)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cfg.json: 'simulate.dt': dt must be a positive number of seconds, "
+        f"got {float(dt)!r}\n"
+    )
+    assert not out.exists()
 
 
 # validate flags, the flag the usage error must name
