@@ -195,11 +195,6 @@ def _config(path: str | None, simulate: bool = False) -> tuple[dict, SimpleNames
     return cfg, _settings(cfg, path, simulate)
 
 
-def _load_config(path: str | None) -> dict:
-    """The config document as written, checked by :func:`_settings`."""
-    return _config(path)[0]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     _, cfg = _config(args.config, simulate=True)
     out = Path(args.out)

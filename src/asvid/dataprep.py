@@ -200,6 +200,8 @@ class PreparedDataset:
         for name in _ROW_COLUMNS[:-1]:  # all but the region codes
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"prepared column {name} has non-finite values")
+        if self.region.dtype.kind not in "iu" or np.any((self.region < 0) | (self.region > 3)):
+            raise DataError("prepared column region must hold OperatingRegion codes 0-3")
         if off_grid_row(self.t, self.segment, self.h) is not None:
             raise DataError("segment timestamps must step by exactly h")
 

@@ -202,11 +202,11 @@ def _solve_segments(sys: RegressionSystem, segments: Collection[int]) -> LeastSq
     in this system contribute nothing.  Like the full solve, the merged fit
     is kept on the block.
     """
-    factors = sys.segment_factors
+    block = sys.block
+    factors = block.segment_factors
     ids = tuple(s for s in sorted(segments) if s in factors)
     m = sum(factors[s][1] for s in ids)
     _check_rows(sys, m)
-    block = sys.block
     if ids not in block.fits:
         stack = reduce_stack(np.vstack([factors[s][0] for s in ids]))
         block.fits[ids] = _fit(stack, block.matrix.shape[1], m)

@@ -248,42 +248,22 @@ class RowBlock:
             for sid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
         }
 
-    def select(self, indices: np.ndarray) -> "RowBlock":
-        """The block restricted to the rows ``indices``, in that order."""
-        return RowBlock(self.matrix[indices], self.rhs[:, indices], self.segment[indices],
-                        self.k[indices])
-
 
 class RegressionSystem:
-    """One assembled least-squares problem ``A @ X = b`` with row provenance.
+    """One per-axis least-squares problem ``A @ X = b``: a view on a :class:`RowBlock`.
 
-    Its rows live in a :class:`RowBlock`, which sway and yaw share: ``b`` is
-    ``block.rhs[slot]`` and column j of ``A`` is ``block.matrix[:,
-    columns[j]]``.  Reading ``a`` gives ``A`` in this system's own column
-    order: the stored matrix itself when ``columns`` is the identity, else a
-    copy made on each access.  ``base`` holds the current-step velocity of
-    the axis, so one-step predictions (base + A @ X) and truths (base + b)
-    can be reconstructed.  ``n_skipped`` counts candidate steps excluded by
-    the preconditions.
+    ``b`` is ``block.rhs[slot]``, column j of ``A`` is ``block.matrix[:,
+    columns[j]]``, and ``segment`` and ``k`` are the block's row provenance;
+    sway and yaw are two views on one block.  Reading ``a`` gives ``A`` in
+    this system's own column order: the stored matrix itself when
+    ``columns`` is the identity, else a copy made on each access.  ``base``
+    holds the current-step velocity of the axis, so one-step predictions
+    (base + A @ X) and truths (base + b) can be reconstructed.
+    ``n_skipped`` counts candidate steps excluded by the preconditions.
     """
 
-    def __init__(self, a, b, segment, k, model_kind: str, axis: str,
-                 base: np.ndarray | None = None, n_skipped: int = 0) -> None:
-        """A system with rows of its own."""
-        block = RowBlock(np.asarray(a), np.asarray(b)[np.newaxis], np.asarray(segment),
-                         np.asarray(k))
-        self._bind(block, 0, np.arange(block.matrix.shape[1]), model_kind, axis, base, n_skipped)
-
-    @classmethod
-    def on_block(cls, block: RowBlock, slot: int, columns: np.ndarray, model_kind: str,
-                 axis: str, base: np.ndarray, n_skipped: int = 0) -> "RegressionSystem":
-        """The system of right-hand side ``block.rhs[slot]`` whose column j is
-        ``block.matrix[:, columns[j]]``."""
-        system = cls.__new__(cls)
-        system._bind(block, slot, columns, model_kind, axis, base, n_skipped)
-        return system
-
-    def _bind(self, block, slot, columns, model_kind, axis, base, n_skipped) -> None:
+    def __init__(self, block: RowBlock, slot: int, columns: np.ndarray, model_kind: str,
+                 axis: str, base: np.ndarray, n_skipped: int = 0) -> None:
         self.block, self.slot, self.columns = block, slot, np.asarray(columns)
         self.b, self.segment, self.k = block.rhs[slot], block.segment, block.k
         self.model_kind, self.axis, self.base, self.n_skipped = model_kind, axis, base, n_skipped
@@ -293,12 +273,12 @@ class RegressionSystem:
                 f"{model_kind}/{axis} system must have {expected} columns, "
                 f"got shape {(block.n_rows, self.columns.size)}"
             )
-        self._own_layout = bool(np.array_equal(self.columns, np.arange(block.matrix.shape[1])))
 
     @property
     def a(self) -> np.ndarray:
         matrix = self.block.matrix
-        return matrix if self._own_layout else matrix[:, self.columns]
+        own = np.array_equal(self.columns, np.arange(matrix.shape[1]))
+        return matrix if own else matrix[:, self.columns]
 
     @property
     def n_rows(self) -> int:
@@ -307,18 +287,6 @@ class RegressionSystem:
     @property
     def n_cols(self) -> int:
         return int(self.columns.size)
-
-    @property
-    def segment_factors(self) -> dict[int, tuple[np.ndarray, int]]:
-        """The block's :attr:`RowBlock.segment_factors`."""
-        return self.block.segment_factors
-
-    def select(self, indices: np.ndarray) -> "RegressionSystem":
-        """A copy of the row subset ``indices``, on a block of its own."""
-        idx = np.asarray(indices, dtype=int)
-        return RegressionSystem.on_block(self.block.select(idx), self.slot, self.columns,
-                                         self.model_kind, self.axis, self.base[idx],
-                                         self.n_skipped)
 
 
 # Axes whose systems share one block: sway and yaw have the same terms (in
@@ -362,7 +330,7 @@ def _build(
         k=k[rows],
     )
     return {
-        axis: RegressionSystem.on_block(
+        axis: RegressionSystem(
             block, slot, np.array([term_index(kind, axes[0], t.name) for t in TERMS[(kind, axis)]]),
             kind, axis, data[axis][rows], n_skipped,
         )

@@ -355,11 +355,12 @@ def read_prepared_csv(path: str | Path) -> PreparedDataset:
         if line.startswith(H_RECORD):
             h = _parse_h_record(path, line[len(H_RECORD):].strip())
     if h is None:
-        for sid in np.unique(cols["segment"]):
-            seg_t = cols["t"][cols["segment"] == sid]
-            if seg_t.size >= 2:
-                h = float(np.median(np.diff(seg_t)))
-                break
+        import statistics  # np.median, like a bare np.unique, would load numpy.ma
+
+        ids, counts = np.unique(cols["segment"], return_counts=True)
+        if np.any(counts >= 2):
+            seg_t = cols["t"][cols["segment"] == ids[np.argmax(counts >= 2)]]
+            h = statistics.median(np.diff(seg_t).tolist())
     if h is None:
         raise SchemaError(f"{path.name}: cannot infer sampling period from single-point segments")
     try:

@@ -2,15 +2,16 @@
 
 Two partition methods are supported, mirroring how the vessel experiments
 are evaluated: random selection of individual regression rows, and random
-grouping of whole trajectory segments.  Surge rows form one partition group
-and sway/yaw rows another (they share one row block by construction),
-matching the split between forward and turning manoeuvres.
+grouping of whole trajectory segments.
 
-Work is done per block, not per axis: a fit on a point split solves the
-sway/yaw block once, reading its rows chunk by chunk, and a prediction is
-one product of each block's matrix with the vectors of the axes that share
-it, computed on all its rows and then indexed, so no row-gathered copy of a
-matrix is made.
+Work is done per row block, not per axis (:func:`_blocks`): the surge rows
+are one block and the sway/yaw rows another (they share one by
+construction), matching the split between forward and turning manoeuvres.
+Each block is split once, surge first, and its axes get the same row
+indices; a fit on a point split solves the sway/yaw block once, reading its
+rows chunk by chunk, and a prediction is one product of each block's matrix
+with the vectors of the axes that share it, computed on all its rows and
+then indexed, so no row-gathered copy of a matrix is made.
 """
 
 from __future__ import annotations
@@ -89,10 +90,20 @@ class RowSplit:
         return out
 
 
-def _vr_rows_consistent(systems: dict[str, RegressionSystem]) -> None:
-    v, r = systems["v"], systems["r"]
-    if not (np.array_equal(v.segment, r.segment) and np.array_equal(v.k, r.k)):
-        raise DataError("sway and yaw systems must share their row set")
+def _blocks(systems: dict[str, RegressionSystem]) -> dict[RowBlock, tuple[str, ...]]:
+    """Each row block of ``systems`` and the axes on it, in first-seen axis order."""
+    blocks: dict[RowBlock, tuple[str, ...]] = {}
+    for axis in AXES:
+        block = systems[axis].block
+        blocks[block] = blocks.get(block, ()) + (axis,)
+    return blocks
+
+
+def _per_axis(blocks: dict[RowBlock, tuple[str, ...]], sides: dict[RowBlock, tuple]
+              ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per-axis train and validation rows from each block's (train, validation) pair."""
+    return tuple({axis: sides[block][i] for block, axes in blocks.items() for axis in axes}
+                 for i in (0, 1))
 
 
 def _split_points(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -111,27 +122,22 @@ def partition(
 ) -> RowSplit:
     """Draw a seeded, reproducible train/validation split.
 
-    ``by_points`` samples exactly round(fraction * n) rows per group;
-    ``by_segments`` walks a shuffled segment order accumulating whole
-    segments until the prepared-point count is as close to the requested
-    fraction as the first crossing allows (the first seeded draw is kept
-    and its realized fraction reported).
+    Each row block is split once, and every axis on it gets the same
+    indices.  ``by_points`` samples exactly round(fraction * n) rows of each
+    block, the surge block first; ``by_segments`` walks a shuffled segment
+    order accumulating whole segments until the prepared-point count is as
+    close to the requested fraction as the first crossing allows (the first
+    seeded draw is kept and its realized fraction reported).
     """
     systems = systems if systems is not None else build_systems(ds, kind)
-    _vr_rows_consistent(systems)
+    blocks = _blocks(systems)
 
     if spec.method == "by_points":
         rng = np.random.default_rng(spec.seed)
-        train_u, val_u = _split_points(systems["u"].n_rows, spec.train_fraction, rng)
-        train_vr, val_vr = _split_points(systems["v"].n_rows, spec.train_fraction, rng)
-        total = systems["u"].n_rows + systems["v"].n_rows
-        realized = (train_u.size + train_vr.size) / total
-        return RowSplit(
-            spec=spec,
-            train={"u": train_u, "v": train_vr, "r": train_vr},
-            val={"u": val_u, "v": val_vr, "r": val_vr},
-            realized_train_fraction=realized,
-        )
+        sides = {block: _split_points(block.n_rows, spec.train_fraction, rng) for block in blocks}
+        realized = sum(train.size for train, _ in sides.values()) / sum(b.n_rows for b in blocks)
+        train, val = _per_axis(blocks, sides)
+        return RowSplit(spec=spec, train=train, val=val, realized_train_fraction=realized)
 
     # by_segments: whole segments, shared across the three axes
     ids, counts = np.unique(ds.segment, return_counts=True)
@@ -156,17 +162,15 @@ def partition(
     if not train_set or not val_set:
         raise DataError("segment partition leaves an empty side")
 
-    train: dict[str, np.ndarray] = {}
-    val: dict[str, np.ndarray] = {}
-    sides: dict[RowBlock, tuple[np.ndarray, np.ndarray]] = {}  # sway and yaw share a block
-    for axis in AXES:
-        block = systems[axis].block
-        if block not in sides:
-            in_train = np.isin(block.segment, sorted(train_set))
-            sides[block] = np.flatnonzero(in_train), np.flatnonzero(~in_train)
-        train[axis], val[axis] = sides[block]
-        if train[axis].size == 0 or val[axis].size == 0:
-            raise DataError(f"segment partition leaves the {axis} system without rows on one side")
+    sides = {}
+    for block, axes in blocks.items():
+        in_train = np.isin(block.segment, sorted(train_set))
+        sides[block] = np.flatnonzero(in_train), np.flatnonzero(~in_train)
+        if in_train.all() or not in_train.any():
+            raise DataError(
+                f"segment partition leaves the {axes[0]} system without rows on one side"
+            )
+    train, val = _per_axis(blocks, sides)
     return RowSplit(
         spec=spec,
         train=train,
@@ -193,18 +197,15 @@ def fit_split(
 def _changes(model: IdentifiedModel, systems: dict[str, RegressionSystem]) -> dict[str, np.ndarray]:
     """Each system's predicted one-step change A @ X on all its rows: one
     product per block, with each system's vector placed in its columns."""
-    products: dict[RowBlock, np.ndarray] = {}
     for sys in systems.values():
         if sys.model_kind != model.kind:
             raise ValueError(f"{model.kind} model cannot predict on a {sys.model_kind} system")
-    for sys in systems.values():
-        block = sys.block
-        if block not in products:
-            x = np.zeros((block.matrix.shape[1], block.rhs.shape[0]))
-            for other in systems.values():
-                if other.block is block:
-                    x[other.columns, other.slot] = model.vector(other.axis)
-            products[block] = block.matrix @ x
+    products: dict[RowBlock, np.ndarray] = {}
+    for block, axes in _blocks(systems).items():
+        x = np.zeros((block.matrix.shape[1], block.rhs.shape[0]))
+        for axis in axes:
+            x[systems[axis].columns, systems[axis].slot] = model.vector(axis)
+        products[block] = block.matrix @ x
     return {axis: products[sys.block][:, sys.slot] for axis, sys in systems.items()}
 
 
@@ -390,35 +391,31 @@ def training_fraction_sweep(
     """Vary the training share against one fixed validation share,
     ``VALIDATION_FRACTION`` of the rows.
 
-    A seeded permutation per group fixes the validation rows once; each
-    requested fraction then trains on that share of the whole row count,
-    drawn from the remaining rows (at most all of them, so shares that sum to
-    1 never fail on rounding).  Returns one entry per fraction with
-    train- and validation-side metrics.
+    A seeded permutation per row block (the surge block first) fixes the
+    validation rows once; each requested fraction then trains on that share
+    of the block's row count, drawn from the remaining rows (at most all of
+    them, so shares that sum to 1 never fail on rounding), and every axis on
+    a block gets the same rows.  Returns one entry per fraction with train-
+    and validation-side metrics.
     """
     check_sweep_fractions(fractions)
     systems = systems if systems is not None else build_systems(ds, kind)
-    _vr_rows_consistent(systems)
+    blocks = _blocks(systems)
     rng = np.random.default_rng(seed)
-    perms = {"u": rng.permutation(systems["u"].n_rows), "vr": rng.permutation(systems["v"].n_rows)}
+    perms = {block: rng.permutation(block.n_rows) for block in blocks}
 
     out: list[dict] = []
     for f in fractions:
-        rows_train: dict[str, np.ndarray] = {}
-        rows_val: dict[str, np.ndarray] = {}
-        for group, axes in (("u", ("u",)), ("vr", ("v", "r"))):
-            perm = perms[group]
+        sides = {}
+        for block, perm in perms.items():
             n = perm.size
             n_val = int(round(VALIDATION_FRACTION * n))
             # Rounded separately, shares that fill the rows exactly can overshoot by one.
             n_train = min(int(round(f * n)), n - n_val)
             if n_val <= 0 or n_train <= 0:
                 raise DataError(f"infeasible shares: {f} train + {VALIDATION_FRACTION} validation")
-            val_idx = np.sort(perm[:n_val])
-            train_idx = np.sort(perm[n_val : n_val + n_train])
-            for axis in axes:
-                rows_train[axis] = train_idx
-                rows_val[axis] = val_idx
+            sides[block] = np.sort(perm[n_val : n_val + n_train]), np.sort(perm[:n_val])
+        rows_train, rows_val = _per_axis(blocks, sides)
         model = identify_from_systems(kind, systems, ds.h, rows=rows_train)
         info = {"method": "by_points", "seed": seed, "train_fraction": f,
                 "validation_fraction": VALIDATION_FRACTION}

@@ -34,8 +34,7 @@ def shared_block(lengths, seed):
     rhs = (a @ rng.normal(size=(P, 2))).T + rng.normal(0.0, 0.1, (2, n))
     block = RowBlock(a, rhs, np.repeat(np.arange(len(lengths)), lengths),
                      np.concatenate([np.arange(m) for m in lengths]))
-    return {axis: RegressionSystem.on_block(block, slot, COLUMNS[axis], "dynamic", axis,
-                                            np.zeros(n))
+    return {axis: RegressionSystem(block, slot, COLUMNS[axis], "dynamic", axis, np.zeros(n))
             for slot, axis in enumerate("vr")}
 
 

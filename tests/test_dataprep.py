@@ -466,3 +466,11 @@ class TestPreparedDataset:
             self.table([0, 0, 0], [0.0, 0.2, 0.4], np.zeros(2))
         with pytest.raises(DataError, match="column u has non-finite"):
             self.table([0, 0], [0.0, 0.2], [0.0, np.nan])
+
+    @pytest.mark.parametrize("region", [[0, -1, 3], [0, 9, 1], [0.0, 1.0, 2.0]])
+    def test_bad_region_codes_rejected(self, region):
+        # A code of -1 would read REGION_SIGN[-1] and pass as forward-forward.
+        zeros = np.zeros(3)
+        with pytest.raises(DataError, match="prepared column region"):
+            PreparedDataset(0.2, [0, 0, 0], t=[0.0, 0.2, 0.4], u=zeros, v=zeros, r=zeros,
+                            delta_mean=zeros, delta_diff=zeros, region=np.array(region))

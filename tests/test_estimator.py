@@ -20,25 +20,24 @@ from asvid.oracle import (
     known_params_to_X,
     prbs_frames,
 )
-from asvid.regressors import RegressionSystem, build_systems
+from asvid.regressors import RegressionSystem, RowBlock, build_systems
 
 
 _SHAPE_TO_KIND = {7: ("static", "u"), 13: ("static", "v"), 11: ("dynamic", "u"), 21: ("dynamic", "v")}
+
+
+def own_rows(a, b, segment, k, kind="static", axis="u"):
+    """A system on a block of its own rows, in its own column order."""
+    n, p = a.shape
+    return RegressionSystem(RowBlock(a, b[None], segment, k), 0, np.arange(p), kind, axis,
+                            np.zeros(n))
 
 
 def system_from(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     kind, axis = _SHAPE_TO_KIND[a.shape[1]]
-    return RegressionSystem(
-        a=a,
-        b=b,
-        segment=np.zeros(a.shape[0], dtype=int),
-        k=np.arange(a.shape[0]),
-        model_kind=kind,
-        axis=axis,
-        base=np.zeros(a.shape[0]),
-    )
+    return own_rows(a, b, np.zeros(a.shape[0], dtype=int), np.arange(a.shape[0]), kind, axis)
 
 
 def fabricate_pole_vectors(alpha, rs):
@@ -162,11 +161,7 @@ def segmented_systems(draw):
     a[:, zero] = 0.0
     a[:, dup] = a[:, src]
     b = a @ rng.normal(size=p) + rng.normal(0.0, draw(st.sampled_from([0.0, 1e-3, 1.0])), n)
-    sys = RegressionSystem(
-        a=a, b=b, segment=np.repeat(ids, lengths),
-        k=np.concatenate([np.arange(m) for m in lengths]),
-        model_kind="static", axis="u", base=np.zeros(n),
-    )
+    sys = own_rows(a, b, np.repeat(ids, lengths), np.concatenate([np.arange(m) for m in lengths]))
     chosen = draw(st.sets(st.sampled_from(ids), min_size=1))
     return sys, chosen, zero
 
@@ -176,7 +171,8 @@ class TestSegmentMerge:
     @given(case=segmented_systems())
     def test_merged_fit_matches_gathered_rows(self, case):
         sys, chosen, zero = case
-        gathered_sys = sys.select(np.flatnonzero(np.isin(sys.segment, sorted(chosen))))
+        rows = np.flatnonzero(np.isin(sys.segment, sorted(chosen)))
+        gathered_sys = own_rows(sys.a[rows], sys.b[rows], sys.segment[rows], sys.k[rows])
         try:
             gathered = solve_least_squares(gathered_sys)
         except DataError as exc:
@@ -196,12 +192,9 @@ class TestSegmentMerge:
 
     def test_factors_are_cached_per_segment(self, rng):
         a, b = rng.normal(size=(30, 7)), rng.normal(size=30)
-        sys = RegressionSystem(
-            a=a, b=b, segment=np.repeat([4, 9, 11], [5, 15, 10]), k=np.arange(30),
-            model_kind="static", axis="u", base=np.zeros(30),
-        )
-        factors = sys.segment_factors
-        assert sys.segment_factors is factors
+        sys = own_rows(a, b, np.repeat([4, 9, 11], [5, 15, 10]), np.arange(30))
+        factors = sys.block.segment_factors
+        assert sys.block.segment_factors is factors
         assert {sid: (r.shape, m) for sid, (r, m) in factors.items()} == {
             4: ((5, 8), 5), 9: ((8, 8), 15), 11: ((8, 8), 10),
         }
@@ -211,11 +204,8 @@ class TestSegmentMerge:
         assert np.allclose(r.T @ r, block.T @ block, rtol=1e-12, atol=1e-12)
 
     def test_ungrouped_rows_rejected(self, rng):
-        sys = RegressionSystem(
-            a=rng.normal(size=(20, 7)), b=rng.normal(size=20),
-            segment=np.repeat([1, 2, 1], [7, 6, 7]), k=np.arange(20),
-            model_kind="static", axis="u", base=np.zeros(20),
-        )
+        sys = own_rows(rng.normal(size=(20, 7)), rng.normal(size=20),
+                       np.repeat([1, 2, 1], [7, 6, 7]), np.arange(20))
         with pytest.raises(DataError, match="not grouped by segment"):
             _solve_segments(sys, {1})
 

@@ -7,6 +7,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asvid
@@ -157,6 +158,22 @@ def test_segment_validation_loads_no_numpy_ma(inputs, tmp_path):
     code, modules = command_modules(*argv)
     assert code == 0
     assert "numpy.ma" not in modules
+
+
+def test_inferred_h_loads_no_numpy_ma(inputs, ds_dynamic, tmp_path):
+    # A prepared file without its "# h=" record gets h from a median of steps.
+    eager = python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip()
+    if eager == "True":
+        pytest.skip("this numpy loads numpy.ma when it is imported")
+    prep = tmp_path / "prepared.csv"
+    prep.write_text("".join(line for line in (inputs / "prepared.csv").read_text().splitlines(
+        keepends=True) if not line.startswith("# h=")))
+    read = ("import sys\nfrom asvid import storage\n"
+            "print(storage.read_prepared_csv(sys.argv[1]).h.hex(), 'numpy.ma' in sys.modules)")
+    h, ma = python("-c", read, str(prep)).stdout.split()
+    first = ds_dynamic.t[ds_dynamic.segment == ds_dynamic.segment[0]]
+    assert float.fromhex(h) == float(np.median(np.diff(first)))
+    assert ma == "False"
 
 
 def test_config_check_without_the_simulator_still_rejects_bad_sections(inputs, tmp_path,

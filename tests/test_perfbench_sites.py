@@ -98,7 +98,7 @@ def test_benchmark_configs_load(tmp_path, capsys):
         (tmp_path / name).mkdir()
         w.generate(tmp_path / name, 1, tiny)
         cfg = str(tmp_path / name / "config.json")
-        if "simulate" in cli._load_config(cfg):
+        if "simulate" in cli._config(cfg)[0]:
             assert cli.main(["--config", cfg, "simulate", "--out", str(tmp_path / "sim")]) == 0
     capsys.readouterr()
 

@@ -13,7 +13,7 @@ from asvid.oracle import (
     known_params_to_X,
     prbs_frames,
 )
-from asvid.regressors import TERMS, build_systems
+from asvid.regressors import TERMS, RegressionSystem, build_systems
 
 H = 0.2
 
@@ -244,6 +244,11 @@ class TestAgainstGenerator:
             assert tuple(systems[axis].n_cols for axis in "uvr") == paper[kind]
             assert tuple(len(TERMS[(kind, axis)]) for axis in "uvr") == paper[kind]
 
+    def test_wrong_column_count_rejected(self, ds_static):
+        sys = build_systems(ds_static, "static")["r"]
+        with pytest.raises(DataError, match=r"static/r system must have 13 columns, got shape"):
+            RegressionSystem(sys.block, sys.slot, sys.columns[:-1], "static", "r", sys.base)
+
     def test_row_provenance_valid(self, ds_static):
         row = row_of(ds_static)
         region = ds_static.region
@@ -282,12 +287,6 @@ class TestAgainstGenerator:
             lhs = sys.a @ (x1 + x2)
             rhs = sys.a @ x1 + sys.a @ x2
             assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_select_subset(self, ds_static):
-        sys = build_systems(ds_static, "static")["u"]
-        sub = sys.select(np.arange(0, sys.n_rows, 3))
-        assert sub.n_rows == len(range(0, sys.n_rows, 3))
-        assert (sub.segment[1], sub.k[1]) == (sys.segment[3], sys.k[3])
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -8,7 +8,7 @@ import pytest
 
 from asvid import cli, oracle, storage
 from asvid.cli import main
-from asvid.dataprep import GeoReference
+from asvid.dataprep import GeoReference, PreparedDataset
 from asvid.errors import SchemaError
 from asvid.files import from_json
 from asvid.estimator import identify_from_systems
@@ -853,6 +853,20 @@ def test_validate_model_accepts_an_inferred_h(tmp_path, ds_static, capsys):
             "--out", str(tmp_path / "val")]
     assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_inferred_h_skips_single_point_segments(tmp_path):
+    # The first segment has one point, so h comes from the second one's steps.
+    t2 = 3.0 + 0.2 * np.arange(6)
+    t = np.concatenate([[0.0], t2, 10.0 + 0.2 * np.arange(5)])
+    zeros = np.zeros(t.size)
+    ds = PreparedDataset(0.2, np.repeat([0, 1, 2], [1, 6, 5]), t=t, u=zeros, v=zeros, r=zeros,
+                         delta_mean=zeros, delta_diff=zeros, region=np.zeros(t.size, np.int8))
+    prep = tmp_path / "prepared.csv"
+    storage.write_prepared_csv(prep, ds)
+    prep.write_text("".join(line for line in prep.read_text().splitlines(keepends=True)
+                            if not line.startswith("# h=")))
+    assert storage.read_prepared_csv(prep).h == float(np.median(np.diff(t2)))
 
 
 def test_a_fixed_parameter_is_not_a_key():

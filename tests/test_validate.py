@@ -7,9 +7,11 @@ from asvid.dataprep import PreparedDataset
 from asvid.errors import DataError
 from asvid.estimator import IdentifiedModel, identify_from_systems
 from asvid.oracle import DiscreteGenConfig, generate_discrete, known_params_to_X
-from asvid.regressors import RegressionSystem, build_systems
+from asvid.regressors import RegressionSystem, RowBlock, build_systems
+from asvid import validate
 from asvid.validate import (
     PartitionSpec,
+    _split_points,
     evaluate,
     fit_split,
     mae,
@@ -24,24 +26,19 @@ H = 0.2
 
 
 def fake_systems(n_u: int, n_vr: int, n_segments: int = 1):
-    """Minimal consistent system triple with the given row counts."""
+    """Minimal static system triple with the given row counts; sway and yaw
+    share one block, as :func:`build_systems` builds them."""
 
-    def sys(n, cols, kind, axis):
+    def block(n, cols, n_rhs):
         per = max(n // n_segments, 1)
-        return RegressionSystem(
-            a=np.ones((n, cols)),
-            b=np.zeros(n),
-            segment=np.minimum(np.arange(n) // per, n_segments - 1),
-            k=np.arange(n),
-            model_kind=kind,
-            axis=axis,
-            base=np.zeros(n),
-        )
+        segment = np.minimum(np.arange(n) // per, n_segments - 1)
+        return RowBlock(np.ones((n, cols)), np.zeros((n_rhs, n)), segment, np.arange(n))
 
+    u, vr = block(n_u, 7, 1), block(n_vr, 13, 2)
     return {
-        "u": sys(n_u, 7, "static", "u"),
-        "v": sys(n_vr, 13, "static", "v"),
-        "r": sys(n_vr, 13, "static", "r"),
+        "u": RegressionSystem(u, 0, np.arange(7), "static", "u", np.zeros(n_u)),
+        **{axis: RegressionSystem(vr, slot, np.arange(13), "static", axis, np.zeros(n_vr))
+           for slot, axis in enumerate("vr")},
     }
 
 
@@ -95,6 +92,18 @@ class TestPartitionByPoints:
         split = partition(fake_dataset([10]), PartitionSpec("by_points", 0.5, 7), systems=systems)
         assert np.array_equal(split.train["v"], split.train["r"])
 
+    def test_blocks_draw_in_axis_order(self, ds_static):
+        # One draw per block, surge first; sway and yaw read the second one.
+        systems = build_systems(ds_static, "static")
+        assert systems["u"].n_rows != systems["v"].n_rows
+        split = partition(ds_static, PartitionSpec("by_points", 0.7, 11), systems=systems)
+        rng = np.random.default_rng(11)
+        surge = _split_points(systems["u"].n_rows, 0.7, rng)
+        swayyaw = _split_points(systems["v"].n_rows, 0.7, rng)
+        for axis, (train, val) in (("u", surge), ("v", swayyaw), ("r", swayyaw)):
+            assert np.array_equal(split.train[axis], train)
+            assert np.array_equal(split.val[axis], val)
+
     def test_empty_side_rejected(self):
         systems = fake_systems(3, 3)
         with pytest.raises(DataError):
@@ -120,6 +129,12 @@ class TestPartitionBySegments:
                 assert sys.segment[i] in split.train_segments
             for i in split.val[axis]:
                 assert sys.segment[i] in split.val_segments
+
+    def test_sway_yaw_share_split(self, ds_static):
+        systems = build_systems(ds_static, "static")
+        split = partition(ds_static, PartitionSpec("by_segments", 0.5, 2), systems=systems)
+        assert np.array_equal(split.train["v"], split.train["r"])
+        assert np.array_equal(split.val["v"], split.val["r"])
 
     def test_needs_two_segments(self):
         ds = fake_dataset([100])
@@ -381,6 +396,20 @@ class TestTrainingFractionSweep:
         v1 = rows[1]["validation"].evaluated
         assert v0 == v1  # same held-out rows across fractions
         assert rows[0]["train"].evaluated["u"] > rows[1]["train"].evaluated["u"]
+
+    def test_sway_yaw_share_rows(self, ds_static, monkeypatch):
+        seen = []
+
+        def spy(model, systems, rows, info):
+            seen.append(rows)
+            return evaluate(model, systems, rows, info)
+
+        monkeypatch.setattr(validate, "evaluate", spy)
+        training_fraction_sweep(ds_static, "static", fractions=(0.7, 0.5), seed=4)
+        assert len(seen) == 4  # train and validation of each fraction
+        for rows in seen:
+            assert np.array_equal(rows["v"], rows["r"])
+        assert not np.array_equal(seen[0]["u"], seen[0]["v"])
 
     def test_shares_filling_all_rows_survive_rounding(self, gt_static):
         # 25 rows per system: 0.3 -> 7.5 -> 8 and 0.7 -> 17.5 -> 18 would need 26 rows.
