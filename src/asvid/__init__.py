@@ -9,7 +9,7 @@ The public names below are imported from their modules on first access
 (PEP 562), so ``import asvid`` itself loads no numpy.
 """
 
-import importlib
+import sys
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
@@ -61,7 +61,9 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    module = f"{__name__}.{_EXPORTS[name]}"
+    __import__(module)  # unlike importlib.import_module, seen by -X importtime
+    value = getattr(sys.modules[module], name)
     globals()[name] = value  # later lookups skip this function
     return value
 

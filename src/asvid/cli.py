@@ -34,13 +34,21 @@ rejects exits 2 naming the file and the dotted key, for example
 loads the simulator (``oracle``) only for a file with a ``simulate`` or
 ``ground_truth`` section: without them, the noise and excitation it would
 build are the defaults, which cannot fail.
+
+Each command runs numpy's OpenBLAS on one thread.  When
+``OPENBLAS_NUM_THREADS`` is unset and numpy is not yet loaded, :func:`main`
+sets it to 1 before it parses the flags (the ``--sweep`` check loads numpy).
+Every solve and product is small (chunks of at most 8,192 entries, at most 21
+columns), so a second thread costs its start-up and gains nothing.  Export
+``OPENBLAS_NUM_THREADS`` to choose another count.  A caller that runs
+:func:`main` after loading numpy finds its environment unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -89,6 +97,14 @@ _COMMANDS = {
 }
 
 
+def _module(name: str):
+    """The submodule ``name``, loaded with ``__import__``: ``-X importtime``
+    does not see ``importlib.import_module``."""
+    name = f"{__package__}.{name}"
+    __import__(name)
+    return sys.modules[name]
+
+
 def _bind_numeric(modules=frozenset(_NUMERIC.values())) -> None:
     """Import ``storage`` and ``modules`` (by default every numeric module), and
     bind ``storage`` and the ``_NUMERIC`` names they define.
@@ -97,10 +113,10 @@ def _bind_numeric(modules=frozenset(_NUMERIC.values())) -> None:
     it before the first command keeps its wrapper.
     """
     names = globals()
-    names.setdefault("storage", importlib.import_module(f"{__package__}.storage"))
+    names.setdefault("storage", _module("storage"))
     for name, module in _NUMERIC.items():
         if module in modules:
-            names.setdefault(name, getattr(importlib.import_module(f"{__package__}.{module}"), name))
+            names.setdefault(name, getattr(_module(module), name))
 
 
 def __getattr__(name: str):
@@ -432,7 +448,7 @@ def _sweep(text: str) -> tuple[float, ...]:
     validation share of the sweep."""
     fractions = _fractions(text)
     try:
-        importlib.import_module(f"{__package__}.validate").check_sweep_fractions(fractions)
+        _module("validate").check_sweep_fractions(fractions)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return fractions
@@ -485,6 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads (see the module docstring).
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "report":

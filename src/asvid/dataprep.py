@@ -70,11 +70,17 @@ class GeoReference:
             raise ValueError(f"lon0 must lie within [-180, 180], got {self.lon0!r}")
 
 
+def _finite_increasing(t: np.ndarray) -> bool:
+    # ``diff(t) <= 0`` is False for NaN, so test the complement; comparing
+    # neighbours needs no float temporary the size of ``t``.
+    return bool(np.isfinite(t).all() and (t[1:] > t[:-1]).all())
+
+
 def _check_stream(name: str, t: np.ndarray, *cols: np.ndarray) -> None:
     if t.size == 0:
         raise DataError(f"{name} stream is empty")
-    if np.any(np.diff(t) <= 0):
-        raise DataError(f"{name} timestamps must be strictly increasing")
+    if not _finite_increasing(t):
+        raise DataError(f"{name} timestamps must be finite and strictly increasing")
     for c in cols:
         if c.shape != t.shape:
             raise DataError(f"{name} columns must match timestamp length")
@@ -284,8 +290,8 @@ def resample_causal(
         raise ValueError(
             f"y_raw needs one row per raw stamp: shape {y_raw.shape} for {t_raw.size} stamps"
         )
-    if np.any(np.diff(t_raw) <= 0):
-        raise ValueError("raw timestamps must be strictly increasing")
+    if not _finite_increasing(t_raw):
+        raise ValueError("raw timestamps t_raw must be finite and strictly increasing")
     tol = max(_TIME_TOL, _ulps(t_raw, t_grid))
     # Index 0 is a NaN sample stamped at -inf, held before the first raw one.
     idx = np.searchsorted(t_raw, t_grid + tol, side="right")

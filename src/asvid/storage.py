@@ -69,8 +69,10 @@ __all__ = [
 MODEL_FILE_VERSION = 1
 
 
-# Rows that write_csv formats and writes at a time.
-_WRITE_BLOCK = 4096
+# Rows that write_csv formats and writes at a time.  A block's Python floats
+# and strings take about 80 bytes a cell, so the block stays small beside the
+# arrays a command holds while it writes its last file.
+_WRITE_BLOCK = 1024
 
 
 def _line_at(text: str, pos: int) -> tuple[str, int]:

@@ -10,6 +10,7 @@ from asvid.dataprep import (
     GeoReference,
     PrepareConfig,
     PreparedDataset,
+    RAW_STREAMS,
     PwmMapConfig,
     RawLogBundle,
     SavGolConfig,
@@ -154,6 +155,12 @@ class TestResampleCausal:
     def test_non_increasing_stamps_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             resample_causal(np.array([0.0, 1.0, 1.0]), np.arange(3.0), np.arange(3.0))
+
+    @pytest.mark.parametrize("t", [[0.0, 0.2, np.nan, 0.6], [np.nan], [0.0, 0.2, np.inf]])
+    def test_non_finite_stamps_rejected(self, t):
+        # diff(t) <= 0 is False for NaN, so a NaN stamp used to be held.
+        with pytest.raises(ValueError, match="t_raw must be finite and strictly increasing"):
+            resample_causal(np.array(t), np.arange(float(len(t))), [0.1, 0.5])
 
     @pytest.mark.parametrize("rows", [5, 2])
     def test_one_row_per_stamp(self, rows):
@@ -405,6 +412,19 @@ class TestBuildPreparedDataset:
             f"{n_points} grid points hold PWM out of configured bounds by "
             f">{100 * oob_fraction:g}%"
         ]
+
+    @pytest.mark.parametrize("stamps", [[0.0, 0.2, np.nan, 0.6], [np.nan], [0.0, 0.2, np.inf]])
+    @pytest.mark.parametrize("stream", ["gnss", "heading", "pwm"])
+    def test_non_finite_stamps_rejected(self, stream, stamps):
+        # diff(t) <= 0 is False for NaN: a bundle with one NaN stamp used to
+        # be accepted, and prepared with a point fewer.
+        good = 0.2 * np.arange(4.0)
+        columns = {}
+        for name, _, fields in RAW_STREAMS:
+            t = np.array(stamps) if name == stream else good
+            columns.update({fields[0]: t, **{f: np.zeros_like(t) for f in fields[1:]}})
+        with pytest.raises(DataError, match=f"^{stream} timestamps must be finite and strictly"):
+            RawLogBundle(**columns)
 
     def test_empty_data_rejected(self):
         raw = synthetic_logs()

@@ -20,25 +20,38 @@ SRC = str(Path(asvid.__file__).resolve().parents[1])
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
-def python(*args: str, path: str = SRC, check: bool = True) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with ``path`` as PYTHONPATH; with ``check`` it must exit 0."""
+def python(*args: str, path: str = SRC, check: bool = True,
+           env: dict[str, str | None] | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``path`` as PYTHONPATH and the variables
+    ``env`` set (or, where None, unset); with ``check`` it must exit 0."""
+    environ = dict(os.environ, PYTHONPATH=path)
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         check=check,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=environ,
         timeout=120,
     )
 
 
-def imported_packages(importtime_stderr: str) -> set[str]:
-    """The top-level packages in the ``-X importtime`` lines of a run."""
+def imported_modules(importtime_stderr: str) -> set[str]:
+    """The modules in the ``-X importtime`` lines of a run."""
     return {
-        line.rsplit("|", 1)[-1].strip().split(".")[0]
+        line.rsplit("|", 1)[-1].strip()
         for line in importtime_stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def imported_packages(importtime_stderr: str) -> set[str]:
+    """The top-level packages in the ``-X importtime`` lines of a run."""
+    return {module.split(".")[0] for module in imported_modules(importtime_stderr)}
 
 
 def test_import_loads_no_scipy():
@@ -92,21 +105,25 @@ def test_tracer_entered_before_the_first_command_keeps_its_wrapper(tmp_path, ds_
 
 # Runs one command in a fresh interpreter; prints its exit code, then the
 # loaded modules of the package and the other modules the tests watch.
+WATCHED = ("hashlib", "numpy.ma")
 RUN_AND_LIST = (
     "import sys\n"
     "from asvid import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "watched = ('hashlib', 'numpy.ma')\n"
+    f"watched = {WATCHED!r}\n"
     "print(code, *sorted(m for m in sys.modules if m.startswith('asvid.') or m in watched))\n"
 )
 
 
-def command_modules(*argv: str) -> tuple[int, set[str]]:
-    """The exit code of ``asvid argv`` in a fresh interpreter, and the modules it
-    loaded: those of ``asvid`` without the package prefix, and any watched ones."""
-    run = python("-c", RUN_AND_LIST, *argv, check=False)
+def command_modules(*argv: str) -> tuple[int, set[str], set[str]]:
+    """The exit code of ``asvid argv`` in a fresh interpreter, the modules it
+    loaded (those of ``asvid`` without the package prefix, and any watched
+    ones), and the ``asvid`` modules its ``-X importtime`` lines list."""
+    run = python("-X", "importtime", "-c", RUN_AND_LIST, *argv, check=False)
     code, *modules = run.stdout.splitlines()[-1].split()
-    return int(code), {m.removeprefix("asvid.") for m in modules}
+    timed = {m.removeprefix("asvid.") for m in imported_modules(run.stderr)
+             if m.startswith("asvid.")}
+    return int(code), {m.removeprefix("asvid.") for m in modules}, timed
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +159,62 @@ NOT_LOADED = {
 
 @pytest.mark.parametrize("command", sorted(NOT_LOADED))
 def test_each_command_loads_only_the_modules_it_runs(command, inputs, tmp_path):
-    code, modules = command_modules(*command_argv(command, inputs, tmp_path / "out"))
+    code, modules, timed = command_modules(*command_argv(command, inputs, tmp_path / "out"))
     assert code == 0
-    assert {"cli", "storage"} <= modules
+    assert {"cli", "storage", *cli._COMMANDS[command]} <= modules
     assert modules & NOT_LOADED[command] == set()
+    # -X importtime times every module the command loads (not one that
+    # importlib.import_module loads), so it gives each command's import cost.
+    assert timed == modules - set(WATCHED)
+
+
+# Runs one command in a fresh interpreter; prints its exit code, then the
+# value of OPENBLAS_NUM_THREADS when numpy began to load.
+BLAS_AT_NUMPY = (
+    "import os, sys\n"
+    "seen = []\n"
+    "def hook(event, args):\n"
+    "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+    "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.addaudithook(hook)\n"
+    "from asvid import cli\n"
+    "print(cli.main(sys.argv[1:]), seen)\n"
+)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_numpy_loads_with_one_blas_thread_unless_one_is_chosen(command, preset, inputs,
+                                                                 tmp_path):
+    # OpenBLAS sizes its thread pool when numpy loads; validate --sweep loads
+    # numpy while the flags are parsed.
+    argv = command_argv(command, inputs, tmp_path / "out")
+    run = python("-c", BLAS_AT_NUMPY, *argv, env={"OPENBLAS_NUM_THREADS": preset})
+    assert run.stdout.splitlines()[-1] == f"0 [{preset or '1'!r}]"
+
+
+def test_main_after_numpy_loaded_leaves_the_environment_alone(monkeypatch, inputs, tmp_path):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert "numpy" in sys.modules
+    assert cli.main(command_argv("identify", inputs, tmp_path / "out")) == 0
+    assert dict(os.environ) == before
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(inputs, tmp_path):
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {"OPENBLAS_NUM_THREADS": threads, "SOURCE_DATE_EPOCH": "0"}
+        python("-m", "asvid.cli", *command_argv("identify", inputs, out / "identify"), env=env)
+        for method in ("by_points", "by_segments"):
+            argv = [*command_argv("validate", inputs, out / method), "--method", method]
+            python("-m", "asvid.cli", *argv, env=env)
+    files = ["identify/model.json"] + [
+        f"{method}/{name}" for method in ("by_points", "by_segments")
+        for name in ("metrics.json", "metrics.csv", "traces.csv")
+    ]
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_segment_validation_loads_no_numpy_ma(inputs, tmp_path):
@@ -155,7 +224,7 @@ def test_segment_validation_loads_no_numpy_ma(inputs, tmp_path):
         pytest.skip("this numpy loads numpy.ma when it is imported")
     argv = ["validate", "--prepared", str(inputs / "prepared.csv"), "--kind", "dynamic",
             "--method", "by_segments", "--sensitivity", "2", "--out", str(tmp_path / "val")]
-    code, modules = command_modules(*argv)
+    code, modules, _ = command_modules(*argv)
     assert code == 0
     assert "numpy.ma" not in modules
 
